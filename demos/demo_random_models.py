@@ -16,10 +16,6 @@ from randcube import (
     format_filtration,
     restrict,
     sample,
-    sample_ball_cover,
-    sample_lower,
-    sample_perturbed_lattice,
-    sample_upper,
     validate,
 )
 from randcube.models import restrict_box
@@ -28,22 +24,22 @@ uniform = DistributionSpec("uniform", (0.0, 1.0))
 marks = (uniform, uniform, uniform)  # one mark law per cube dimension
 
 # Upper model: a cube appears when the first cube CONTAINING it appears.
-up = sample_upper(2, marks, seed=42)
+up = sample(ModelSpec("upper", 2, marks=marks), 2, seed=42)
 # Lower model: a cube appears once every cube INSIDE it has appeared.
-low = sample_lower(2, marks, seed=42)
+low = sample(ModelSpec("lower", 2, marks=marks), 2, seed=42)
 print(f"upper: {up}")
 print(f"lower: {low}")
 assert validate(up) is None and validate(low) is None
 
 # Geometric models: lattice points are jittered by a perturbation law.
 jitter = DistributionSpec("uniform", (-0.25, 0.25))
-pl = sample_perturbed_lattice(2, jitter, seed=42, d=2)
-bc = sample_ball_cover(2, jitter, m_grid=4, seed=42, d=2)
+pl = sample(ModelSpec("perturbed_lattice", 2, perturbation=jitter), 2, seed=42)
+bc = sample(ModelSpec("ball_cover", 2, perturbation=jitter, m_grid=4), 2, seed=42)
 print(f"perturbed lattice: {pl}")
 print(f"ball cover: {bc}  (approximate: {bc.meta['approximate']})")
 
 # Reproducibility: same seed, same filtration, bit for bit.
-again = sample_upper(2, marks, seed=42)
+again = sample(ModelSpec("upper", 2, marks=marks), 2, seed=42)
 assert again.births == up.births
 print("\nresampling with the same seed is bit-identical")
 

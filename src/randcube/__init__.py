@@ -12,14 +12,12 @@ from .cubes import (
     cofaces_containing,
     cube_count_formula,
     cube_in_window,
-    dimension,
     enumerate_cubes,
     faces_contained_in,
 )
 from .homology import (
     DEFAULT_FIELD,
     DEFAULT_PRIME,
-    GF,
     PrimeField,
     RationalField,
     SparseMatrix,
@@ -33,17 +31,12 @@ from .models import (
     ModelSpec,
     block_copy,
     block_window,
-    covering_birth,
     format_filtration,
     parse_filtration,
     restrict,
     restrict_box,
     sample,
-    sample_ball_cover,
     sample_box,
-    sample_lower,
-    sample_perturbed_lattice,
-    sample_upper,
 )
 from .persistence import (
     Filtration,

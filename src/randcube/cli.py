@@ -25,6 +25,7 @@ from .limits import (
     legendre_transform,
     write_histogram_csv,
     write_mgf_csv,
+    write_pb_csv,
     write_rate_csv,
 )
 from .models import (
@@ -237,18 +238,13 @@ def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
     if which == "pb":
         if not config.pairs:
             raise ConfigError("estimate pb needs 'pairs'")
+        estimates = [
+            estimate_pb_density(model, q, config.pairs, n, trials, seed, jobs)
+            for q in config.q_list
+            for n in config.n_list
+        ]
         with open(out_dir / "pb.csv", "w") as fp:
-            fp.write("model,q,s,t,n,trial,value\n")
-            for q in config.q_list:
-                for n in config.n_list:
-                    est = estimate_pb_density(model, q, config.pairs, n,
-                                              trials, seed, jobs)
-                    for idx, (s, t) in enumerate(est.pairs):
-                        for trial in range(trials):
-                            fp.write(
-                                f"{model.kind},{q},{s!r},{t!r},{n},{trial},"
-                                f"{float(est.densities[trial, idx])!r}\n"
-                            )
+            write_pb_csv(fp, *estimates)
     elif which == "diagram":
         for q in config.q_list:
             result = estimate_mean_diagram(model, q, config.n, trials,
@@ -260,6 +256,9 @@ def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
             raise ConfigError(f"estimate {which} needs 'pairs'")
         if config.lambda_axis is None:
             raise ConfigError(f"estimate {which} needs 'lambda_grid'")
+        if len(config.q_list) != 1:
+            raise ConfigError(f"estimate {which} takes a single q, got "
+                              f"{config.q_list}")
         axes = [config.lambda_axis] * len(config.pairs)
         phi = estimate_log_mgf(model, config.q_list[0], config.pairs, axes,
                                config.n, trials, seed, jobs)

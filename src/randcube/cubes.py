@@ -148,11 +148,6 @@ class Window:
         return Box((-self.n,) * self.d, (self.n,) * self.d)
 
 
-def dimension(cube: ElementaryCube) -> int:
-    """Number of nondegenerate intervals of the cube."""
-    return cube.dim
-
-
 @lru_cache(maxsize=262144)
 def boundary_faces(cube: ElementaryCube) -> list[SignedCube]:
     """Signed codimension-1 faces of the cube.

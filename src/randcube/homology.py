@@ -95,7 +95,6 @@ class RationalField:
             col[row] = col[row] * factor
 
 
-GF = PrimeField
 DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 

@@ -157,11 +157,14 @@ def _hist_trial(args):
     return hist.counts, hist.overflow, hist.infinite, masses
 
 
-def _map_trials(worker, args_list, jobs: int) -> list:
-    if jobs <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    with Pool(processes=jobs) as pool:
-        return pool.map(worker, args_list)
+def ordered_map(fn, tasks, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, spread over ``jobs`` worker processes when
+    ``jobs`` > 1; the results keep the task order for any worker count."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with Pool(jobs) as pool:
+        # tasks are coarse and uneven (window sizes differ a lot)
+        return pool.map(fn, tasks, chunksize=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,7 @@ def estimate_pb_density(
     if n < 1:
         raise ValueError("window radius must be >= 1 (volume normalization)")
     args = [(model, n, q, pairs, seed, trial) for trial in range(trials)]
-    rows = _map_trials(_pb_trial, args, jobs)
+    rows = ordered_map(_pb_trial, args, jobs)
     return PBDensity(model, q, pairs, n, trials, seed,
                      np.array(rows, dtype=np.int64).reshape(trials, len(pairs)))
 
@@ -279,7 +282,7 @@ def estimate_mean_diagram(
         raise ValueError("window radius must be >= 1 (volume normalization)")
     grid_pairs = dyadic_grid_pairs(l)
     args = [(model, n, q, l, grid_pairs, seed, trial) for trial in range(trials)]
-    rows = _map_trials(_hist_trial, args, jobs)
+    rows = ordered_map(_hist_trial, args, jobs)
 
     pair_index = {p: i for i, p in enumerate(grid_pairs)}
     mean_counts: dict[tuple[int, int], float] = {}
@@ -572,13 +575,15 @@ def _write_csv(fp, header: list[str], rows) -> None:
         fp.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_pb_csv(fp, est: PBDensity) -> None:
+def write_pb_csv(fp, *estimates: PBDensity) -> None:
+    """One header, then every estimate's rows in the order given."""
     header = ["model", "q", "s", "t", "n", "trial", "value"]
-    rows = []
-    for idx, (s, t) in enumerate(est.pairs):
-        for trial in range(est.trials):
-            rows.append((est.model.kind, est.q, s, t, est.n, trial,
-                         float(est.densities[trial, idx])))
+    rows = [
+        (est.model.kind, est.q, s, t, est.n, trial, float(est.densities[trial, idx]))
+        for est in estimates
+        for idx, (s, t) in enumerate(est.pairs)
+        for trial in range(est.trials)
+    ]
     _write_csv(fp, header, rows)
 
 

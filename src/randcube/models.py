@@ -20,30 +20,16 @@ Model kinds and their dependence ranges R:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .cubes import (
-    Box,
-    ElementaryCube,
-    Window,
-    all_cubes_box,
-    boundary_faces,
-    cofaces_containing,
-    faces_contained_in,
-)
+from .cubes import Box, ElementaryCube, Window, all_cubes_box
 from .persistence import Filtration
-from .rng import (
-    TAG_CUBE_MARK,
-    TAG_LATTICE_POINT,
-    cube_key_array,
-    point_key_array,
-    stream_uniform,
-)
+from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
 INF = math.inf
 
@@ -66,6 +52,8 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_inf <= 1.0:
             raise ValueError("p_inf must lie in [0, 1]")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError("distribution parameters must be finite")
         if self.family == "point_mass":
             if len(self.params) != 1:
                 raise ValueError("point_mass takes one parameter")
@@ -81,9 +69,10 @@ class DistributionSpec:
                 raise ValueError("empirical takes (v_1, c_1, ..., v_k, c_k)")
             if any(a >= b for a, b in zip(vals, vals[1:])):
                 raise ValueError("empirical values must be strictly increasing")
-            if any(a > b for a, b in zip(probs, probs[1:])) or probs[-1] > 1:
+            if (any(a > b for a, b in zip(probs, probs[1:])) or probs[0] < 0
+                    or probs[-1] > 1):
                 raise ValueError("empirical cumulative probabilities must be "
-                                 "nondecreasing and end at most 1")
+                                 "nondecreasing within [0, 1]")
         else:
             raise ValueError(f"unknown distribution family {self.family!r}")
 
@@ -178,220 +167,163 @@ class ModelSpec:
         return self.kind == "ball_cover"
 
 
-def _mark_values(
-    cubes: list[ElementaryCube],
-    marks: tuple[DistributionSpec, ...],
-    kind: str,
-    seed: int,
-    trial: int,
-) -> dict[ElementaryCube, float]:
-    """Independent marks u_Q ~ F_{dim Q}, one per cube."""
-    u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial),
-                       cube_key_array(cubes))
-    dims = np.fromiter((c.dim for c in cubes), dtype=np.int64, count=len(cubes))
-    values = np.empty(len(cubes), dtype=np.float64)
-    for q in range(len(marks)):
+def _canonical_order(grid: np.ndarray) -> np.ndarray:
+    """Grid values listed in the canonical cube order of ``all_cubes_box``:
+    by base, then by extent."""
+    d = grid.ndim
+    pad = [(0, 1)] * d  # every axis to even length, so c splits into (base, extent)
+    split = [s for length in grid.shape for s in ((length + 1) // 2, 2)]
+    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+
+    def arrange(a):
+        return np.pad(a, pad).reshape(split).transpose(order).ravel()
+
+    return arrange(grid)[arrange(np.ones(grid.shape, dtype=bool))]
+
+
+def _neighbour_pass(grid: np.ndarray, first: int, op) -> None:
+    """Along each axis in turn, every second position from ``first`` takes
+    ``op`` of itself and its two neighbours (in place).
+
+    From ``first`` = 1 (the nondegenerate positions) this folds every face of
+    a cube into it; from 2 (the interior degenerate positions) every coface.
+    """
+    for axis in range(grid.ndim):
+        g = np.moveaxis(grid, axis, 0)
+        mid = g[first:-1:2]
+        op(mid, g[first - 1:-2:2], out=mid)
+        op(mid, g[first + 1::2], out=mid)
+
+
+def _mark_grid(
+    marks: tuple[DistributionSpec, ...], box: Box, kind: str, seed: int, trial: int
+) -> np.ndarray:
+    """Independent marks u_Q ~ F_{dim Q}, one per cube of the box, keyed by
+    the cube's [extent mask, base_1, ..., base_d]."""
+    # doubled coordinates c = 2*(base - lo) + extent, one grid point per cube;
+    # odd entries are the cube's nondegenerate axes
+    c = np.indices(tuple(2 * (b - a) + 1 for a, b in zip(box.lo, box.hi)))
+    d = box.ambient_dim
+    extent = c % 2
+    base = c // 2 + np.reshape(box.lo, (d,) + (1,) * d)
+    mask = sum(extent[a] << (d - 1 - a) for a in range(d))
+    keys = np.stack([mask, *base], axis=-1).reshape(-1, d + 1)
+    u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial), keys)
+    u = u.reshape(mask.shape)
+    dims = extent.sum(axis=0)
+    values = np.empty(u.shape)
+    for q, mark in enumerate(marks):
         sel = dims == q
-        if sel.any():
-            values[sel] = marks[q].quantile(u[sel])
-    return dict(zip(cubes, values.tolist()))
-
-
-def _sample_upper_box(
-    box: Box, marks: tuple[DistributionSpec, ...], seed: int, trial: int
-) -> dict[ElementaryCube, float]:
-    # marks are needed on every cube containing a box cube; all of those lie
-    # in the box grown by one
-    halo_cubes = all_cubes_box(box.grow(1))
-    u = _mark_values(halo_cubes, marks, "upper", seed, trial)
-    births: dict[ElementaryCube, float] = {}
-    for cube in all_cubes_box(box):
-        t = min(u[c] for c in cofaces_containing(cube))
-        if t < INF:
-            births[cube] = t
-    return births
-
-
-def _sample_lower_box(
-    box: Box, marks: tuple[DistributionSpec, ...], seed: int, trial: int
-) -> dict[ElementaryCube, float]:
-    cubes = all_cubes_box(box)
-    u = _mark_values(cubes, marks, "lower", seed, trial)
-    births: dict[ElementaryCube, float] = {}
-    for cube in cubes:
-        t = max(u[c] for c in faces_contained_in(cube))
-        if t < INF:
-            births[cube] = t
-    return births
+        values[sel] = mark.quantile(u[sel])
+    return values
 
 
 def _perturbed_points(
     box: Box, law: DistributionSpec, kind: str, seed: int, trial: int
-) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
-    """Perturbed positions x_z = z + eps_z for every lattice point of the box."""
-    ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
-    pts = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    keys = point_key_array(pts)
+) -> np.ndarray:
+    """Perturbed positions x_z = z + eps_z of the box's lattice points, as an
+    array of shape (hi_1 - lo_1 + 1, ..., hi_d - lo_d + 1, d) indexed by
+    z - lo."""
     d = box.ambient_dim
-    eps = np.empty((len(pts), d), dtype=np.float64)
-    for axis in range(d):
-        u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_LATTICE_POINT, trial, axis),
-                           keys)
-        eps[:, axis] = law.quantile(u)
-    index = {tuple(int(v) for v in z): i for i, z in enumerate(pts)}
-    return pts + eps, index
+    z = np.indices(tuple(b - a + 1 for a, b in zip(box.lo, box.hi)))
+    z = np.moveaxis(z, 0, -1) + np.asarray(box.lo)
+    keys = z.reshape(-1, d)
+    eps = np.stack([
+        law.quantile(stream_uniform(
+            seed, (MODEL_TAGS[kind], TAG_LATTICE_POINT, trial, axis), keys))
+        for axis in range(d)
+    ], axis=-1)
+    return z + eps.reshape(z.shape)
 
 
-def _sample_perturbed_box(
-    box: Box, law: DistributionSpec, seed: int, trial: int
-) -> dict[ElementaryCube, float]:
-    x, index = _perturbed_points(box, law, "perturbed_lattice", seed, trial)
-    births: dict[ElementaryCube, float] = {}
-    for cube in all_cubes_box(box):
-        q = cube.dim
-        if q == 0:
-            births[cube] = 0.0  # no adjacent pair: the inf is over nothing
-            continue
-        worst = 0.0
-        for corner in cube.vertices():
-            i = index[corner]
-            for axis, e in enumerate(cube.extent):
-                if e and corner[axis] == cube.base[axis]:
-                    j = index[corner[:axis] + (corner[axis] + 1,) + corner[axis + 1:]]
-                    dist = float(np.linalg.norm(x[i] - x[j]))
-                    if dist > worst:
-                        worst = dist
-        births[cube] = worst
-    return births
+def _edge_lengths(box: Box, law: DistributionSpec, seed: int, trial: int) -> np.ndarray:
+    """Grid holding each edge's perturbed length at its position and 0 at
+    every other cube."""
+    x = _perturbed_points(box, law, "perturbed_lattice", seed, trial)
+    grid = np.zeros(tuple(2 * s - 1 for s in x.shape[:-1]))
+    for axis in range(box.ambient_dim):
+        diff = np.diff(x, axis=axis)
+        # a per-vector dot product rounds as the 1-D np.linalg.norm of one
+        # edge does; a batched norm or a sum of squares can differ in the
+        # last bit
+        length = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        grid[tuple(slice(1, None, 2) if a == axis else slice(0, None, 2)
+                   for a in range(box.ambient_dim))] = length
+    return grid
 
 
-def covering_birth(cube: ElementaryCube, centers: np.ndarray, m_grid: int) -> float:
-    """Grid approximation of the time at which balls around the centers cover
-    the cube: the max over an m_grid^dim regular grid (corners included) of
-    the distance to the nearest center."""
-    steps = np.linspace(0.0, 1.0, m_grid)
-    axes = [
-        cube.base[a] + (steps if e else steps[:1])
-        for a, e in enumerate(cube.extent)
-    ]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, cube.ambient_dim)
-    dists, _ = cKDTree(centers).query(grid)
-    return float(np.max(dists))
-
-
-def _sample_ballcover_box(
+def _cover_radii(
     box: Box, law: DistributionSpec, m_grid: int, seed: int, trial: int
-) -> dict[ElementaryCube, float]:
-    rho = law.coordinate_radius()
-    halo = math.ceil(rho) + 1
-    x, _ = _perturbed_points(box.grow(halo), law, "ball_cover", seed, trial)
-    tree = cKDTree(x)
-    births: dict[ElementaryCube, float] = {}
-    cubes = all_cubes_box(box)
-    steps = np.linspace(0.0, 1.0, m_grid)
-    for cube in cubes:
-        axes = [
-            cube.base[a] + (steps if e else steps[:1])
-            for a, e in enumerate(cube.extent)
-        ]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        grid = grid.reshape(-1, box.ambient_dim)
-        dists, _ = tree.query(grid)
-        births[cube] = float(np.max(dists))
-    # monotone repair: propagate the max over faces upward; a no-op here
-    # because the grid includes the cube corners, but kept as a guarantee
-    for cube in sorted(cubes, key=lambda c: c.dim):
-        if cube.dim == 0:
-            continue
-        worst = max(births[f.cube] for f in boundary_faces(cube))
-        if births[cube] < worst:
-            births[cube] = worst
-    return births
+) -> np.ndarray:
+    """Grid of grid-approximate covering radii: per cube, the max distance to
+    the nearest perturbed lattice point over its m_grid^dim sample points
+    (corners included)."""
+    d = box.ambient_dim
+    halo = math.ceil(law.coordinate_radius()) + 1
+    centers = _perturbed_points(box.grow(halo), law, "ball_cover", seed, trial)
+    # the sample points of every cube of the box, shared between neighbours
+    steps = np.linspace(0.0, 1.0, m_grid)[:-1]
+    axes = [np.append((np.arange(a, b)[:, None] + steps).ravel(), b)
+            for a, b in zip(box.lo, box.hi)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    dist, _ = cKDTree(centers.reshape(-1, d)).query(points.reshape(-1, d))
+    dist = dist.reshape(points.shape[:-1])
+    step = m_grid - 1
+    for axis in range(d):
+        a = np.moveaxis(dist, axis, -1)
+        out = np.empty(a.shape[:-1] + (2 * (a.shape[-1] - 1) // step + 1,))
+        out[..., 0::2] = a[..., ::step]
+        out[..., 1::2] = sliding_window_view(a, m_grid, axis=-1)[..., ::step, :].max(-1)
+        dist = np.moveaxis(out, -1, axis)
+    return dist
 
 
-def _meta(model_kind: str, n: int | None, seed: int, trial: int, approx: bool) -> dict:
-    meta = {"model": model_kind, "seed": seed, "trial": trial}
-    if n is not None:
-        meta["n"] = n
-    if approx:
+def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtration:
+    """Sample the model on an integer box (a window or a translated block).
+
+    Births are computed on the box's doubled-coordinate grid by separable
+    per-axis passes: the lower model folds each cube's faces into it (max),
+    the upper model each cube's cofaces (min, over marks drawn on the box
+    grown by one), the perturbed lattice folds edge lengths upward, and the
+    ball cover reduces one nearest-centre query over all sample points.  The
+    ball-cover births are grid approximations, a lower bound of the true
+    covering radius with one-sided error at most the sample-grid cell
+    diameter; its outputs carry an "approximate" flag.
+    """
+    if box.ambient_dim != model.d:
+        raise ValueError(f"box has dimension {box.ambient_dim}, model has d = {model.d}")
+    if model.kind == "lower":
+        grid = _mark_grid(model.marks, box, "lower", seed, trial)
+        _neighbour_pass(grid, 1, np.maximum)
+    elif model.kind == "upper":
+        grid = _mark_grid(model.marks, box.grow(1), "upper", seed, trial)
+        _neighbour_pass(grid, 2, np.minimum)
+        grid = grid[(slice(2, -2),) * box.ambient_dim]
+    elif model.kind == "perturbed_lattice":
+        grid = _edge_lengths(box, model.perturbation, seed, trial)
+        _neighbour_pass(grid, 1, np.maximum)
+    else:
+        grid = _cover_radii(box, model.perturbation, model.m_grid, seed, trial)
+    meta = {"model": model.kind, "seed": seed, "trial": trial}
+    if model.is_approximate:
         meta["approximate"] = True
-    return meta
-
-
-def sample_upper(
-    n: int, marks: tuple[DistributionSpec, ...], seed: int, *, trial: int = 0
-) -> Filtration:
-    """Upper model on [-n, n]^d: births are the min mark over containing cubes.
-
-    Marks are drawn on the grown box so every coface of a window cube is
-    covered; the unrestricted birth is computed exactly, then windowed.
-    """
-    d = len(marks) - 1
-    win = Window(n, d)
-    births = _sample_upper_box(win.box, marks, seed, trial)
-    return Filtration(win, births, _meta("upper", n, seed, trial, False))
-
-
-def sample_lower(
-    n: int, marks: tuple[DistributionSpec, ...], seed: int, *, trial: int = 0
-) -> Filtration:
-    """Lower model on [-n, n]^d: births are the max mark over contained cubes."""
-    d = len(marks) - 1
-    win = Window(n, d)
-    births = _sample_lower_box(win.box, marks, seed, trial)
-    return Filtration(win, births, _meta("lower", n, seed, trial, False))
-
-
-def sample_perturbed_lattice(
-    n: int, law: DistributionSpec, seed: int, *, d: int, trial: int = 0
-) -> Filtration:
-    """Perturbed-lattice model: birth of a cube is the largest distance
-    between perturbed adjacent lattice points inside it."""
-    win = Window(n, d)
-    births = _sample_perturbed_box(win.box, law, seed, trial)
-    return Filtration(win, births, _meta("perturbed_lattice", n, seed, trial, False))
-
-
-def sample_ball_cover(
-    n: int,
-    law: DistributionSpec,
-    m_grid: int,
-    seed: int,
-    *,
-    d: int,
-    trial: int = 0,
-) -> Filtration:
-    """Ball-cover model: birth of a cube is the grid-approximate radius at
-    which balls around the perturbed lattice points cover it.
-
-    The covering radius is maximized over an m_grid^dim regular grid per cube
-    (corners included), a lower bound of the true value with one-sided error
-    at most the grid cell diameter; outputs carry an "approximate" flag.
-    """
-    win = Window(n, d)
-    births = _sample_ballcover_box(win.box, law, m_grid, seed, trial)
-    return Filtration(win, births, _meta("ball_cover", n, seed, trial, True))
+    births = dict(zip(all_cubes_box(box), _canonical_order(grid).tolist()))
+    return Filtration(box, births, meta)
 
 
 def sample(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Filtration:
-    """Dispatch to the model's sampler."""
-    if model.kind == "upper":
-        return sample_upper(n, model.marks, seed, trial=trial)
-    if model.kind == "lower":
-        return sample_lower(n, model.marks, seed, trial=trial)
-    if model.kind == "perturbed_lattice":
-        return sample_perturbed_lattice(n, model.perturbation, seed, d=model.d,
-                                        trial=trial)
-    return sample_ball_cover(n, model.perturbation, model.m_grid, seed,
-                             d=model.d, trial=trial)
+    """Sample the model on the window [-n, n]^d."""
+    filtration = sample_box(model, Window(n, model.d).box, seed, trial)
+    filtration.meta["n"] = n
+    return filtration
 
 
 def restrict_box(filtration: Filtration, box: Box) -> Filtration:
     """Restrict a filtration to an arbitrary integer box (used for
     translated block windows)."""
-    births = {c: t for c, t in filtration.births.items() if box.contains_cube(c)}
-    return Filtration(box, births, filtration.meta)
+    births = filtration.births
+    return Filtration(box, {c: births[c] for c in all_cubes_box(box) if c in births},
+                      filtration.meta)
 
 
 def restrict(filtration: Filtration, m: int) -> Filtration:
@@ -407,22 +339,6 @@ def restrict(filtration: Filtration, m: int) -> Filtration:
     out = restrict_box(filtration, Window(m, d).box)
     out.meta["n"] = m
     return out
-
-
-def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtration:
-    """Sample the model restricted to an arbitrary integer box (used for
-    translated block windows)."""
-    if model.kind == "upper":
-        births = _sample_upper_box(box, model.marks, seed, trial)
-    elif model.kind == "lower":
-        births = _sample_lower_box(box, model.marks, seed, trial)
-    elif model.kind == "perturbed_lattice":
-        births = _sample_perturbed_box(box, model.perturbation, seed, trial)
-    else:
-        births = _sample_ballcover_box(box, model.perturbation, model.m_grid,
-                                       seed, trial)
-    return Filtration(box, births,
-                      _meta(model.kind, None, seed, trial, model.is_approximate))
 
 
 def block_window(k: int, r: int, z: tuple[int, ...]) -> Box:
@@ -486,5 +402,8 @@ def parse_filtration(text: str) -> Filtration:
     births = {}
     for ln in lines[1:]:
         cube_text, birth_text = ln.split()
-        births[ElementaryCube.from_canonical(cube_text)] = float(birth_text)
+        cube = ElementaryCube.from_canonical(cube_text)
+        if cube in births:
+            raise ValueError(f"duplicate cube line {ln!r}")
+        births[cube] = float(birth_text)
     return Filtration(Window(n, d), births, meta)

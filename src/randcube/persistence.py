@@ -25,7 +25,8 @@ INF = math.inf
 
 class Filtration:
     """A region plus a birth-time map cube -> [0, inf); cubes that never
-    appear are simply absent from the map (birth = inf)."""
+    appear are simply absent from the map (birth = inf).  A nan birth is
+    rejected, never read as "not born"."""
 
     def __init__(
         self,
@@ -36,7 +37,7 @@ class Filtration:
         if isinstance(region, Window):
             region = region.box
         self.region = region
-        self.births = {c: float(t) for c, t in births.items() if math.isfinite(t)}
+        self.births = {c: float(t) for c, t in births.items() if t != INF}
         self.meta = dict(meta) if meta else {}
         for cube in self.births:
             if cube.ambient_dim != region.ambient_dim:
@@ -47,8 +48,9 @@ class Filtration:
                 raise ValueError(
                     f"finite-birth cube {cube.canonical()} lies outside the region"
                 )
-            if self.births[cube] < 0:
-                raise ValueError("birth times must be nonnegative")
+            if not self.births[cube] >= 0:  # also catches nan and -inf
+                raise ValueError("birth times must be nonnegative, got "
+                                 f"{self.births[cube]!r} at {cube.canonical()}")
         self._sorted: Optional[list[ElementaryCube]] = None
         self._validated = False
 

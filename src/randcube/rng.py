@@ -55,24 +55,3 @@ def stream_uniform(seed: int, tags: tuple[int, ...], keys: np.ndarray) -> np.nda
         h = _mix(h ^ keys[:, col].view(np.uint64))
     return (h >> np.uint64(11)).astype(np.float64) * _U53
 
-
-def cube_key_array(cubes) -> np.ndarray:
-    """(N, d+1) key rows [extent_mask, base_1, ..., base_d] for cubes of one
-    common ambient dimension."""
-    n = len(cubes)
-    if n == 0:
-        return np.zeros((0, 1), dtype=np.int64)
-    d = cubes[0].ambient_dim
-    keys = np.empty((n, d + 1), dtype=np.int64)
-    for i, c in enumerate(cubes):
-        mask = 0
-        for e in c.extent:
-            mask = (mask << 1) | e
-        keys[i, 0] = mask
-        keys[i, 1:] = c.base
-    return keys
-
-
-def point_key_array(points) -> np.ndarray:
-    """Key rows for integer lattice points (N, d)."""
-    return np.asarray(points, dtype=np.int64)

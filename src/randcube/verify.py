@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .limits import (
     legendre_transform,
     lln_sweep,
     near_additivity_gap,
+    ordered_map,
     regularity_gap,
 )
 from .models import DistributionSpec, ModelSpec, restrict
@@ -89,14 +89,6 @@ RATE_SEED = 1203
 LLN_SEED = 819
 
 _UNIFORM = DistributionSpec("uniform", (0.0, 1.0))
-
-
-def _pool_map(fn, tasks, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with Pool(jobs) as pool:
-        # tasks are coarse and uneven (window sizes differ a lot)
-        return pool.map(fn, tasks, chunksize=1)
 
 
 def _uniform_model(kind: str, d: int) -> ModelSpec:
@@ -251,7 +243,7 @@ def check_chain_complex(scale: Scale, jobs: int = 1) -> CheckResult:
         for _ in range(scale.chain_sets_per_d)
         for d in (2, 3, 4)
     ]
-    rows = _pool_map(_chain_complex_one, params, jobs)
+    rows = ordered_map(_chain_complex_one, params, jobs)
     bad = sum(r[0] for r in rows)
     comparisons = sum(r[1] for r in rows)
     return CheckResult(
@@ -315,7 +307,7 @@ def _k_triangle_one(params) -> tuple[int, int]:
 def check_k_triangle(scale: Scale, jobs: int = 1) -> CheckResult:
     t0 = time.time()
     params = _corpus_params(scale.k_triangle_filtrations, CORPUS_SEED + 4)
-    rows = _pool_map(_k_triangle_one, params, jobs)
+    rows = ordered_map(_k_triangle_one, params, jobs)
     bad = sum(r[0] for r in rows)
     comparisons = sum(r[1] for r in rows)
     return CheckResult(
@@ -392,7 +384,7 @@ def _inequality_one(params) -> tuple[int, int, float]:
 def check_inequalities(scale: Scale, jobs: int = 1) -> CheckResult:
     t0 = time.time()
     params = _corpus_params(scale.nested_pairs, CORPUS_SEED + 4)
-    rows = _pool_map(_inequality_one, params, jobs)
+    rows = ordered_map(_inequality_one, params, jobs)
     bad = sum(r[0] for r in rows)
     comparisons = sum(r[1] for r in rows)
     worst = min(r[2] for r in rows)
@@ -439,7 +431,7 @@ def check_gap_bounds(scale: Scale, jobs: int = 1) -> CheckResult:
                     tasks.append((kind, "near", k, m, seed))
                 for n in (7, 9):
                     tasks.append((kind, "reg", k, n, seed))
-    rows = _pool_map(_gap_one, tasks, jobs)
+    rows = ordered_map(_gap_one, tasks, jobs)
     worst = min(r[0] for r in rows)
     return CheckResult(
         "gap_bounds", worst >= 0, len(rows), float(worst),

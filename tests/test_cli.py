@@ -128,6 +128,37 @@ def test_diagram_violation_exits_3(tmp_path, capsys):
     assert "monotone face condition" in err and "2;0,0;10" in err
 
 
+@pytest.mark.parametrize("fault", ["nan_birth", "duplicate_line"])
+def test_diagram_rejects_faulty_dump_exits_3(tmp_path, capsys, fault):
+    lines = ["# 2 1 - -", "2;0,0;00 0.5", "2;0,0;10 0.7", "2;1,0;00 0.6"]
+    if fault == "nan_birth":
+        lines[2] = "2;0,0;10 nan"
+    else:
+        lines.insert(2, lines[1])
+    filt_path = tmp_path / "faulty.txt"
+    filt_path.write_text("\n".join(lines) + "\n")
+    assert main(["diagram", "--filtration", str(filt_path),
+                 "--out", str(tmp_path)]) == EXIT_DATA_VIOLATION
+    assert "cannot read filtration" in capsys.readouterr().err
+    assert not (tmp_path / "faulty.diagram.txt").exists()
+
+
+def test_nonfinite_mark_parameter_exits_2(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, mark={"family": "uniform",
+                                          "params": [float("nan"), 1.0]})
+    assert main(["sample", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["mgf", "rate"])
+def test_estimate_ldp_rejects_several_q(tmp_path, capsys, which):
+    cfg, _ = write_config(tmp_path, overrides={"q": [0, 1]})
+    assert main(["estimate", "--which", which, "--config", str(cfg),
+                 "--out", str(tmp_path / "est")]) == EXIT_CONFIG_ERROR
+    assert "single q" in capsys.readouterr().err
+
+
 def test_estimate_mgf_has_zero_row(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     out = tmp_path / "est"

@@ -12,7 +12,6 @@ from randcube import (
     cofaces_containing,
     cube_count_formula,
     cube_in_window,
-    dimension,
     enumerate_cubes,
     faces_contained_in,
 )
@@ -28,9 +27,9 @@ def cube_contains(outer: ElementaryCube, inner: ElementaryCube) -> bool:
 
 
 def test_dimension_worked_examples():
-    assert dimension(ElementaryCube((0, 0), (0, 0))) == 0
-    assert dimension(ElementaryCube((0, 0), (1, 0))) == 1
-    assert dimension(ElementaryCube((0, 0), (1, 1))) == 2
+    assert ElementaryCube((0, 0), (0, 0)).dim == 0
+    assert ElementaryCube((0, 0), (1, 0)).dim == 1
+    assert ElementaryCube((0, 0), (1, 1)).dim == 2
 
 
 def test_boundary_of_edge_signs_and_order():

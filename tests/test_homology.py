@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcube import (
-    GF,
     DEFAULT_FIELD,
     ElementaryCube,
+    PrimeField,
     RationalField,
     SparseMatrix,
     Window,
@@ -227,7 +227,7 @@ def test_field_independence_smoke():
 
 def test_gf2_fast_mode_on_torsion_free_complex():
     # 2d complexes cannot have torsion, so the flagged GF(2) mode must agree
-    gf2 = GF(2)
+    gf2 = PrimeField(2)
     for seed in range(10):
         cubes = random_face_closed(2, 2, 4000 + seed)
         if not cubes:

@@ -12,21 +12,17 @@ from randcube import (
     block_copy,
     block_window,
     cofaces_containing,
-    covering_birth,
     parse_filtration,
     format_filtration,
     quadrant_mass,
     compute_diagram,
     restrict,
     sample,
-    sample_ball_cover,
-    sample_lower,
-    sample_perturbed_lattice,
-    sample_upper,
     validate,
 )
 from randcube.cubes import all_cubes_box
 from randcube.models import _perturbed_points, restrict_box, sample_box
+from randcube.persistence import Filtration
 
 INF = math.inf
 UNI = DistributionSpec("uniform", (0.0, 1.0))
@@ -34,6 +30,14 @@ UNI = DistributionSpec("uniform", (0.0, 1.0))
 
 def point_masses(*values):
     return tuple(DistributionSpec("point_mass", (v,)) for v in values)
+
+
+def sample_marks(kind, n, marks, seed):
+    return sample(ModelSpec(kind, len(marks) - 1, marks=marks), n, seed)
+
+
+def sample_law(kind, n, law, seed, d=2, m_grid=4):
+    return sample(ModelSpec(kind, d, perturbation=law, m_grid=m_grid), n, seed)
 
 
 # --- distributions ------------------------------------------------------------
@@ -76,6 +80,19 @@ def test_distribution_validation():
         DistributionSpec("mystery", ())
 
 
+@pytest.mark.parametrize("family,params", [
+    ("uniform", (math.nan, 1.0)),
+    ("uniform", (0.0, INF)),
+    ("point_mass", (math.nan,)),
+    ("exponential", (math.nan,)),
+    ("empirical", (0.5, math.nan)),
+    ("empirical", (0.5, -0.2, 1.0, 1.0)),
+])
+def test_distribution_rejects_nonfinite_and_negative_probabilities(family, params):
+    with pytest.raises(ValueError):
+        DistributionSpec(family, params)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec("upper", 2, marks=(UNI,))  # wrong arity
@@ -92,7 +109,7 @@ def test_model_spec_validation():
 
 def test_upper_point_masses_increasing():
     marks = point_masses(0.1, 0.2, 0.3)
-    f = sample_upper(2, marks, seed=1)
+    f = sample_marks("upper", 2, marks, seed=1)
     # min over cofaces is attained at the cube itself
     for cube, birth in f.births.items():
         assert birth == marks[cube.dim].params[0]
@@ -100,46 +117,46 @@ def test_upper_point_masses_increasing():
 
 def test_upper_point_masses_decreasing():
     marks = point_masses(0.3, 0.2, 0.1)
-    f = sample_upper(2, marks, seed=1)
+    f = sample_marks("upper", 2, marks, seed=1)
     # every window cube has a top-dimensional coface inside the halo
     assert all(birth == 0.1 for birth in f.births.values())
 
 
 def test_lower_point_masses_increasing():
     marks = point_masses(0.1, 0.2, 0.3)
-    f = sample_lower(2, marks, seed=1)
+    f = sample_marks("lower", 2, marks, seed=1)
     for cube, birth in f.births.items():
         assert birth == marks[cube.dim].params[0]
 
 
 def test_lower_point_masses_decreasing():
     marks = point_masses(0.3, 0.2, 0.1)
-    f = sample_lower(2, marks, seed=1)
+    f = sample_marks("lower", 2, marks, seed=1)
     assert all(birth == 0.3 for birth in f.births.values())
 
 
-@pytest.mark.parametrize("sampler,marks", [
-    (sample_upper, (UNI, UNI, UNI)),
-    (sample_lower, (UNI, UNI, UNI)),
+@pytest.mark.parametrize("kind,marks", [
+    ("upper", (UNI, UNI, UNI)),
+    ("lower", (UNI, UNI, UNI)),
 ])
-def test_mark_models_validate_many_seeds(sampler, marks):
+def test_mark_models_validate_many_seeds(kind, marks):
     for seed in range(100):
-        assert validate(sampler(1, marks, seed)) is None
+        assert validate(sample_marks(kind, 1, marks, seed)) is None
 
 
 def test_upper_halo_of_one_suffices():
     # births computed in the window must agree with the same cubes' births
     # computed in a strictly larger window (deeper halo)
     for seed in range(10):
-        small = sample_upper(2, (UNI, UNI, UNI), seed)
-        large = sample_upper(3, (UNI, UNI, UNI), seed)
+        small = sample_marks("upper", 2, (UNI, UNI, UNI), seed)
+        large = sample_marks("upper", 3, (UNI, UNI, UNI), seed)
         carved = restrict(large, 2)
         assert carved.births == small.births
 
 
 def test_lower_mark_with_infinity_atom():
     marks = (DistributionSpec("uniform", (0.0, 1.0), p_inf=0.5),) * 3
-    f = sample_lower(2, marks, seed=3)
+    f = sample_marks("lower", 2, marks, seed=3)
     # roughly half the vertices never appear; all births finite in the map
     assert all(math.isfinite(b) for b in f.births.values())
     assert len(f.births) < len(all_cubes_box(Window(2, 2).box))
@@ -162,7 +179,7 @@ def test_stationarity_smoke_lower():
     marks = (UNI, UNI, UNI)
     xs, ys = [], []
     for seed in range(2000):
-        f = sample_lower(2, marks, seed)
+        f = sample_marks("lower", 2, marks, seed)
         xs.append(f.births[edge])
         ys.append(f.births[shifted])
     xs, ys = np.array(xs), np.array(ys)
@@ -174,51 +191,54 @@ def test_stationarity_smoke_lower():
 
 def test_perturbed_lattice_zero_law():
     law = DistributionSpec("point_mass", (0.0,))
-    f = sample_perturbed_lattice(2, law, seed=4, d=2)
+    f = sample_law("perturbed_lattice", 2, law, seed=4)
     for cube, birth in f.births.items():
         assert birth == (0.0 if cube.dim == 0 else 1.0)
 
 
 def test_perturbed_lattice_births_match_bruteforce():
     law = DistributionSpec("uniform", (-0.2, 0.2))
-    f = sample_perturbed_lattice(2, law, seed=11, d=2)
-    x, index = _perturbed_points(Window(2, 2).box, law, "perturbed_lattice",
-                                 seed=11, trial=0)
+    f = sample_law("perturbed_lattice", 2, law, seed=11)
+    box = Window(2, 2).box
+    x = _perturbed_points(box, law, "perturbed_lattice", seed=11, trial=0)
+
+    def point(z):
+        return x[tuple(np.subtract(z, box.lo))]
+
     for cube, birth in f.births.items():
         pts = cube.vertices()
         expect = 0.0
         for a, b in itertools.combinations(pts, 2):
             if sum(abs(u - v) for u, v in zip(a, b)) == 1:
-                expect = max(expect, float(np.linalg.norm(x[index[a]] - x[index[b]])))
+                expect = max(expect, float(np.linalg.norm(point(a) - point(b))))
         assert birth == expect
 
 
 def test_perturbed_lattice_validates():
     law = DistributionSpec("uniform", (-0.3, 0.3))
     for seed in range(100):
-        assert validate(sample_perturbed_lattice(1, law, seed, d=2)) is None
+        assert validate(sample_law("perturbed_lattice", 1, law, seed)) is None
 
 
 # --- ball cover --------------------------------------------------------------------
 
-def test_covering_birth_single_center_at_vertex():
-    center = np.zeros((1, 2))
-    vertex = ElementaryCube((0, 0), (0, 0))
-    assert covering_birth(vertex, center, m_grid=4) == 0.0
-
-
-def test_covering_birth_segment_farthest_point():
-    center = np.zeros((1, 1))
-    segment = ElementaryCube((0,), (1,))
-    for m_grid in (2, 4, 8):
-        t = covering_birth(segment, center, m_grid)
-        assert 1.0 - 1.0 / m_grid <= t <= 1.0
+def test_ball_cover_unperturbed_births_closed_form():
+    # with every centre on its lattice point, the farthest sample point of a
+    # q-cube lies h = max_k min(k/(m-1), 1 - k/(m-1)) from the nearest lattice
+    # value along each of its q axes: the birth is sqrt(q) h
+    law = DistributionSpec("point_mass", (0.0,))
+    for m_grid, h in [(2, 0.0), (3, 0.5), (4, 1 / 3), (6, 0.4)]:
+        f = sample_law("ball_cover", 2, law, seed=3, d=3, m_grid=m_grid)
+        assert len(f.births) == len(all_cubes_box(Window(2, 3).box))
+        for cube, birth in f.births.items():
+            assert birth == pytest.approx(math.sqrt(cube.dim) * h, rel=1e-12,
+                                          abs=1e-15)
 
 
 def test_ball_cover_validates_and_flags_approximate():
     law = DistributionSpec("uniform", (-0.25, 0.25))
     for seed in range(100):
-        f = sample_ball_cover(1, law, m_grid=3, seed=seed, d=2)
+        f = sample_law("ball_cover", 1, law, seed, m_grid=3)
         assert validate(f) is None
     assert f.meta["approximate"] is True
 
@@ -232,18 +252,18 @@ def test_ball_cover_requires_compact_support():
 # --- restriction and blocks ---------------------------------------------------------
 
 def test_restrict_same_window_is_identity():
-    f = sample_lower(2, (UNI, UNI, UNI), seed=5)
+    f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
     assert restrict(f, 2).births == f.births
 
 
 def test_restrict_to_zero_keeps_origin_only():
-    f = sample_lower(2, (UNI, UNI, UNI), seed=5)
+    f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
     r = restrict(f, 0)
     assert set(r.births) == {ElementaryCube((0, 0), (0, 0))}
 
 
 def test_restrict_rejects_larger_window():
-    f = sample_lower(2, (UNI, UNI, UNI), seed=5)
+    f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
     with pytest.raises(ValueError):
         restrict(f, 3)
 
@@ -314,6 +334,12 @@ def test_block_carving_all_model_kinds():
         assert carved.births == direct.births, model.kind
 
 
+def test_sample_box_rejects_dimension_mismatch():
+    model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
+    with pytest.raises(ValueError, match="dimension"):
+        sample_box(model, Window(1, 3).box, seed=1)
+
+
 def test_block_copy_rejects_dependent_blocks():
     model = ModelSpec("upper", 2, marks=(UNI, UNI, UNI))
     with pytest.raises(ValueError, match="not independent"):
@@ -337,7 +363,7 @@ def test_upper_blocks_share_no_marks():
 # --- dump format ----------------------------------------------------------------------
 
 def test_filtration_dump_round_trip():
-    f = sample_lower(2, (UNI, UNI, UNI), seed=21)
+    f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=21)
     text = format_filtration(f)
     g = parse_filtration(text)
     assert g.births == f.births
@@ -345,7 +371,7 @@ def test_filtration_dump_round_trip():
 
 
 def test_filtration_dump_header():
-    f = sample_lower(1, (UNI, UNI, UNI), seed=2)
+    f = sample_marks("lower", 1, (UNI, UNI, UNI), seed=2)
     first = format_filtration(f).splitlines()[0]
     assert first == "# 2 1 2 lower"
 
@@ -353,3 +379,17 @@ def test_filtration_dump_header():
 def test_parse_filtration_rejects_missing_header():
     with pytest.raises(ValueError):
         parse_filtration("2;0,0;00 0.5\n")
+
+
+def test_parse_filtration_rejects_duplicate_cube_line():
+    lines = format_filtration(sample_marks("lower", 1, (UNI, UNI, UNI), seed=2)).splitlines()
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_filtration("\n".join(lines[:2] + [lines[1]] + lines[2:]) + "\n")
+
+
+def test_nan_birth_is_rejected_not_dropped():
+    cube = ElementaryCube((0, 0), (0, 0))
+    with pytest.raises(ValueError, match="nan"):
+        Filtration(Window(1, 2), {cube: math.nan})
+    with pytest.raises(ValueError, match="nan"):
+        parse_filtration("# 2 1 - -\n2;0,0;00 nan\n")
