@@ -222,6 +222,26 @@ def test_perturbed_lattice_validates():
 
 # --- ball cover --------------------------------------------------------------------
 
+def test_covering_birth_single_center_at_vertex():
+    law = DistributionSpec("point_mass", (0.0,))
+    f = sample_law("ball_cover", 2, law, seed=0, d=2, m_grid=4)
+    vertices = [birth for cube, birth in f.births.items() if cube.dim == 0]
+    assert vertices and all(birth == 0.0 for birth in vertices)
+
+
+def test_covering_birth_segment_farthest_point():
+    # centres on the lattice: the exact farthest point of a unit segment is its
+    # midpoint, 1/2 away; the m_grid sample points fall short by at most half
+    # a grid step
+    law = DistributionSpec("point_mass", (0.0,))
+    for m_grid in (2, 4, 8):
+        f = sample_law("ball_cover", 2, law, seed=0, d=1, m_grid=m_grid)
+        segments = [birth for cube, birth in f.births.items() if cube.dim == 1]
+        assert segments
+        for t in segments:
+            assert 0.5 - 0.5 / (m_grid - 1) - 1e-12 <= t <= 0.5
+
+
 def test_ball_cover_unperturbed_births_closed_form():
     # with every centre on its lattice point, the farthest sample point of a
     # q-cube lies h = max_k min(k/(m-1), 1 - k/(m-1)) from the nearest lattice
