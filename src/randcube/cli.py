@@ -94,8 +94,8 @@ def _parse_axis(grid: dict, name: str) -> np.ndarray:
                                int(grid["points"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name} needs 'axis' or min/max/points") from exc
-    if np.any(np.diff(axis) <= 0):
-        raise ConfigError(f"{name} must be strictly increasing")
+    if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
+        raise ConfigError(f"{name} must be finite and strictly increasing")
     return axis
 
 
@@ -149,8 +149,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         (float(p[0]), float(p[1])) for p in raw.get("pairs", [])
     )
     for s, t in pairs:
-        if not 0 <= s <= t:
-            raise ConfigError(f"pair ({s}, {t}) violates 0 <= s <= t")
+        if not 0 <= s <= t < np.inf:
+            raise ConfigError(f"pair ({s}, {t}) violates 0 <= s <= t < inf")
 
     fineness = int(raw.get("fineness", 2))
     if fineness < 1:

@@ -89,13 +89,6 @@ class Box:
     def ambient_dim(self) -> int:
         return len(self.lo)
 
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for a, b in zip(self.lo, self.hi):
-            out *= b - a
-        return out
-
     def translate(self, vec: tuple[int, ...]) -> "Box":
         return Box(
             tuple(a + v for a, v in zip(self.lo, vec)),
@@ -157,16 +150,12 @@ def boundary_faces(cube: ElementaryCube) -> list[SignedCube]:
     the opposite sign.  Degenerate cubes have empty boundary.
     """
     faces: list[SignedCube] = []
-    j = 0
-    for axis, e in enumerate(cube.extent):
-        if not e:
-            continue
-        sign = 1 if j % 2 == 0 else -1
-        j += 1
+    for j, axis in enumerate(a for a, e in enumerate(cube.extent) if e):
+        sign = -1 if j % 2 else 1
         ext = cube.extent[:axis] + (0,) + cube.extent[axis + 1 :]
         up = cube.base[:axis] + (cube.base[axis] + 1,) + cube.base[axis + 1 :]
-        faces.append(SignedCube(ElementaryCube(up, ext), sign))
-        faces.append(SignedCube(ElementaryCube(cube.base, ext), -sign))
+        faces += [SignedCube(ElementaryCube(up, ext), sign),
+                  SignedCube(ElementaryCube(cube.base, ext), -sign)]
     return faces
 
 
@@ -180,12 +169,7 @@ def faces_contained_in(cube: ElementaryCube) -> list[ElementaryCube]:
             choices.append(((b, 1), (b, 0), (b + 1, 0)))
         else:
             choices.append(((b, 0),))
-    out = []
-    for combo in itertools.product(*choices):
-        base = tuple(c[0] for c in combo)
-        extent = tuple(c[1] for c in combo)
-        out.append(ElementaryCube(base, extent))
-    return out
+    return [ElementaryCube(*zip(*combo)) for combo in itertools.product(*choices)]
 
 
 @lru_cache(maxsize=262144)
@@ -201,12 +185,16 @@ def cofaces_containing(cube: ElementaryCube) -> list[ElementaryCube]:
             choices.append(((b, 1),))
         else:
             choices.append(((b, 0), (b - 1, 1), (b, 1)))
-    out = []
-    for combo in itertools.product(*choices):
-        base = tuple(c[0] for c in combo)
-        extent = tuple(c[1] for c in combo)
-        out.append(ElementaryCube(base, extent))
-    return out
+    return [ElementaryCube(*zip(*combo)) for combo in itertools.product(*choices)]
+
+
+def _cubes_box(box: Box, extents: list[tuple[int, ...]]) -> list[ElementaryCube]:
+    """The box's cubes with these extents (given in lex order), in canonical
+    order: by base, then by extent."""
+    ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
+    return [ElementaryCube(base, ext)
+            for base in itertools.product(*ranges) for ext in extents
+            if all(b + e <= hi for b, e, hi in zip(base, ext, box.hi))]
 
 
 def enumerate_cubes_box(box: Box, q: int) -> list[ElementaryCube]:
@@ -214,19 +202,7 @@ def enumerate_cubes_box(box: Box, q: int) -> list[ElementaryCube]:
     d = box.ambient_dim
     if q < 0 or q > d:
         raise ValueError(f"q={q} out of range for d={d}")
-    out: list[ElementaryCube] = []
-    base_ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
-    extents = [
-        ext
-        for ext in itertools.product((0, 1), repeat=d)
-        if sum(ext) == q
-    ]
-    for base in itertools.product(*base_ranges):
-        for ext in extents:
-            if all(b + e <= hi for b, e, hi in zip(base, ext, box.hi)):
-                out.append(ElementaryCube(base, ext))
-    out.sort()
-    return out
+    return _cubes_box(box, [e for e in itertools.product((0, 1), repeat=d) if sum(e) == q])
 
 
 def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:
@@ -240,12 +216,7 @@ def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:
 def all_cubes_box(box: Box) -> list[ElementaryCube]:
     """Every elementary cube of any dimension contained in the box, in
     canonical order."""
-    d = box.ambient_dim
-    out: list[ElementaryCube] = []
-    for q in range(d + 1):
-        out.extend(enumerate_cubes_box(box, q))
-    out.sort()
-    return out
+    return _cubes_box(box, list(itertools.product((0, 1), repeat=box.ambient_dim)))
 
 
 def cube_count_formula(d: int, n: int, q: int) -> int:

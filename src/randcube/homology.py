@@ -8,8 +8,10 @@ an explicitly requested fast mode only (2-torsion may diverge from the
 real-coefficient answer for d >= 4).
 
 Matrices are stored column-major as dicts {row_index: coefficient}; the
-elimination engine (pivot = lowest nonzero entry of a column, i.e. the largest
-row index) is shared with the persistence reduction.
+elimination engine pivots on the lowest nonzero entry of a column (the
+largest row index).  It serves the rank-based persistent Betti route only:
+the persistence diagram reduction has its own loop, so the two routes stay
+independent oracles.
 """
 
 from __future__ import annotations

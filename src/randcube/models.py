@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .cubes import Box, ElementaryCube, Window, all_cubes_box
+from .cubes import Box, ElementaryCube, Window
 from .persistence import Filtration
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
@@ -167,20 +167,6 @@ class ModelSpec:
         return self.kind == "ball_cover"
 
 
-def _canonical_order(grid: np.ndarray) -> np.ndarray:
-    """Grid values listed in the canonical cube order of ``all_cubes_box``:
-    by base, then by extent."""
-    d = grid.ndim
-    pad = [(0, 1)] * d  # every axis to even length, so c splits into (base, extent)
-    split = [s for length in grid.shape for s in ((length + 1) // 2, 2)]
-    order = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
-
-    def arrange(a):
-        return np.pad(a, pad).reshape(split).transpose(order).ravel()
-
-    return arrange(grid)[arrange(np.ones(grid.shape, dtype=bool))]
-
-
 def _neighbour_pass(grid: np.ndarray, first: int, op) -> None:
     """Along each axis in turn, every second position from ``first`` takes
     ``op`` of itself and its two neighbours (in place).
@@ -307,8 +293,7 @@ def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtrat
     meta = {"model": model.kind, "seed": seed, "trial": trial}
     if model.is_approximate:
         meta["approximate"] = True
-    births = dict(zip(all_cubes_box(box), _canonical_order(grid).tolist()))
-    return Filtration(box, births, meta)
+    return Filtration(box, grid, meta)
 
 
 def sample(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Filtration:
@@ -319,24 +304,25 @@ def sample(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Filtration:
 
 
 def restrict_box(filtration: Filtration, box: Box) -> Filtration:
-    """Restrict a filtration to an arbitrary integer box (used for
-    translated block windows)."""
-    births = filtration.births
-    return Filtration(box, {c: births[c] for c in all_cubes_box(box) if c in births},
-                      filtration.meta)
+    """Restrict a filtration to an integer box inside its region (used for
+    translated block windows): a slice of the birth grid."""
+    region = filtration.region
+    if box.ambient_dim != region.ambient_dim or not all(
+            a0 <= a and b <= b0 for a0, b0, a, b in zip(region.lo, region.hi, box.lo, box.hi)):
+        raise ValueError(f"box {box.lo}..{box.hi} is not inside the region "
+                         f"{region.lo}..{region.hi}")
+    cut = tuple(slice(2 * (a - a0), 2 * (b - a0) + 1)
+                for a0, a, b in zip(region.lo, box.lo, box.hi))
+    return Filtration(box, filtration.grid[cut], filtration.meta)
 
 
 def restrict(filtration: Filtration, m: int) -> Filtration:
-    """Restrict a centered-window filtration to [-m, m]^d: births outside the
-    smaller window become infinite."""
-    d = filtration.d
+    """Restrict a centered-window filtration to the smaller window [-m, m]^d
+    (a slice of its birth grid)."""
     lo, hi = filtration.region.lo, filtration.region.hi
     if any(a != -b for a, b in zip(lo, hi)) or len(set(hi)) != 1:
         raise ValueError("restrict() applies to centered windows only")
-    n = hi[0]
-    if m > n:
-        raise ValueError(f"cannot restrict window {n} to larger radius {m}")
-    out = restrict_box(filtration, Window(m, d).box)
+    out = restrict_box(filtration, Window(m, filtration.d).box)
     out.meta["n"] = m
     return out
 
@@ -381,8 +367,8 @@ def format_filtration(filtration: Filtration) -> str:
     seed = filtration.meta.get("seed", "-")
     model = filtration.meta.get("model", "-")
     lines = [f"# {filtration.d} {n} {seed} {model}"]
-    for cube in filtration.sorted_cubes():
-        lines.append(f"{cube.canonical()} {repr(filtration.births[cube])}")
+    for cube, birth in filtration.births.items():
+        lines.append(f"{cube.canonical()} {birth!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,13 @@
 """Bounded cubical filtrations, persistence diagrams, persistent Betti numbers.
 
-A filtration is a birth-time map on elementary cubes satisfying the monotone
-face condition (faces are born no later than their cofaces).  Diagrams are
-computed by standard column reduction of the total boundary matrix in birth
-order; persistent Betti numbers are additionally computed by a fully
-independent rank-based route so the two act as mutual oracles (neither calls
-the other).
+A filtration is a birth grid: one float64 entry per elementary cube of a box,
+at the doubled coordinates c = 2*(base - lo) + extent (odd entries are the
+cube's nondegenerate axes), inf where the cube is never born.  It must satisfy
+the monotone face condition (faces are born no later than their cofaces).
+Diagrams are computed by standard column reduction of the total boundary
+matrix in birth order, on flat grid indices; persistent Betti numbers are
+additionally computed by a fully independent rank-based route on cube lists,
+so the two act as mutual oracles (neither calls the other).
 
 Time values are exact binary64; birth-time comparisons are exact equality,
 never epsilon-based.  Death = inf is a distinct sentinel ordered above every
@@ -17,67 +19,91 @@ from __future__ import annotations
 import math
 from typing import Optional, TextIO
 
-from .cubes import Box, ElementaryCube, Window, boundary_faces
-from .homology import DEFAULT_FIELD, boundary_matrix, kernel_basis, rank, reduce_columns
+import numpy as np
+
+from .cubes import Box, ElementaryCube, Window, all_cubes_box, boundary_faces
+from .homology import DEFAULT_FIELD, boundary_matrix, kernel_basis, reduce_columns
 
 INF = math.inf
 
 
+def canonical_cells(shape: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of a birth grid of this shape in the canonical cube order
+    of ``all_cubes_box``: by base, then by extent."""
+    d = len(shape)
+    # padded to even length, each axis splits into (base, extent)
+    cells = np.pad(np.arange(math.prod(shape)).reshape(shape), [(0, 1)] * d,
+                   constant_values=-1)
+    cells = cells.reshape([s for n in shape for s in ((n + 1) // 2, 2)])
+    cells = cells.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
+    return cells[cells >= 0]
+
+
 class Filtration:
-    """A region plus a birth-time map cube -> [0, inf); cubes that never
-    appear are simply absent from the map (birth = inf).  A nan birth is
-    rejected, never read as "not born"."""
+    """A region plus its birth grid ``grid``, given as that array or as a
+    {cube: birth} dict (absent cubes and inf births are never born).  A nan
+    or negative birth is rejected, never read as "not born".  ``births``
+    reads the finite births back as a dict in canonical cube order."""
 
     def __init__(
         self,
         region: Box | Window,
-        births: dict[ElementaryCube, float],
+        births: np.ndarray | dict[ElementaryCube, float],
         meta: dict | None = None,
     ):
         if isinstance(region, Window):
             region = region.box
         self.region = region
-        self.births = {c: float(t) for c, t in births.items() if t != INF}
         self.meta = dict(meta) if meta else {}
-        for cube in self.births:
-            if cube.ambient_dim != region.ambient_dim:
-                raise ValueError(
-                    f"cube {cube.canonical()} has wrong ambient dimension"
-                )
-            if not region.contains_cube(cube):
-                raise ValueError(
-                    f"finite-birth cube {cube.canonical()} lies outside the region"
-                )
-            if not self.births[cube] >= 0:  # also catches nan and -inf
-                raise ValueError("birth times must be nonnegative, got "
-                                 f"{self.births[cube]!r} at {cube.canonical()}")
-        self._sorted: Optional[list[ElementaryCube]] = None
-        self._validated = False
+        shape = tuple(2 * (b - a) + 1 for a, b in zip(region.lo, region.hi))
+        if isinstance(births, dict):
+            grid = np.full(shape, INF)
+            for cube, t in births.items():
+                if t == INF:  # before indexing: an outside cube's index would wrap
+                    continue
+                if cube.ambient_dim != region.ambient_dim or not region.contains_cube(cube):
+                    raise ValueError(
+                        f"finite-birth cube {cube.canonical()} lies outside the region"
+                    )
+                grid[tuple(2 * (b - a) + e for a, b, e in
+                           zip(region.lo, cube.base, cube.extent))] = t
+        else:
+            grid = np.asarray(births, dtype=np.float64)
+            if grid.shape != shape:
+                raise ValueError(f"birth grid shape {grid.shape} is not the region's {shape}")
+        bad = ~(grid >= 0)  # also catches nan and -inf
+        if bad.any():
+            cells = canonical_cells(shape)
+            i = np.argmax(bad.ravel()[cells])
+            raise ValueError("birth times must be nonnegative, got "
+                             f"{float(grid.flat[cells[i]])!r} at "
+                             f"{all_cubes_box(region)[i].canonical()}")
+        self.grid = grid
+        self._births: dict[ElementaryCube, float] | None = None
 
     @property
     def d(self) -> int:
         return self.region.ambient_dim
 
     @property
-    def volume(self) -> float:
-        return self.region.volume
-
-    def sorted_cubes(self) -> list[ElementaryCube]:
-        if self._sorted is None:
-            self._sorted = sorted(self.births)
-        return self._sorted
+    def births(self) -> dict[ElementaryCube, float]:
+        if self._births is None:
+            values = self.grid.ravel()[canonical_cells(self.grid.shape)].tolist()
+            self._births = {c: t for c, t in zip(all_cubes_box(self.region), values)
+                            if t < INF}
+        return self._births
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Filtration)
             and self.region == other.region
-            and self.births == other.births
+            and np.array_equal(self.grid, other.grid)
         )
 
     def __repr__(self) -> str:
         return (
             f"Filtration(d={self.d}, region={self.region.lo}..{self.region.hi}, "
-            f"{len(self.births)} finite births)"
+            f"{int((self.grid < INF).sum())} finite births)"
         )
 
 
@@ -86,25 +112,26 @@ def validate(filtration: Filtration) -> Optional[tuple[ElementaryCube, Elementar
     (face, cube) pair in canonical cube order.
 
     Violations are data, not exceptions.  Checking codimension-1 faces
-    suffices: the general condition follows by transitivity.
+    suffices: the general condition follows by transitivity.  A cube is late
+    when one of its two neighbours along an axis where it is nondegenerate
+    (an odd position) is born after it; only then are the cubes looked at.
     """
-    if filtration._validated:
+    grid = filtration.grid
+    late = np.zeros(grid.shape, dtype=bool)
+    for axis in range(grid.ndim):
+        g, lt = np.moveaxis(grid, axis, 0), np.moveaxis(late, axis, 0)
+        lt[1::2] |= (g[:-1:2] > g[1::2]) | (g[2::2] > g[1::2])
+    if not late.any():
         return None
     births = filtration.births
-    for cube in filtration.sorted_cubes():
-        t = births[cube]
-        for face in boundary_faces(cube):
-            if births.get(face.cube, INF) > t:
-                return (face.cube, cube)
-    filtration._validated = True
-    return None
+    return next((face.cube, cube) for cube, t in births.items()
+                for face in boundary_faces(cube) if births.get(face.cube, INF) > t)
 
 
 def sublevel(filtration: Filtration, t: float) -> list[ElementaryCube]:
     """Cubes born no later than t, in canonical order; face-closed whenever
     the filtration is valid."""
-    births = filtration.births
-    return [c for c in filtration.sorted_cubes() if births[c] <= t]
+    return [c for c, b in filtration.births.items() if b <= t]
 
 
 class PersistenceDiagram:
@@ -145,38 +172,50 @@ def compute_diagram(
     """Persistence diagram via column reduction of the total boundary matrix.
 
     Cubes are ordered by (birth, dimension, canonical cube order), which puts
-    every face before its cofaces.  The reduction runs per dimension from the
-    top down with the clearing shortcut (a column whose cube was already used
-    as a pivot row must reduce to zero and is skipped).  Pairs with equal
-    birth and death are discarded.
+    every face before its cofaces.  Columns live on flat grid indices: along
+    the k-th nondegenerate axis of a cube, the face one axis stride up has
+    sign (-1)^k and the face one stride down the opposite sign, as in
+    ``boundary_faces``.  The reduction runs per dimension from the top down
+    with the clearing shortcut (a column whose cube was already used as a
+    pivot row must reduce to zero and is skipped).  Pairs with equal birth
+    and death are discarded.
 
-    ``_tie_key`` overrides the canonical tie-break among equal-birth cubes of
-    equal dimension; the diagram is invariant under this choice, which the
-    test suite asserts by shuffling it.
+    ``_tie_key`` (a function of the cube) overrides the canonical tie-break
+    among equal-birth cubes of equal dimension; the diagram is invariant
+    under this choice, which the test suite asserts by shuffling it.
     """
     _require_valid(filtration)
-    births = filtration.births
-    tie = _tie_key if _tie_key is not None else lambda c: c
-    order = sorted(births, key=lambda c: (births[c], c.dim, tie(c)))
-    index = {cube: i for i, cube in enumerate(order)}
-    d = filtration.d
-    field_one = field.from_signed(1)
-
-    by_dim: dict[int, list[int]] = {q: [] for q in range(d + 1)}
-    for i, cube in enumerate(order):
-        by_dim[cube.dim].append(i)
+    grid, d = filtration.grid, filtration.d
+    flat = grid.ravel()
+    cells = canonical_cells(grid.shape)
+    tie = np.flatnonzero(flat[cells] < INF)  # canonical ranks of the finite cubes
+    cells = cells[tie]
+    if _tie_key is not None:
+        cubes = all_cubes_box(filtration.region)
+        tie = np.array([_tie_key(cubes[i]) for i in tie])
+    odd = np.stack(np.unravel_index(cells, grid.shape)) % 2
+    order = np.lexsort((tie, odd.sum(axis=0), flat[cells]))
+    cells, odd = cells[order], odd[:, order]
+    dims, births = odd.sum(axis=0), flat[cells].tolist()
+    index = np.empty(flat.size, dtype=np.int64)
+    index[cells] = np.arange(len(cells))
+    # from the shape: a sliced grid's byte strides are those of its parent
+    stride = np.array([math.prod(grid.shape[a + 1:]) for a in range(d)])
 
     cleared: set[int] = set()
     pivot_row_of: dict[int, int] = {}  # pivot row index -> killing column index
     for q in range(d, 0, -1):
-        pivots: dict[int, tuple] = {}
-        for j in by_dim[q]:
+        cols = np.flatnonzero(dims == q)
+        # the strides of each q-cube's nondegenerate axes, in axis order
+        step = stride[np.nonzero(odd[:, cols].T)[1].reshape(len(cols), q)]
+        up, down = index[cells[cols, None] + step], index[cells[cols, None] - step]
+        signs = [field.from_signed(s) for k in range(q) for s in ((-1) ** k, -(-1) ** k)]
+        faces = np.stack([up, down], axis=2).reshape(len(cols), 2 * q).tolist()
+        pivots: dict[int, dict] = {}
+        for j, rows in zip(cols.tolist(), faces):
             if j in cleared:
                 continue
-            col: dict[int, int] = {}
-            for face in boundary_faces(order[j]):
-                i = index[face.cube]
-                col[i] = field.from_signed(face.sign)
+            col = dict(zip(rows, signs))
             while col:
                 low = max(col)
                 hit = pivots.get(low)
@@ -190,17 +229,17 @@ def compute_diagram(
                 pivot_row_of[low] = j
                 cleared.add(low)
 
+    dims = dims.tolist()
     pairs: dict[int, list[tuple[float, float]]] = {}
     for low, j in pivot_row_of.items():
-        b, t = births[order[low]], births[order[j]]
-        if b < t:
-            pairs.setdefault(order[low].dim, []).append((b, t))
+        if births[low] < births[j]:
+            pairs.setdefault(dims[low], []).append((births[low], births[j]))
     # creators are the zero-reduced (or cleared, or dimension-0) columns;
     # those never hit as a pivot row survive forever
     killers = set(pivot_row_of.values())
-    for i, cube in enumerate(order):
+    for i, (q, b) in enumerate(zip(dims, births)):
         if i not in killers and i not in pivot_row_of:
-            pairs.setdefault(cube.dim, []).append((births[cube], INF))
+            pairs.setdefault(q, []).append((b, INF))
     meta = dict(filtration.meta)
     meta.setdefault("d", d)
     return PersistenceDiagram(d, pairs, meta)

@@ -36,9 +36,10 @@ from .limits import (
     ordered_map,
     regularity_gap,
 )
-from .models import DistributionSpec, ModelSpec, restrict
+from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict
 from .persistence import (
     Filtration,
+    canonical_cells,
     compute_diagram,
     persistent_betti_direct,
     quadrant_mass,
@@ -121,19 +122,15 @@ BIRTH_GRID = tuple((i + 1) / 10 for i in range(10))
 
 
 def random_filtration(d: int, n: int, seed: int) -> Filtration:
-    """Births i.i.d. on the 10-point grid {0.1, ..., 1.0}, then repaired
-    upward so the monotone face condition holds."""
+    """Births i.i.d. on the 10-point grid {0.1, ..., 1.0} in canonical cube
+    order, then raised to the max over each cube's faces so the monotone
+    face condition holds."""
     rng = np.random.default_rng(seed)
-    cubes = all_cubes_box(Window(n, d).box)
-    births = {c: BIRTH_GRID[i] for c, i in
-              zip(cubes, rng.integers(0, 10, size=len(cubes)))}
-    for cube in sorted(cubes, key=lambda c: c.dim):
-        if cube.dim == 0:
-            continue
-        worst = max(births[f.cube] for f in boundary_faces(cube))
-        if births[cube] < worst:
-            births[cube] = worst
-    return Filtration(Window(n, d), births, {"n": n, "seed": seed})
+    grid = np.empty((4 * n + 1,) * d)
+    grid.flat[canonical_cells(grid.shape)] = np.asarray(BIRTH_GRID)[
+        rng.integers(0, 10, size=grid.size)]
+    _neighbour_pass(grid, 1, np.maximum)
+    return Filtration(Window(n, d), grid, {"n": n, "seed": seed})
 
 
 def _corpus_params(count: int, seed: int) -> list[tuple[int, int, int]]:

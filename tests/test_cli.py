@@ -159,6 +159,23 @@ def test_estimate_ldp_rejects_several_q(tmp_path, capsys, which):
     assert "single q" in capsys.readouterr().err
 
 
+def test_estimate_pb_rejects_infinite_pair(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, overrides={"pairs": [[0.3, float("inf")]]})
+    assert main(["estimate", "--which", "pb", "--config", str(cfg),
+                 "--out", str(tmp_path / "est")]) == EXIT_CONFIG_ERROR
+    assert "t < inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, which", [("lambda_grid", "mgf"), ("x_grid", "rate")])
+def test_estimate_rejects_nan_grid_axis(tmp_path, capsys, grid, which):
+    cfg, _ = write_config(tmp_path, overrides={grid: {"axis": [float("nan"), 0.0, 1.0]}})
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", which, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "finite" in capsys.readouterr().err
+    assert not (out / f"{which}.csv").exists()
+
+
 def test_estimate_mgf_has_zero_row(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     out = tmp_path / "est"

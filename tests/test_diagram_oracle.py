@@ -10,33 +10,17 @@ reconstructs the entire measure, not just finitely many quadrants.
 
 import math
 
-import numpy as np
-
 from randcube import (
-    Filtration,
-    Window,
-    boundary_faces,
     compute_diagram,
     persistent_betti_direct,
 )
-from randcube.cubes import all_cubes_box
+from randcube.verify import random_filtration
 
 INF = math.inf
 GRID = [(i + 1) / 10 for i in range(10)]
 BELOW = {g: g - 0.05 for g in GRID}  # strictly between grid values
 BELOW[GRID[0]] = 0.0
 LATE = 1.5  # past every possible birth, hence every finite death
-
-
-def random_grid_filtration(d, n, seed):
-    rng = np.random.default_rng(seed)
-    cubes = all_cubes_box(Window(n, d).box)
-    births = {c: GRID[int(v)] for c, v in
-              zip(cubes, rng.integers(0, 10, size=len(cubes)))}
-    for cube in sorted(cubes, key=lambda c: c.dim):
-        for f in boundary_faces(cube):
-            births[cube] = max(births[cube], births[f.cube])
-    return Filtration(Window(n, d), births)
 
 
 def reconstruct_diagram(filt, q):
@@ -64,7 +48,7 @@ def reconstruct_diagram(filt, q):
 def test_reduction_equals_rank_reconstruction():
     cases = [(2, 1), (2, 2), (3, 1), (2, 2), (3, 1), (2, 1)]
     for seed, (d, n) in enumerate(cases):
-        filt = random_grid_filtration(d, n, 4242 + seed)
+        filt = random_filtration(d, n, 4242 + seed)
         diagram = compute_diagram(filt)
         for q in range(d):
             assert diagram.degree(q) == reconstruct_diagram(filt, q), (

@@ -354,6 +354,13 @@ def test_block_carving_all_model_kinds():
         assert carved.births == direct.births, model.kind
 
 
+def test_restrict_box_rejects_box_outside_region():
+    big = sample(ModelSpec("lower", 2, marks=(UNI, UNI, UNI)), 2, seed=3)
+    for box in (Window(3, 2).box, block_window(3, 1, (1, 0)), Window(1, 3).box):
+        with pytest.raises(ValueError, match="not inside"):
+            restrict_box(big, box)
+
+
 def test_sample_box_rejects_dimension_mismatch():
     model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
     with pytest.raises(ValueError, match="dimension"):

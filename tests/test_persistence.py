@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from randcube import (
+    DistributionSpec,
     ElementaryCube,
     Filtration,
+    ModelSpec,
     PersistenceDiagram,
     RationalField,
     Window,
@@ -19,11 +21,12 @@ from randcube import (
     quadrant_mass,
     read_diagram,
     rectangle_mass,
+    sample,
     sublevel,
     validate,
     write_diagram,
 )
-from randcube.cubes import all_cubes_box
+from randcube.verify import random_filtration
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
@@ -33,18 +36,6 @@ def hollow_square_then_fill() -> Filtration:
     """Edges and vertices of [0,1]^2 born at 1, the square itself at 2."""
     births = {c: (2.0 if c == SQUARE else 1.0) for c in faces_contained_in(SQUARE)}
     return Filtration(Window(2, 2), births)
-
-
-def random_filtration(d, n, seed):
-    rng = np.random.default_rng(seed)
-    cubes = all_cubes_box(Window(n, d).box)
-    births = {c: (int(v) + 1) / 10 for c, v in
-              zip(cubes, rng.integers(0, 10, size=len(cubes)))}
-    for cube in sorted(cubes, key=lambda c: c.dim):
-        for f in boundary_faces(cube):
-            if births[f.cube] > births[cube]:
-                births[cube] = max(births[cube], births[f.cube])
-    return Filtration(Window(n, d), births)
 
 
 # --- validation ----------------------------------------------------------------
@@ -78,6 +69,65 @@ def test_all_infinite_births_is_empty():
 def test_birth_outside_window_rejected():
     with pytest.raises(ValueError, match="outside"):
         Filtration(Window(1, 1), {ElementaryCube((5,), (0,)): 0.0})
+
+
+# --- the birth grid ----------------------------------------------------------------
+
+def test_births_dict_rebuilds_the_grid():
+    law = DistributionSpec("uniform", (-0.25, 0.25))
+    defective = DistributionSpec("uniform", (0.25, 0.75), p_inf=0.3)
+    for d in (1, 2, 3):
+        for model in (ModelSpec("lower", d, marks=(defective,) * (d + 1)),
+                      ModelSpec("upper", d, marks=(defective,) * (d + 1)),
+                      ModelSpec("perturbed_lattice", d, perturbation=law),
+                      ModelSpec("ball_cover", d, perturbation=law, m_grid=2)):
+            f = sample(model, 2, seed=40 + d)
+            g = Filtration(f.region, f.births)
+            assert g == f and np.array_equal(g.grid, f.grid)
+            assert list(f.births) == sorted(f.births)
+            if model.kind in ("lower", "upper"):
+                assert np.isinf(f.grid).any()
+
+
+def test_infinite_birth_outside_region_is_ignored():
+    inside = {ElementaryCube((0, 0), (0, 0)): 0.5}
+    reference = Filtration(Window(1, 2), inside)
+    # the first cube's grid index is (-2, -2), which numpy would wrap onto
+    # the cell of cube (1, 1) if it were written
+    outside = {ElementaryCube((-2, -2), (0, 0)): INF,
+               ElementaryCube((2, 2), (1, 1)): INF}
+    f = Filtration(Window(1, 2), {**inside, **outside})
+    assert np.array_equal(f.grid, reference.grid)
+    assert f.births == inside
+
+
+def reference_validate(filtration):
+    """The per-cube check: the first late cube in canonical order, with its
+    first face (in boundary order) born after it."""
+    births = filtration.births
+    for cube in sorted(births):
+        for face in boundary_faces(cube):
+            if births.get(face.cube, INF) > births[cube]:
+                return (face.cube, cube)
+    return None
+
+
+def test_validate_matches_per_cube_reference():
+    rng = np.random.default_rng(11)
+    violations = 0
+    for i in range(60):
+        d, n = 1 + i % 3, 1 + (i // 3) % 2
+        grid = random_filtration(d, n, 300 + i).grid.copy()
+        # two cells drawn lower, one never born: most cases break the face
+        # condition somewhere
+        cells = rng.choice(grid.size, size=3, replace=False)
+        grid.flat[cells[:2]] = rng.integers(0, 10, size=2) / 10
+        grid.flat[cells[2]] = INF
+        f = Filtration(Window(n, d), grid)
+        expect = reference_validate(f)
+        assert validate(f) == expect
+        violations += expect is not None
+    assert violations >= 40
 
 
 # --- sublevel sets ---------------------------------------------------------------
