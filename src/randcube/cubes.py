@@ -5,6 +5,9 @@ nondegenerate [l, l+1] or degenerate {l}.  We encode a cube as (base, extent):
 ``base[i]`` is the lower endpoint of the i-th interval and ``extent[i]`` is 1
 for a nondegenerate interval, 0 for a degenerate one.  All operations here are
 pure functions on immutable values.
+
+It also owns the layout of a box's birth grid, one entry per cube at doubled
+coordinates c = 2*(base - lo) + extent: see ``grid_shape`` and what follows.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -141,6 +146,56 @@ class Window:
         return Box((-self.n,) * self.d, (self.n,) * self.d)
 
 
+def grid_shape(box: Box) -> tuple[int, ...]:
+    """Shape of the box's cube grid: 2*(hi - lo) + 1 positions per axis."""
+    return tuple(2 * (b - a) + 1 for a, b in zip(box.lo, box.hi))
+
+
+def canonical_cells(box: Box) -> np.ndarray:
+    """Flat indices into the box's grid of all its cubes, in canonical order:
+    by base, then by extent."""
+    shape = grid_shape(box)
+    d = len(shape)
+    # padded to even length, each axis splits into (base, extent)
+    cells = np.pad(np.arange(prod(shape)).reshape(shape), [(0, 1)] * d,
+                   constant_values=-1)
+    cells = cells.reshape([s for n in shape for s in ((n + 1) // 2, 2)])
+    cells = cells.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
+    return cells[cells >= 0]
+
+
+def cell_coordinates(box: Box, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases and extents, as (len(cells), d) arrays, of the cubes at these cells."""
+    c = np.stack(np.unravel_index(cells, grid_shape(box)), axis=-1)
+    return c // 2 + np.asarray(box.lo, dtype=np.int64), c % 2
+
+
+def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
+    """The cubes at these flat grid indices, in the order given."""
+    base, extent = cell_coordinates(box, cells)
+    # the cubes share one tuple per base and one per extent, each in lex order
+    bases = list(itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))))
+    extents = list(itertools.product((0, 1), repeat=box.ambient_dim))
+    i = np.ravel_multi_index((base - box.lo).T, np.subtract(box.hi, box.lo) + 1).tolist()
+    k = np.ravel_multi_index(extent.T, (2,) * box.ambient_dim).tolist()
+    return [ElementaryCube(bases[a], extents[b]) for a, b in zip(i, k)]
+
+
+def cube_index(box: Box, cube: ElementaryCube) -> tuple[int, ...]:
+    """Grid index of a cube contained in the box."""
+    return tuple(2 * (b - a) + e for a, b, e in zip(box.lo, cube.base, cube.extent))
+
+
+def box_slice(outer: Box, inner: Box) -> tuple[slice, ...]:
+    """The part of the outer box's grid that is the inner box's grid."""
+    if inner.ambient_dim != outer.ambient_dim or not all(
+            a0 <= a and b <= b0 for a0, b0, a, b in zip(outer.lo, outer.hi, inner.lo, inner.hi)):
+        raise ValueError(f"box {inner.lo}..{inner.hi} is not inside the region "
+                         f"{outer.lo}..{outer.hi}")
+    return tuple(slice(2 * (a - a0), 2 * (b - a0) + 1)
+                 for a0, a, b in zip(outer.lo, inner.lo, inner.hi))
+
+
 @lru_cache(maxsize=262144)
 def boundary_faces(cube: ElementaryCube) -> list[SignedCube]:
     """Signed codimension-1 faces of the cube.
@@ -188,21 +243,14 @@ def cofaces_containing(cube: ElementaryCube) -> list[ElementaryCube]:
     return [ElementaryCube(*zip(*combo)) for combo in itertools.product(*choices)]
 
 
-def _cubes_box(box: Box, extents: list[tuple[int, ...]]) -> list[ElementaryCube]:
-    """The box's cubes with these extents (given in lex order), in canonical
-    order: by base, then by extent."""
-    ranges = [range(a, b + 1) for a, b in zip(box.lo, box.hi)]
-    return [ElementaryCube(base, ext)
-            for base in itertools.product(*ranges) for ext in extents
-            if all(b + e <= hi for b, e, hi in zip(base, ext, box.hi))]
-
-
 def enumerate_cubes_box(box: Box, q: int) -> list[ElementaryCube]:
     """All elementary q-cubes contained in the box, in canonical order."""
     d = box.ambient_dim
     if q < 0 or q > d:
         raise ValueError(f"q={q} out of range for d={d}")
-    return _cubes_box(box, [e for e in itertools.product((0, 1), repeat=d) if sum(e) == q])
+    cells = canonical_cells(box)
+    dims = sum(np.ix_(*(np.arange(n) % 2 for n in grid_shape(box))))  # odd axes per cell
+    return cells_to_cubes(box, cells[dims.ravel()[cells] == q])
 
 
 def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:
@@ -216,7 +264,7 @@ def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:
 def all_cubes_box(box: Box) -> list[ElementaryCube]:
     """Every elementary cube of any dimension contained in the box, in
     canonical order."""
-    return _cubes_box(box, list(itertools.product((0, 1), repeat=box.ambient_dim)))
+    return cells_to_cubes(box, canonical_cells(box))
 
 
 def cube_count_formula(d: int, n: int, q: int) -> int:

@@ -25,6 +25,7 @@ from multiprocessing import Pool
 import numpy as np
 from scipy.special import logsumexp
 
+from .cubes import Window
 from .models import ModelSpec, block_window, restrict, restrict_box, sample
 from .persistence import (
     PersistenceDiagram,
@@ -55,13 +56,6 @@ class Histogram:
     counts: dict[tuple[int, int], float] = field(default_factory=dict)
     overflow: float = 0.0
     infinite: float = 0.0
-
-    @property
-    def denominator(self) -> int:
-        return 2 ** (self.l + 1)
-
-    def total_binned(self) -> float:
-        return sum(self.counts.values())
 
 
 def rectangle_keys(l: int) -> list[tuple[int, int]]:
@@ -186,7 +180,7 @@ class PBDensity:
 
     @property
     def volume(self) -> float:
-        return float(2 * self.n) ** self.model.d
+        return Window(self.n, self.model.d).volume
 
     @property
     def densities(self) -> np.ndarray:
@@ -257,7 +251,7 @@ class MeanDiagram:
 
     @property
     def volume(self) -> float:
-        return float(2 * self.n) ** self.model.d
+        return Window(self.n, self.model.d).volume
 
     def normalized(self) -> dict[tuple[int, int], float]:
         vol = self.volume
@@ -519,8 +513,7 @@ def near_additivity_gap(
     for z in itertools.product(range(-m, m + 1), repeat=model.d):
         block = restrict_box(big, block_window(k, r, z))
         s_blocks += _tuple_masses(block, q, pairs)
-    volume = float(2 * big_n) ** model.d
-    measured = float(np.linalg.norm(s_big - s_blocks)) / volume
+    measured = float(np.linalg.norm(s_big - s_blocks)) / Window(big_n, model.d).volume
     h = len(pairs)
     bound = 3 ** model.d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** model.d)
     return GapReport("near_additivity", model.d, q, h, k, r, m, big_n,
@@ -547,8 +540,7 @@ def regularity_gap(
     big = sample(model, n, seed, trial)
     s_n = _tuple_masses(big, q, pairs)
     s_sub = _tuple_masses(restrict(big, sub_n), q, pairs)
-    volume = float(2 * n) ** model.d
-    measured = float(np.linalg.norm(s_n - s_sub)) / volume
+    measured = float(np.linalg.norm(s_n - s_sub)) / Window(n, model.d).volume
     h = len(pairs)
     bound = 3 ** model.d * math.sqrt(h) * (1.0 - (sub_n / n) ** model.d)
     return GapReport("regularity", model.d, q, h, k, 0, m_n, n,

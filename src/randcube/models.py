@@ -27,7 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .cubes import Box, ElementaryCube, Window
+from .cubes import (Box, ElementaryCube, Window, box_slice, cell_coordinates,
+                    grid_shape)
 from .persistence import Filtration
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
@@ -186,22 +187,17 @@ def _mark_grid(
 ) -> np.ndarray:
     """Independent marks u_Q ~ F_{dim Q}, one per cube of the box, keyed by
     the cube's [extent mask, base_1, ..., base_d]."""
-    # doubled coordinates c = 2*(base - lo) + extent, one grid point per cube;
-    # odd entries are the cube's nondegenerate axes
-    c = np.indices(tuple(2 * (b - a) + 1 for a, b in zip(box.lo, box.hi)))
-    d = box.ambient_dim
-    extent = c % 2
-    base = c // 2 + np.reshape(box.lo, (d,) + (1,) * d)
-    mask = sum(extent[a] << (d - 1 - a) for a in range(d))
-    keys = np.stack([mask, *base], axis=-1).reshape(-1, d + 1)
-    u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial), keys)
-    u = u.reshape(mask.shape)
-    dims = extent.sum(axis=0)
+    shape = grid_shape(box)
+    base, extent = cell_coordinates(box, np.arange(math.prod(shape)))
+    mask = extent @ (1 << np.arange(box.ambient_dim)[::-1])
+    u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial),
+                       np.column_stack([mask, base]))
+    dims = extent.sum(axis=1)
     values = np.empty(u.shape)
     for q, mark in enumerate(marks):
         sel = dims == q
         values[sel] = mark.quantile(u[sel])
-    return values
+    return values.reshape(shape)
 
 
 def _perturbed_points(
@@ -226,7 +222,7 @@ def _edge_lengths(box: Box, law: DistributionSpec, seed: int, trial: int) -> np.
     """Grid holding each edge's perturbed length at its position and 0 at
     every other cube."""
     x = _perturbed_points(box, law, "perturbed_lattice", seed, trial)
-    grid = np.zeros(tuple(2 * s - 1 for s in x.shape[:-1]))
+    grid = np.zeros(grid_shape(box))
     for axis in range(box.ambient_dim):
         diff = np.diff(x, axis=axis)
         # a per-vector dot product rounds as the 1-D np.linalg.norm of one
@@ -284,7 +280,7 @@ def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtrat
     elif model.kind == "upper":
         grid = _mark_grid(model.marks, box.grow(1), "upper", seed, trial)
         _neighbour_pass(grid, 2, np.minimum)
-        grid = grid[(slice(2, -2),) * box.ambient_dim]
+        grid = grid[box_slice(box.grow(1), box)]
     elif model.kind == "perturbed_lattice":
         grid = _edge_lengths(box, model.perturbation, seed, trial)
         _neighbour_pass(grid, 1, np.maximum)
@@ -306,14 +302,8 @@ def sample(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Filtration:
 def restrict_box(filtration: Filtration, box: Box) -> Filtration:
     """Restrict a filtration to an integer box inside its region (used for
     translated block windows): a slice of the birth grid."""
-    region = filtration.region
-    if box.ambient_dim != region.ambient_dim or not all(
-            a0 <= a and b <= b0 for a0, b0, a, b in zip(region.lo, region.hi, box.lo, box.hi)):
-        raise ValueError(f"box {box.lo}..{box.hi} is not inside the region "
-                         f"{region.lo}..{region.hi}")
-    cut = tuple(slice(2 * (a - a0), 2 * (b - a0) + 1)
-                for a0, a, b in zip(region.lo, box.lo, box.hi))
-    return Filtration(box, filtration.grid[cut], filtration.meta)
+    return Filtration(box, filtration.grid[box_slice(filtration.region, box)],
+                      filtration.meta)
 
 
 def restrict(filtration: Filtration, m: int) -> Filtration:

@@ -1,8 +1,8 @@
 """Bounded cubical filtrations, persistence diagrams, persistent Betti numbers.
 
-A filtration is a birth grid: one float64 entry per elementary cube of a box,
-at the doubled coordinates c = 2*(base - lo) + extent (odd entries are the
-cube's nondegenerate axes), inf where the cube is never born.  It must satisfy
+A filtration is a birth grid: one float64 entry per elementary cube of a box
+in the layout that ``cubes`` owns, inf where the cube is never born; this
+module converts between cubes and grid positions only through it.  It must satisfy
 the monotone face condition (faces are born no later than their cofaces).
 Diagrams are computed by standard column reduction of the total boundary
 matrix in birth order, on flat grid indices; persistent Betti numbers are
@@ -21,22 +21,11 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .cubes import Box, ElementaryCube, Window, all_cubes_box, boundary_faces
+from .cubes import (Box, ElementaryCube, Window, boundary_faces, canonical_cells,
+                    cell_coordinates, cells_to_cubes, cube_index, grid_shape)
 from .homology import DEFAULT_FIELD, boundary_matrix, kernel_basis, reduce_columns
 
 INF = math.inf
-
-
-def canonical_cells(shape: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of a birth grid of this shape in the canonical cube order
-    of ``all_cubes_box``: by base, then by extent."""
-    d = len(shape)
-    # padded to even length, each axis splits into (base, extent)
-    cells = np.pad(np.arange(math.prod(shape)).reshape(shape), [(0, 1)] * d,
-                   constant_values=-1)
-    cells = cells.reshape([s for n in shape for s in ((n + 1) // 2, 2)])
-    cells = cells.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-    return cells[cells >= 0]
 
 
 class Filtration:
@@ -55,7 +44,7 @@ class Filtration:
             region = region.box
         self.region = region
         self.meta = dict(meta) if meta else {}
-        shape = tuple(2 * (b - a) + 1 for a, b in zip(region.lo, region.hi))
+        shape = grid_shape(region)
         if isinstance(births, dict):
             grid = np.full(shape, INF)
             for cube, t in births.items():
@@ -65,19 +54,18 @@ class Filtration:
                     raise ValueError(
                         f"finite-birth cube {cube.canonical()} lies outside the region"
                     )
-                grid[tuple(2 * (b - a) + e for a, b, e in
-                           zip(region.lo, cube.base, cube.extent))] = t
+                grid[cube_index(region, cube)] = t
         else:
             grid = np.asarray(births, dtype=np.float64)
             if grid.shape != shape:
                 raise ValueError(f"birth grid shape {grid.shape} is not the region's {shape}")
         bad = ~(grid >= 0)  # also catches nan and -inf
         if bad.any():
-            cells = canonical_cells(shape)
-            i = np.argmax(bad.ravel()[cells])
+            cells = canonical_cells(region)
+            cell = cells[np.argmax(bad.ravel()[cells])]
             raise ValueError("birth times must be nonnegative, got "
-                             f"{float(grid.flat[cells[i]])!r} at "
-                             f"{all_cubes_box(region)[i].canonical()}")
+                             f"{float(grid.flat[cell])!r} at "
+                             f"{cells_to_cubes(region, [cell])[0].canonical()}")
         self.grid = grid
         self._births: dict[ElementaryCube, float] | None = None
 
@@ -88,9 +76,10 @@ class Filtration:
     @property
     def births(self) -> dict[ElementaryCube, float]:
         if self._births is None:
-            values = self.grid.ravel()[canonical_cells(self.grid.shape)].tolist()
-            self._births = {c: t for c, t in zip(all_cubes_box(self.region), values)
-                            if t < INF}
+            cells = canonical_cells(self.region)
+            cells = cells[self.grid.ravel()[cells] < INF]
+            self._births = dict(zip(cells_to_cubes(self.region, cells),
+                                    self.grid.ravel()[cells].tolist()))
         return self._births
 
     def __eq__(self, other: object) -> bool:
@@ -187,33 +176,30 @@ def compute_diagram(
     _require_valid(filtration)
     grid, d = filtration.grid, filtration.d
     flat = grid.ravel()
-    cells = canonical_cells(grid.shape)
-    tie = np.flatnonzero(flat[cells] < INF)  # canonical ranks of the finite cubes
-    cells = cells[tie]
-    if _tie_key is not None:
-        cubes = all_cubes_box(filtration.region)
-        tie = np.array([_tie_key(cubes[i]) for i in tie])
-    odd = np.stack(np.unravel_index(cells, grid.shape)) % 2
-    order = np.lexsort((tie, odd.sum(axis=0), flat[cells]))
-    cells, odd = cells[order], odd[:, order]
-    dims, births = odd.sum(axis=0), flat[cells].tolist()
+    cells = canonical_cells(filtration.region)
+    cells = cells[flat[cells] < INF]  # the finite cubes, in canonical order
+    tie = np.arange(len(cells)) if _tie_key is None else np.array(
+        [_tie_key(c) for c in cells_to_cubes(filtration.region, cells)])
+    extent = cell_coordinates(filtration.region, cells)[1]
+    order = np.lexsort((tie, extent.sum(axis=1), flat[cells]))
+    cells, extent = cells[order], extent[order]
+    dims, births = extent.sum(axis=1), flat[cells].tolist()
     index = np.empty(flat.size, dtype=np.int64)
     index[cells] = np.arange(len(cells))
     # from the shape: a sliced grid's byte strides are those of its parent
     stride = np.array([math.prod(grid.shape[a + 1:]) for a in range(d)])
 
-    cleared: set[int] = set()
     pivot_row_of: dict[int, int] = {}  # pivot row index -> killing column index
     for q in range(d, 0, -1):
         cols = np.flatnonzero(dims == q)
         # the strides of each q-cube's nondegenerate axes, in axis order
-        step = stride[np.nonzero(odd[:, cols].T)[1].reshape(len(cols), q)]
+        step = stride[np.nonzero(extent[cols])[1].reshape(len(cols), q)]
         up, down = index[cells[cols, None] + step], index[cells[cols, None] - step]
         signs = [field.from_signed(s) for k in range(q) for s in ((-1) ** k, -(-1) ** k)]
         faces = np.stack([up, down], axis=2).reshape(len(cols), 2 * q).tolist()
         pivots: dict[int, dict] = {}
         for j, rows in zip(cols.tolist(), faces):
-            if j in cleared:
+            if j in pivot_row_of:  # cleared
                 continue
             col = dict(zip(rows, signs))
             while col:
@@ -227,7 +213,6 @@ def compute_diagram(
                 field.scale_into(col, field.inv(col[low]))
                 pivots[low] = col
                 pivot_row_of[low] = j
-                cleared.add(low)
 
     dims = dims.tolist()
     pairs: dict[int, list[tuple[float, float]]] = {}
@@ -277,9 +262,9 @@ def persistent_betti_direct(
 ) -> int:
     """Persistent Betti number at (s, t) by pure rank computations.
 
-    dim Z_q at level s minus the dimension of its intersection with the
-    boundary space at level t; the intersection dimension comes from the rank
-    of a kernel basis concatenated with the higher boundary columns.  This
+    dim Z_q(s) - dim(Z_q(s) cap B_q(t)) = dim(Z_q(s) + B_q(t)) - rank B_q(t):
+    one elimination of [level-t boundary columns | a level-s cycle basis]
+    counts the cycle columns that keep a pivot.  This
     route never touches the diagram reduction, so the two can cross-check
     each other.
     """
@@ -290,33 +275,24 @@ def persistent_betti_direct(
     _require_valid(filtration)
 
     cubes_s = sublevel(filtration, s)
-    cubes_t = sublevel(filtration, t)
     kq_s = [c for c in cubes_s if c.dim == q]
-    kq_t = [c for c in cubes_t if c.dim == q]
-    if not kq_s:
-        return 0
-    t_index = {c: i for i, c in enumerate(kq_t)}
 
     if q == 0:
         # the 0-th boundary map is zero: the kernel is all of C_0(X(s))
         kernel = [{i: field.from_signed(1)} for i in range(len(kq_s))]
     else:
         kernel = kernel_basis(boundary_matrix(cubes_s, q, field))
-    dim_z = len(kernel)
-    if dim_z == 0:
+    if not kernel:
         return 0
 
-    bnd_t = boundary_matrix(cubes_t, q + 1, field)
-    # concatenate [boundary columns | lifted kernel vectors]; one elimination
-    # pass yields rank B first and dim(Z + B) at the end
+    bnd_t = boundary_matrix(sublevel(filtration, t), q + 1, field)
+    # the cycle basis with its rows re-indexed by the level-t q-cubes
+    t_index = {c: i for i, c in enumerate(bnd_t.row_cubes)}
     lifted = [
         {t_index[kq_s[i]]: v for i, v in vec.items()} for vec in kernel
     ]
-    rank_b, _, _ = reduce_columns(bnd_t.columns, field)
-    total, _, _ = reduce_columns(bnd_t.columns + lifted, field)
-    dim_zb = total
-    dim_cap = dim_z + rank_b - dim_zb
-    return dim_z - dim_cap
+    _, pivot_rows, _ = reduce_columns(bnd_t.columns + lifted, field)
+    return sum(j >= len(bnd_t.columns) for j in pivot_rows.values())
 
 
 HEADER_PREFIX = "#"

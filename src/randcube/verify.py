@@ -22,9 +22,11 @@ from .cubes import (
     Window,
     all_cubes_box,
     boundary_faces,
+    canonical_cells,
     cube_count_formula,
     enumerate_cubes,
     faces_contained_in,
+    grid_shape,
 )
 from .homology import DEFAULT_FIELD, betti, boundary_matrix
 from .limits import (
@@ -39,7 +41,6 @@ from .limits import (
 from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict
 from .persistence import (
     Filtration,
-    canonical_cells,
     compute_diagram,
     persistent_betti_direct,
     quadrant_mass,
@@ -126,11 +127,12 @@ def random_filtration(d: int, n: int, seed: int) -> Filtration:
     order, then raised to the max over each cube's faces so the monotone
     face condition holds."""
     rng = np.random.default_rng(seed)
-    grid = np.empty((4 * n + 1,) * d)
-    grid.flat[canonical_cells(grid.shape)] = np.asarray(BIRTH_GRID)[
+    box = Window(n, d).box
+    grid = np.empty(grid_shape(box))
+    grid.flat[canonical_cells(box)] = np.asarray(BIRTH_GRID)[
         rng.integers(0, 10, size=grid.size)]
     _neighbour_pass(grid, 1, np.maximum)
-    return Filtration(Window(n, d), grid, {"n": n, "seed": seed})
+    return Filtration(box, grid, {"n": n, "seed": seed})
 
 
 def _corpus_params(count: int, seed: int) -> list[tuple[int, int, int]]:

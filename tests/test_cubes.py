@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,15 @@ from randcube import (
     enumerate_cubes,
     faces_contained_in,
 )
-from randcube.cubes import all_cubes_box, enumerate_cubes_box
+from randcube.cubes import (
+    all_cubes_box,
+    box_slice,
+    canonical_cells,
+    cells_to_cubes,
+    cube_index,
+    enumerate_cubes_box,
+    grid_shape,
+)
 
 
 def cube_contains(outer: ElementaryCube, inner: ElementaryCube) -> bool:
@@ -210,3 +220,55 @@ def test_face_coface_duality_property(cube):
     assert len(cofaces) == 3 ** (cube.ambient_dim - cube.dim)
     for other in cofaces:
         assert cube in faces_contained_in(other)
+
+
+def brute_force_cubes(box: Box) -> list[ElementaryCube]:
+    """Every cube of the box from the interval definition, sorted."""
+    per_axis = [[(b, e) for b in range(lo, hi + 1) for e in (0, 1) if b + e <= hi]
+                for lo, hi in zip(box.lo, box.hi)]
+    return sorted(ElementaryCube(*zip(*combo)) for combo in itertools.product(*per_axis))
+
+
+@st.composite
+def nested_boxes(draw):
+    """An outer box with d = 1..4 and asymmetric, translated bounds, plus a
+    box inside it."""
+    d = draw(st.integers(1, 4))
+    lo = [draw(st.integers(-4, 4)) for _ in range(d)]
+    hi = [a + draw(st.integers(0, 3 if d <= 2 else 2)) for a in lo]
+    inner_lo = [draw(st.integers(a, b)) for a, b in zip(lo, hi)]
+    inner_hi = [draw(st.integers(a, b)) for a, b in zip(inner_lo, hi)]
+    return Box(tuple(lo), tuple(hi)), Box(tuple(inner_lo), tuple(inner_hi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_boxes())
+def test_enumeration_matches_brute_force_property(boxes):
+    box, _ = boxes
+    expected = brute_force_cubes(box)
+    assert all_cubes_box(box) == expected
+    for q in range(box.ambient_dim + 1):
+        assert enumerate_cubes_box(box, q) == [c for c in expected if c.dim == q]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_boxes())
+def test_cube_cell_round_trip_property(boxes):
+    box, _ = boxes
+    shape = grid_shape(box)
+    cubes = brute_force_cubes(box)
+    cells = [np.ravel_multi_index(cube_index(box, c), shape) for c in cubes]
+    assert cells_to_cubes(box, cells) == cubes
+    assert cells == canonical_cells(box).tolist()
+    assert sorted(cells) == list(range(math.prod(shape)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_boxes())
+def test_box_slice_selects_inner_cubes_property(boxes):
+    outer, inner = boxes
+    outer_cells = np.arange(math.prod(grid_shape(outer))).reshape(grid_shape(outer))
+    sliced = outer_cells[box_slice(outer, inner)]
+    assert sliced.shape == grid_shape(inner)
+    got = cells_to_cubes(outer, sliced.ravel()[canonical_cells(inner)])
+    assert got == [c for c in brute_force_cubes(outer) if inner.contains_cube(c)]

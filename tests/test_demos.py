@@ -1,7 +1,9 @@
-"""Every demo script runs to completion (exit 0) from a fresh directory, so
-the CSVs some of them write land in a temporary directory."""
+"""Every demo script, and the README's Python quick start, runs to completion
+(exit 0) from a fresh directory, so the CSVs some of them write land in a
+temporary directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,22 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = _run([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\s+```python\n(.*?)```", readme, re.S).group(1)
+    proc = _run(["-c", block], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
