@@ -78,11 +78,8 @@ def _parse_model(spec: dict) -> ModelSpec:
                               "'mark' (broadcast)")
     elif "perturbation" in spec:
         perturbation = _parse_distribution(spec["perturbation"])
-    try:
-        return ModelSpec(kind, d, marks=marks, perturbation=perturbation,
-                         m_grid=int(spec.get("m_grid", 4)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ModelSpec(kind, d, marks=marks, perturbation=perturbation,
+                     m_grid=int(spec.get("m_grid", 4)))
 
 
 def _parse_axis(grid: dict, name: str) -> np.ndarray:
@@ -115,7 +112,15 @@ class ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate the whole config up front so nothing fails mid-sampling."""
+    """Validate the whole config up front so nothing fails mid-sampling; a
+    value of the wrong type or shape is a ConfigError too, not a traceback."""
+    try:
+        return _parse_config(raw)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if raw.get("schema_version") != CONFIG_SCHEMA_VERSION:

@@ -20,7 +20,7 @@ from math import comb, prod
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ElementaryCube:
     """A product of elementary intervals, encoded as lower corner + extent bits.
 

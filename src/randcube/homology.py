@@ -174,15 +174,15 @@ def boundary_matrix(
     field=DEFAULT_FIELD,
 ) -> SparseMatrix:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
-    face-closed cube list, in canonical cube order.
+    face-closed cube list, rows and columns in the order given.
 
     Raises ValueError("not face-closed ...") if some face of a q-cube is
     missing from the list.
     """
     if q < 1:
         raise ValueError("boundary matrix requires q >= 1")
-    rows = sorted(c for c in cubes if c.dim == q - 1)
-    cols = sorted(c for c in cubes if c.dim == q)
+    rows = [c for c in cubes if c.dim == q - 1]
+    cols = [c for c in cubes if c.dim == q]
     row_index = {c: i for i, c in enumerate(rows)}
     columns: list[Column] = []
     for cube in cols:

@@ -137,18 +137,16 @@ def piecewise_constant_integral(
 # per-trial workers (top level for pickling)
 # ---------------------------------------------------------------------------
 
-def _pb_trial(args) -> tuple[int, ...]:
-    model, n, q, pairs, seed, trial = args
-    diagram = compute_diagram(sample(model, n, seed, trial))
-    return tuple(quadrant_mass(diagram, q, s, t) for s, t in pairs)
+def _pb_trial(args) -> np.ndarray:
+    model, n, q, s, t, seed, trial = args
+    return quadrant_mass(compute_diagram(sample(model, n, seed, trial)), q, s, t)
 
 
 def _hist_trial(args):
-    model, n, q, l, grid_pairs, seed, trial = args
+    model, n, q, l, s, t, seed, trial = args
     diagram = compute_diagram(sample(model, n, seed, trial))
     hist = histogram(diagram, q, l)
-    masses = tuple(quadrant_mass(diagram, q, s, t) for s, t in grid_pairs)
-    return hist.counts, hist.overflow, hist.infinite, masses
+    return hist.counts, hist.overflow, hist.infinite, quadrant_mass(diagram, q, s, t)
 
 
 def ordered_map(fn, tasks, jobs: int) -> list:
@@ -218,10 +216,10 @@ def estimate_pb_density(
         raise ValueError("trials must be >= 1")
     if n < 1:
         raise ValueError("window radius must be >= 1 (volume normalization)")
-    args = [(model, n, q, pairs, seed, trial) for trial in range(trials)]
+    s, t = np.array(pairs).reshape(len(pairs), 2).T
+    args = [(model, n, q, s, t, seed, trial) for trial in range(trials)]
     rows = ordered_map(_pb_trial, args, jobs)
-    return PBDensity(model, q, pairs, n, trials, seed,
-                     np.array(rows, dtype=np.int64).reshape(trials, len(pairs)))
+    return PBDensity(model, q, pairs, n, trials, seed, np.array(rows, dtype=np.int64))
 
 
 def dyadic_grid_pairs(l: int) -> tuple[tuple[float, float], ...]:
@@ -275,7 +273,8 @@ def estimate_mean_diagram(
     if n < 1:
         raise ValueError("window radius must be >= 1 (volume normalization)")
     grid_pairs = dyadic_grid_pairs(l)
-    args = [(model, n, q, l, grid_pairs, seed, trial) for trial in range(trials)]
+    s, t = np.array(grid_pairs).T
+    args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
     rows = ordered_map(_hist_trial, args, jobs)
 
     pair_index = {p: i for i, p in enumerate(grid_pairs)}
@@ -477,12 +476,6 @@ class GapReport:
         return self.measured <= self.bound
 
 
-def _tuple_masses(filtration, q: int, pairs) -> np.ndarray:
-    diagram = compute_diagram(filtration)
-    return np.array([quadrant_mass(diagram, q, s, t) for s, t in pairs],
-                    dtype=np.int64)
-
-
 def near_additivity_gap(
     model: ModelSpec,
     q: int,
@@ -496,7 +489,7 @@ def near_additivity_gap(
     """Gap between the big-window statistic on [-(2m+1)k, (2m+1)k]^d and the
     sum over its (2m+1)^d translated blocks carved from the same realization,
     against the bound 3^d sqrt(h) (1 - (1 - r/k)^d)."""
-    pairs = tuple((float(s), float(t)) for s, t in pairs)
+    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
     if k <= r or r < 0:
         raise ValueError("block construction requires 0 <= r < k")
     if m < 0:
@@ -508,11 +501,11 @@ def near_additivity_gap(
         )
     big_n = (2 * m + 1) * k
     big = sample(model, big_n, seed, trial)
-    s_big = _tuple_masses(big, q, pairs)
+    s_big = quadrant_mass(compute_diagram(big), q, s, t)
     s_blocks = np.zeros(len(pairs), dtype=np.int64)
     for z in itertools.product(range(-m, m + 1), repeat=model.d):
         block = restrict_box(big, block_window(k, r, z))
-        s_blocks += _tuple_masses(block, q, pairs)
+        s_blocks += quadrant_mass(compute_diagram(block), q, s, t)
     measured = float(np.linalg.norm(s_big - s_blocks)) / Window(big_n, model.d).volume
     h = len(pairs)
     bound = 3 ** model.d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** model.d)
@@ -532,14 +525,14 @@ def regularity_gap(
     """Gap between the window-n statistic and its largest aligned sub-window
     of radius (2m+1)k on the same realization, against the bound
     3^d sqrt(h) (1 - ((2m+1)k/n)^d)."""
-    pairs = tuple((float(s), float(t)) for s, t in pairs)
+    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
     if not 1 <= k <= n:
         raise ValueError("regularity requires 1 <= k <= n")
     m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
     sub_n = (2 * m_n + 1) * k
     big = sample(model, n, seed, trial)
-    s_n = _tuple_masses(big, q, pairs)
-    s_sub = _tuple_masses(restrict(big, sub_n), q, pairs)
+    s_n = quadrant_mass(compute_diagram(big), q, s, t)
+    s_sub = quadrant_mass(compute_diagram(restrict(big, sub_n)), q, s, t)
     measured = float(np.linalg.norm(s_n - s_sub)) / Window(n, model.d).volume
     h = len(pairs)
     bound = 3 ** model.d * math.sqrt(h) * (1.0 - (sub_n / n) ** model.d)

@@ -26,6 +26,7 @@ from .cubes import (Box, ElementaryCube, Window, boundary_faces, canonical_cells
 from .homology import DEFAULT_FIELD, boundary_matrix, kernel_basis, reduce_columns
 
 INF = math.inf
+Corner = float | np.ndarray  # one corner coordinate, or an array of them
 
 
 class Filtration:
@@ -230,31 +231,36 @@ def compute_diagram(
     return PersistenceDiagram(d, pairs, meta)
 
 
-def quadrant_mass(diagram: PersistenceDiagram, q: int, s: float, t: float) -> int:
-    """Number of degree-q pairs with birth <= s and death > t (inf included)."""
-    if s > t:
+def quadrant_mass(diagram: PersistenceDiagram, q: int,
+                  s: Corner, t: Corner) -> int | np.ndarray:
+    """Number of degree-q pairs with birth <= s and death > t (inf included).
+
+    The corners s and t broadcast as arrays: scalar corners give an int,
+    array corners an int64 array of the broadcast shape.  Any s > t raises.
+    """
+    s, t = (np.asarray(x, dtype=np.float64)[..., None] for x in (s, t))
+    if np.any(s > t):
         raise ValueError("quadrant requires s <= t")
-    return sum(1 for b, dth in diagram.degree(q) if b <= s and dth > t)
+    b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
+    mass = ((b <= s) & (dth > t)).sum(-1, dtype=np.int64)
+    return mass if mass.ndim else int(mass)
 
 
-def rectangle_mass(
-    diagram: PersistenceDiagram,
-    q: int,
-    s1: float,
-    s2: float,
-    t1: float,
-    t2: float,
-) -> int:
+def rectangle_mass(diagram: PersistenceDiagram, q: int, s1: Corner, s2: Corner,
+                   t1: Corner, t2: Corner) -> int | np.ndarray:
     """Number of degree-q pairs with birth in (s1, s2] and death in (t1, t2].
 
     Equals the alternating quadrant sum
-    beta(s2,t1) - beta(s2,t2) + beta(s1,t2) - beta(s1,t1).
+    beta(s2,t1) - beta(s2,t2) + beta(s1,t2) - beta(s1,t1).  The corners
+    broadcast as in ``quadrant_mass``; any misordered rectangle raises.
     """
-    if not (0 <= s1 <= s2 <= t1 <= t2 < INF):
+    s1, s2, t1, t2 = (np.asarray(x, dtype=np.float64)[..., None]
+                      for x in (s1, s2, t1, t2))
+    if not np.all((0 <= s1) & (s1 <= s2) & (s2 <= t1) & (t1 <= t2) & (t2 < INF)):
         raise ValueError("rectangle requires 0 <= s1 <= s2 <= t1 <= t2 < inf")
-    return sum(
-        1 for b, dth in diagram.degree(q) if s1 < b <= s2 and t1 < dth <= t2
-    )
+    b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
+    mass = ((s1 < b) & (b <= s2) & (t1 < dth) & (dth <= t2)).sum(-1, dtype=np.int64)
+    return mass if mass.ndim else int(mass)
 
 
 def persistent_betti_direct(

@@ -294,11 +294,11 @@ def _k_triangle_one(params) -> tuple[int, int]:
     bad = 0
     comparisons = 0
     for q in range(d):
-        for s in S_GRID:
-            for t in T_GRID:
+        masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
+        for s, row in zip(S_GRID, masses):
+            for t, mass in zip(T_GRID, row):
                 comparisons += 1
-                if (quadrant_mass(diagram, q, s, t)
-                        != persistent_betti_direct(filtration, q, s, t)):
+                if mass != persistent_betti_direct(filtration, q, s, t):
                     bad += 1
     return bad, comparisons
 
@@ -327,31 +327,27 @@ def _inequality_one(params) -> tuple[int, int, float]:
     bad = 0
     comparisons = 0
     worst = INF
+    # the 15 x 10 grid boxes (s1, s2] x (t1, t2]
+    s1, s2 = np.array(list(itertools.combinations((0.0,) + S_GRID, 2))).T[..., None]
+    t1, t2 = np.array(list(itertools.combinations(T_GRID, 2))).T
     for q in range(d):
         # trivial bound at every grid point
-        for s in S_GRID:
+        masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
+        for s, row in zip(S_GRID, masses):
             cubes_s = sublevel(filt, s)
             betti_s = betti(cubes_s, q) if cubes_s else 0
             count_s = sum(1 for c in cubes_s if c.dim == q)
-            for t in T_GRID:
-                mass = quadrant_mass(diagram, q, s, t)
-                comparisons += 1
-                slack = min(betti_s - mass, count_s - betti_s)
-                worst = min(worst, slack)
-                if slack < 0:
-                    bad += 1
+            slack = np.minimum(betti_s - row, count_s - betti_s)
+            comparisons += len(slack)
+            worst = min(worst, slack.min())
+            bad += int((slack < 0).sum())
         # rectangle identity and nonnegativity over all grid boxes
-        for s1, s2 in itertools.combinations((0.0,) + S_GRID, 2):
-            for t1, t2 in itertools.combinations(T_GRID, 2):
-                alt = (quadrant_mass(diagram, q, s2, t1)
-                       - quadrant_mass(diagram, q, s2, t2)
-                       + quadrant_mass(diagram, q, s1, t2)
-                       - quadrant_mass(diagram, q, s1, t1))
-                direct = rectangle_mass(diagram, q, s1, s2, t1, t2)
-                comparisons += 1
-                worst = min(worst, float(alt))
-                if alt < 0 or alt != direct:
-                    bad += 1
+        alt = (quadrant_mass(diagram, q, s2, t1) - quadrant_mass(diagram, q, s2, t2)
+               + quadrant_mass(diagram, q, s1, t2) - quadrant_mass(diagram, q, s1, t1))
+        direct = rectangle_mass(diagram, q, s1, s2, t1, t2)
+        comparisons += alt.size
+        worst = min(worst, float(alt.min()))
+        bad += int(((alt < 0) | (alt != direct)).sum())
         # total mass bound
         comparisons += 1
         slack = cube_count_formula(d, n, q) - diagram.total_count(q)
@@ -362,16 +358,17 @@ def _inequality_one(params) -> tuple[int, int, float]:
     if n >= 2:
         inner = restrict(filt, n - 1)
         diagram_in = compute_diagram(inner)
+        ns, nt = (0.2, 0.4, 0.5), (0.6, 0.8, 0.5)  # the (s, t) pairs checked
         for q in range(d):
-            for s, t in ((0.2, 0.6), (0.4, 0.8), (0.5, 0.5)):
+            diffs = abs(quadrant_mass(diagram, q, ns, nt)
+                        - quadrant_mass(diagram_in, q, ns, nt))
+            for s, t, diff in zip(ns, nt, diffs):
                 outer_cubes = {c for c in sublevel(filt, s) if c.dim == q}
                 inner_cubes = {c for c in sublevel(inner, s) if c.dim == q}
                 extra_q = len(outer_cubes - inner_cubes)
                 outer_hi = {c for c in sublevel(filt, t) if c.dim == q + 1}
                 inner_hi = {c for c in sublevel(inner, t) if c.dim == q + 1}
                 extra_q1 = len(outer_hi - inner_hi)
-                diff = abs(quadrant_mass(diagram, q, s, t)
-                           - quadrant_mass(diagram_in, q, s, t))
                 comparisons += 1
                 slack = extra_q + extra_q1 - diff
                 worst = min(worst, slack)

@@ -1,0 +1,46 @@
+"""The library API that the benchmark in ``benchmarks/`` relies on.
+
+The benchmark's span recorder wraps named functions of the library and reads
+its face-enumeration caches, so removing or renaming any of them breaks a
+benchmark run; these tests make that show in the test suite first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from randcube import DistributionSpec, ElementaryCube, ModelSpec, sample
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wrapped_functions_exist(spans):
+    for layer, names in spans.WRAPPED.items():
+        module = importlib.import_module(f"randcube.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"randcube.{layer}.{name}"
+
+
+def test_face_enumerators_are_lru_cached(spans):
+    cubes = importlib.import_module("randcube.cubes")
+    for name in spans.LRU_FUNCTIONS:
+        fn = getattr(cubes, name)
+        assert callable(fn.cache_clear) and callable(fn.cache_info), name
+
+
+def test_filtration_births_is_a_cube_dict():
+    model = ModelSpec("lower", 2, marks=(DistributionSpec("uniform", (0.0, 1.0)),) * 3)
+    births = sample(model, 1, 3, 0).births
+    assert isinstance(births, dict) and len(births) == 25
+    assert all(isinstance(c, ElementaryCube) and isinstance(t, float)
+               for c, t in births.items())

@@ -151,6 +151,19 @@ def test_nonfinite_mark_parameter_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, model", [
+    ({"trials": "many"}, {}),
+    ({}, {"d": "two"}),
+    ({"pairs": [[0.3]]}, {}),
+    ({"lambda_grid": {"axis": ["x"]}}, {}),
+])
+def test_estimate_malformed_value_exits_2(tmp_path, capsys, overrides, model):
+    cfg, _ = write_config(tmp_path, overrides=overrides, **model)
+    assert main(["estimate", "--which", "mgf", "--config", str(cfg),
+                 "--out", str(tmp_path / "est")]) == EXIT_CONFIG_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("which", ["mgf", "rate"])
 def test_estimate_ldp_rejects_several_q(tmp_path, capsys, which):
     cfg, _ = write_config(tmp_path, overrides={"q": [0, 1]})

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -169,6 +170,13 @@ def test_canonical_text_round_trip():
     for cube in all_cubes_box(Window(2, 3).box):
         assert ElementaryCube.from_canonical(cube.canonical()) == cube
     assert ElementaryCube((-1, 2), (1, 0)).canonical() == "2;-1,2;10"
+
+
+def test_pickle_round_trip_keeps_equality_and_hash():
+    for cube in all_cubes_box(Window(1, 2).box):
+        copy = pickle.loads(pickle.dumps(cube))
+        assert copy == cube and hash(copy) == hash(cube)
+    assert not hasattr(cube, "__dict__")  # slotted: no per-cube dict
 
 
 def test_window_volume():

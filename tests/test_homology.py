@@ -195,6 +195,21 @@ def test_euler_poincare():
         assert chi_count == chi_betti
 
 
+def test_boundary_matrix_keeps_given_order():
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        d = 2 + seed % 2
+        cubes = random_face_closed(d, 1, 4000 + seed)
+        shuffled = [cubes[i] for i in rng.permutation(len(cubes))]
+        for q in range(1, d + 1):
+            mat = boundary_matrix(shuffled, q)
+            assert mat.row_cubes == [c for c in shuffled if c.dim == q - 1]
+            assert mat.col_cubes == [c for c in shuffled if c.dim == q]
+            assert rank(mat) == rank(boundary_matrix(cubes, q))
+        for q in range(d + 1):
+            assert betti(shuffled, q) == betti(cubes, q)
+
+
 def test_boundary_composition_zero_matrix():
     f = DEFAULT_FIELD
     for seed in range(30):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcube import (
     DistributionSpec,
@@ -356,3 +358,65 @@ def test_parse_diagram_rejects_garbage():
         parse_diagram("no header\n")
     with pytest.raises(ValueError):
         parse_diagram("# 2 1 - -\n0 2.0 1.0\n")  # birth >= death
+
+
+# --- array corners against a per-pair reference loop -------------------------------
+
+COARSE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def coarse_diagrams(draw):
+    """Diagrams with births and deaths on a coarse grid (so corners tie with
+    them), inf deaths, and possibly empty degrees."""
+    pairs = {}
+    for q in range(2):
+        for _ in range(draw(st.integers(0, 6))):
+            b = draw(COARSE)
+            dth = draw(st.sampled_from([x for x in (0.25, 0.5, 0.75, 1.0, INF) if x > b]))
+            pairs.setdefault(q, []).append((b, dth))
+    return PersistenceDiagram(2, pairs)
+
+
+def quadrant_reference(diagram, q, s, t):
+    return sum(1 for b, dth in diagram.degree(q) if b <= s and dth > t)
+
+
+def rectangle_reference(diagram, q, s1, s2, t1, t2):
+    return sum(1 for b, dth in diagram.degree(q) if s1 < b <= s2 and t1 < dth <= t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coarse_diagrams(), st.integers(0, 2), st.lists(COARSE, min_size=4, max_size=4))
+def test_array_masses_match_per_pair_loop(diagram, q, corner):
+    s1, s2, t1, t2 = sorted(corner)
+    mass = quadrant_mass(diagram, q, s2, t1)
+    assert type(mass) is int and mass == quadrant_reference(diagram, q, s2, t1)
+    box = rectangle_mass(diagram, q, s1, s2, t1, t2)
+    assert type(box) is int and box == rectangle_reference(diagram, q, s1, s2, t1, t2)
+
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    row = quadrant_mass(diagram, q, s1, grid[grid >= s1])  # 1-D
+    assert row.dtype == np.int64
+    assert row.tolist() == [quadrant_reference(diagram, q, s1, t)
+                            for t in grid[grid >= s1]]
+    table = quadrant_mass(diagram, q, grid[:, None], np.maximum(grid[:, None], grid))  # 2-D
+    assert table.shape == (5, 5)
+    for i, s in enumerate(grid):
+        for j, t in enumerate(np.maximum(s, grid)):
+            assert table[i, j] == quadrant_reference(diagram, q, s, t)
+
+    lo, hi = np.minimum(grid, s1), grid[grid >= t1]
+    boxes = rectangle_mass(diagram, q, lo[:, None], s2, t1, hi)  # 2-D
+    assert boxes.shape == (5, len(hi))
+    for i, a in enumerate(lo):
+        for j, t in enumerate(hi):
+            assert boxes[i, j] == rectangle_reference(diagram, q, a, s2, t1, t)
+
+
+def test_array_corners_raise_on_one_bad_corner():
+    diagram = compute_diagram(hollow_square_then_fill())
+    with pytest.raises(ValueError, match="s <= t"):
+        quadrant_mass(diagram, 1, [0.5, 1.0, 2.0], 1.5)
+    with pytest.raises(ValueError, match="rectangle requires"):
+        rectangle_mass(diagram, 1, 0.0, [0.5, 1.0], 1.0, [2.0, 0.9])
