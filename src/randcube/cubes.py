@@ -181,6 +181,26 @@ def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
     return [ElementaryCube(bases[a], extents[b]) for a, b in zip(i, k)]
 
 
+def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed codimension-1 faces of the q-cubes at these flat grid indices.
+
+    Returns a (len(cells), 2q) array of the faces' flat indices and their 2q
+    signs, in ``boundary_faces`` order: along the k-th nondegenerate axis the
+    face one axis stride up has sign (-1)^k, the one a stride down the
+    opposite sign.
+    """
+    shape = grid_shape(box)
+    cells = np.asarray(cells, dtype=np.int64)
+    extent = cell_coordinates(box, cells)[1]
+    if np.any(extent.sum(axis=1) != q):
+        raise ValueError(f"not every cell is a {q}-cube")
+    stride = np.array([prod(shape[a + 1:]) for a in range(len(shape))], dtype=np.int64)
+    step = stride[np.nonzero(extent)[1].reshape(len(cells), q)]
+    faces = np.stack([cells[:, None] + step, cells[:, None] - step], axis=2)
+    signs = np.repeat((-1) ** np.arange(q), 2) * np.tile([1, -1], q)
+    return faces.reshape(len(cells), 2 * q), signs
+
+
 def cube_index(box: Box, cube: ElementaryCube) -> tuple[int, ...]:
     """Grid index of a cube contained in the box."""
     return tuple(2 * (b - a) + e for a, b, e in zip(box.lo, cube.base, cube.extent))

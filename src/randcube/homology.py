@@ -9,9 +9,11 @@ real-coefficient answer for d >= 4).
 
 Matrices are stored column-major as dicts {row_index: coefficient}; the
 elimination engine pivots on the lowest nonzero entry of a column (the
-largest row index).  It serves the rank-based persistent Betti route only:
-the persistence diagram reduction has its own loop, so the two routes stay
-independent oracles.
+largest row index), and any ints serve as row indices.  The rank-based
+persistent Betti route feeds it columns keyed by flat grid cells, while
+``boundary_matrix``, ``rank``, ``kernel_basis`` and ``betti`` work on
+``ElementaryCube`` lists.  The persistence diagram reduction has its own
+loop, so the two routes stay independent oracles.
 """
 
 from __future__ import annotations

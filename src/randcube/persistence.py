@@ -6,8 +6,9 @@ module converts between cubes and grid positions only through it.  It must satis
 the monotone face condition (faces are born no later than their cofaces).
 Diagrams are computed by standard column reduction of the total boundary
 matrix in birth order, on flat grid indices; persistent Betti numbers are
-additionally computed by a fully independent rank-based route on cube lists,
-so the two act as mutual oracles (neither calls the other).
+additionally computed by a fully independent rank-based route on the same
+grid cells, over arrays of (s, t) corners, so the two act as mutual oracles
+(neither calls the other; they share only the face operator ``cell_faces``).
 
 Time values are exact binary64; birth-time comparisons are exact equality,
 never epsilon-based.  Death = inf is a distinct sentinel ordered above every
@@ -22,8 +23,8 @@ from typing import Optional, TextIO
 import numpy as np
 
 from .cubes import (Box, ElementaryCube, Window, boundary_faces, canonical_cells,
-                    cell_coordinates, cells_to_cubes, cube_index, grid_shape)
-from .homology import DEFAULT_FIELD, boundary_matrix, kernel_basis, reduce_columns
+                    cell_coordinates, cell_faces, cells_to_cubes, cube_index, grid_shape)
+from .homology import DEFAULT_FIELD, Column, reduce_columns
 
 INF = math.inf
 Corner = float | np.ndarray  # one corner coordinate, or an array of them
@@ -162,42 +163,35 @@ def compute_diagram(
     """Persistence diagram via column reduction of the total boundary matrix.
 
     Cubes are ordered by (birth, dimension, canonical cube order), which puts
-    every face before its cofaces.  Columns live on flat grid indices: along
-    the k-th nondegenerate axis of a cube, the face one axis stride up has
-    sign (-1)^k and the face one stride down the opposite sign, as in
-    ``boundary_faces``.  The reduction runs per dimension from the top down
-    with the clearing shortcut (a column whose cube was already used as a
-    pivot row must reduce to zero and is skipped).  Pairs with equal birth
-    and death are discarded.
+    every face before its cofaces.  Columns live on flat grid indices, with
+    signed faces from ``cell_faces``.  The reduction runs per dimension from
+    the top down with the clearing shortcut (a column whose cube was already
+    used as a pivot row must reduce to zero and is skipped).  Pairs with
+    equal birth and death are discarded.
 
     ``_tie_key`` (a function of the cube) overrides the canonical tie-break
     among equal-birth cubes of equal dimension; the diagram is invariant
     under this choice, which the test suite asserts by shuffling it.
     """
     _require_valid(filtration)
-    grid, d = filtration.grid, filtration.d
-    flat = grid.ravel()
+    flat, d = filtration.grid.ravel(), filtration.d
     cells = canonical_cells(filtration.region)
     cells = cells[flat[cells] < INF]  # the finite cubes, in canonical order
     tie = np.arange(len(cells)) if _tie_key is None else np.array(
         [_tie_key(c) for c in cells_to_cubes(filtration.region, cells)])
-    extent = cell_coordinates(filtration.region, cells)[1]
-    order = np.lexsort((tie, extent.sum(axis=1), flat[cells]))
-    cells, extent = cells[order], extent[order]
-    dims, births = extent.sum(axis=1), flat[cells].tolist()
+    dims = cell_coordinates(filtration.region, cells)[1].sum(axis=1)
+    order = np.lexsort((tie, dims, flat[cells]))
+    cells, dims = cells[order], dims[order]
+    births = flat[cells].tolist()
     index = np.empty(flat.size, dtype=np.int64)
     index[cells] = np.arange(len(cells))
-    # from the shape: a sliced grid's byte strides are those of its parent
-    stride = np.array([math.prod(grid.shape[a + 1:]) for a in range(d)])
 
     pivot_row_of: dict[int, int] = {}  # pivot row index -> killing column index
     for q in range(d, 0, -1):
         cols = np.flatnonzero(dims == q)
-        # the strides of each q-cube's nondegenerate axes, in axis order
-        step = stride[np.nonzero(extent[cols])[1].reshape(len(cols), q)]
-        up, down = index[cells[cols, None] + step], index[cells[cols, None] - step]
-        signs = [field.from_signed(s) for k in range(q) for s in ((-1) ** k, -(-1) ** k)]
-        faces = np.stack([up, down], axis=2).reshape(len(cols), 2 * q).tolist()
+        faces, signs = cell_faces(filtration.region, cells[cols], q)
+        faces = index[faces].tolist()
+        signs = [field.from_signed(s) for s in signs.tolist()]
         pivots: dict[int, dict] = {}
         for j, rows in zip(cols.tolist(), faces):
             if j in pivot_row_of:  # cleared
@@ -236,11 +230,12 @@ def quadrant_mass(diagram: PersistenceDiagram, q: int,
     """Number of degree-q pairs with birth <= s and death > t (inf included).
 
     The corners s and t broadcast as arrays: scalar corners give an int,
-    array corners an int64 array of the broadcast shape.  Any s > t raises.
+    array corners an int64 array of the broadcast shape.  Every corner must
+    satisfy 0 <= s <= t < inf.
     """
     s, t = (np.asarray(x, dtype=np.float64)[..., None] for x in (s, t))
-    if np.any(s > t):
-        raise ValueError("quadrant requires s <= t")
+    if not np.all((0 <= s) & (s <= t) & (t < INF)):
+        raise ValueError("quadrant requires 0 <= s <= t < inf")
     b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
     mass = ((b <= s) & (dth > t)).sum(-1, dtype=np.int64)
     return mass if mass.ndim else int(mass)
@@ -263,42 +258,79 @@ def rectangle_mass(diagram: PersistenceDiagram, q: int, s1: Corner, s2: Corner,
     return mass if mass.ndim else int(mass)
 
 
-def persistent_betti_direct(
-    filtration: Filtration, q: int, s: float, t: float, field=DEFAULT_FIELD
-) -> int:
-    """Persistent Betti number at (s, t) by pure rank computations.
+def _boundary_columns(region: Box, cells, q: int, field) -> list[Column]:
+    """Boundary columns of the q-cells, keyed by the faces' flat indices."""
+    faces, signs = cell_faces(region, cells, q)
+    signs = [field.from_signed(x) for x in signs.tolist()]
+    return [dict(zip(f, signs)) for f in faces.tolist()]
 
-    dim Z_q(s) - dim(Z_q(s) cap B_q(t)) = dim(Z_q(s) + B_q(t)) - rank B_q(t):
-    one elimination of [level-t boundary columns | a level-s cycle basis]
-    counts the cycle columns that keep a pivot.  This
-    route never touches the diagram reduction, so the two can cross-check
-    each other.
+
+def persistent_betti_direct(
+    filtration: Filtration, q: int, s: Corner, t: Corner, field=DEFAULT_FIELD
+) -> int | np.ndarray:
+    """Persistent Betti numbers beta_q^{s,t} by pure rank computations.
+
+    beta_q^{s,t} = dim Z_q(s) - dim(Z_q(s) cap B_q(t))
+                 = dim(Z_q(s) + B_q(t)) - rank B_q(t).
+    The corners broadcast as in ``quadrant_mass``: scalar corners give an
+    int, array corners an int64 array of the broadcast shape.  Every corner
+    must satisfy 0 <= s <= t < inf.
+
+    The route works on flat grid cells, with faces from ``cell_faces``.  Let
+    s_1 < ... < s_m be the distinct s values.  The q-cells born by s_m are
+    ordered by the first level s_k that holds them (canonical order within a
+    level), and one elimination of their boundary columns gives a nested
+    cycle basis: each kernel combination's largest column lies in the level
+    where its cycle appears, so the combinations up to level k span
+    Z_q(s_k).  Then, per distinct t, one elimination of [level-t
+    (q+1)-boundary columns | lifted cycle basis] counts the cycle columns
+    that keep a pivot.  A column's pivot does not depend on the columns after
+    it, so the count over levels <= k is beta_q^{s_k,t}.  This route never
+    touches the diagram reduction, so the two can cross-check each other.
     """
-    if s > t:
-        raise ValueError("persistent Betti requires s <= t")
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                               np.asarray(t, dtype=np.float64))
+    if not np.all((0 <= s) & (s <= t) & (t < INF)):
+        raise ValueError("persistent Betti requires 0 <= s <= t < inf")
     if not 0 <= q < filtration.d:
         raise ValueError(f"q={q} out of range for d={filtration.d}")
     _require_valid(filtration)
 
-    cubes_s = sublevel(filtration, s)
-    kq_s = [c for c in cubes_s if c.dim == q]
+    region, flat = filtration.region, filtration.grid.ravel()
+    cells = canonical_cells(region)
+    cells = cells[flat[cells] <= t.max(initial=0.0)]
+    dims = cell_coordinates(region, cells)[1].sum(axis=1)
+    levels = np.unique(s)
+    q_cells = cells[(dims == q) & (flat[cells] <= s.max(initial=0.0))]
+    level = np.searchsorted(levels, flat[q_cells])  # the first s_k >= birth
+    order = np.argsort(level, kind="stable")
+    q_cells, level = q_cells[order].tolist(), level[order]
 
-    if q == 0:
-        # the 0-th boundary map is zero: the kernel is all of C_0(X(s))
-        kernel = [{i: field.from_signed(1)} for i in range(len(kq_s))]
+    if q == 0:  # the 0-th boundary map is zero: every 0-chain is a cycle
+        kernel = [{j: field.from_signed(1)} for j in range(len(q_cells))]
     else:
-        kernel = kernel_basis(boundary_matrix(cubes_s, q, field))
-    if not kernel:
-        return 0
+        kernel = reduce_columns(_boundary_columns(region, q_cells, q, field), field,
+                                want_kernel=True)[2]
+    cycle_level = level[np.array([max(c) for c in kernel], dtype=np.int64)]
+    lifted = [{q_cells[j]: v for j, v in c.items()} for c in kernel]
 
-    bnd_t = boundary_matrix(sublevel(filtration, t), q + 1, field)
-    # the cycle basis with its rows re-indexed by the level-t q-cubes
-    t_index = {c: i for i, c in enumerate(bnd_t.row_cubes)}
-    lifted = [
-        {t_index[kq_s[i]]: v for i, v in vec.items()} for vec in kernel
-    ]
-    _, pivot_rows, _ = reduce_columns(bnd_t.columns + lifted, field)
-    return sum(j >= len(bnd_t.columns) for j in pivot_rows.values())
+    up = cells[dims == q + 1]
+    up_births = flat[up]
+    boundary = _boundary_columns(region, up, q + 1, field)
+    s_level = np.searchsorted(levels, s)
+    out = np.zeros(s.shape, dtype=np.int64)
+    for t_value in np.unique(t):
+        at = t == t_value
+        m = np.searchsorted(cycle_level, s_level[at].max(), side="right")
+        if m == 0:
+            continue
+        cols = [boundary[i] for i in np.flatnonzero(up_births <= t_value)]
+        _, pivot_rows, _ = reduce_columns(cols + lifted[:m], field)
+        kept = np.array([j - len(cols) for j in pivot_rows.values() if j >= len(cols)],
+                        dtype=np.int64)
+        per_level = np.bincount(cycle_level[kept], minlength=len(levels))
+        out[at] = per_level.cumsum()[s_level[at]]
+    return out if out.ndim else int(out)
 
 
 HEADER_PREFIX = "#"

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,13 +294,11 @@ def _k_triangle_one(params) -> tuple[int, int]:
     diagram = compute_diagram(filtration)
     bad = 0
     comparisons = 0
+    s = np.array(S_GRID)[:, None]
     for q in range(d):
-        masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
-        for s, row in zip(S_GRID, masses):
-            for t, mass in zip(T_GRID, row):
-                comparisons += 1
-                if mass != persistent_betti_direct(filtration, q, s, t):
-                    bad += 1
+        masses = quadrant_mass(diagram, q, s, T_GRID)
+        comparisons += masses.size
+        bad += int((masses != persistent_betti_direct(filtration, q, s, T_GRID)).sum())
     return bad, comparisons
 
 
@@ -330,14 +329,14 @@ def _inequality_one(params) -> tuple[int, int, float]:
     # the 15 x 10 grid boxes (s1, s2] x (t1, t2]
     s1, s2 = np.array(list(itertools.combinations((0.0,) + S_GRID, 2))).T[..., None]
     t1, t2 = np.array(list(itertools.combinations(T_GRID, 2))).T
+    levels = {s: sublevel(filt, s) for s in S_GRID}
+    counts = {s: Counter(c.dim for c in cubes) for s, cubes in levels.items()}
     for q in range(d):
         # trivial bound at every grid point
         masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
         for s, row in zip(S_GRID, masses):
-            cubes_s = sublevel(filt, s)
-            betti_s = betti(cubes_s, q) if cubes_s else 0
-            count_s = sum(1 for c in cubes_s if c.dim == q)
-            slack = np.minimum(betti_s - row, count_s - betti_s)
+            betti_s = betti(levels[s], q) if levels[s] else 0
+            slack = np.minimum(betti_s - row, counts[s][q] - betti_s)
             comparisons += len(slack)
             worst = min(worst, slack.min())
             bad += int((slack < 0).sum())
@@ -359,18 +358,17 @@ def _inequality_one(params) -> tuple[int, int, float]:
         inner = restrict(filt, n - 1)
         diagram_in = compute_diagram(inner)
         ns, nt = (0.2, 0.4, 0.5), (0.6, 0.8, 0.5)  # the (s, t) pairs checked
+        # per level, the cubes of each dimension born in filt but not in inner
+        extra = {}
+        for x in set(ns + nt):
+            inner_x = set(sublevel(inner, x))
+            extra[x] = Counter(c.dim for c in sublevel(filt, x) if c not in inner_x)
         for q in range(d):
             diffs = abs(quadrant_mass(diagram, q, ns, nt)
                         - quadrant_mass(diagram_in, q, ns, nt))
             for s, t, diff in zip(ns, nt, diffs):
-                outer_cubes = {c for c in sublevel(filt, s) if c.dim == q}
-                inner_cubes = {c for c in sublevel(inner, s) if c.dim == q}
-                extra_q = len(outer_cubes - inner_cubes)
-                outer_hi = {c for c in sublevel(filt, t) if c.dim == q + 1}
-                inner_hi = {c for c in sublevel(inner, t) if c.dim == q + 1}
-                extra_q1 = len(outer_hi - inner_hi)
                 comparisons += 1
-                slack = extra_q + extra_q1 - diff
+                slack = extra[s][q] + extra[t][q + 1] - diff
                 worst = min(worst, slack)
                 if slack < 0:
                     bad += 1

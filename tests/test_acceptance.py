@@ -3,7 +3,8 @@ promises, at the default verification scale.
 
 Each test prints its one-line pass/fail summary (visible with ``pytest -s``)
 and asserts the check passed.  ``randcube verify --scale default`` runs the
-same checks from the command line.
+same checks from the command line.  The smoke-scale pins at the end fix what
+the rank-route checks measure, so a faster path cannot change it unnoticed.
 """
 
 import os
@@ -74,3 +75,10 @@ def test_criterion_09_lln_drift():
 
 def test_criterion_10_determinism_across_jobs():
     run(check_determinism)
+
+
+@pytest.mark.parametrize("check, comparisons", [(check_k_triangle, 1500),
+                                                (check_inequalities, 5352)])
+def test_smoke_scale_comparisons_and_margins_are_pinned(check, comparisons):
+    result = check(SCALES["smoke"], 1)
+    assert (result.passed, result.checks, result.worst_margin) == (True, comparisons, 0.0)

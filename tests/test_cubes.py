@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from randcube import (
     Box,
     ElementaryCube,
+    Filtration,
     Window,
     boundary_faces,
     cofaces_containing,
@@ -17,11 +18,13 @@ from randcube import (
     cube_in_window,
     enumerate_cubes,
     faces_contained_in,
+    restrict_box,
 )
 from randcube.cubes import (
     all_cubes_box,
     box_slice,
     canonical_cells,
+    cell_faces,
     cells_to_cubes,
     cube_index,
     enumerate_cubes_box,
@@ -280,3 +283,33 @@ def test_box_slice_selects_inner_cubes_property(boxes):
     assert sliced.shape == grid_shape(inner)
     got = cells_to_cubes(outer, sliced.ravel()[canonical_cells(inner)])
     assert got == [c for c in brute_force_cubes(outer) if inner.contains_cube(c)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_boxes(), st.integers(0, 2**32 - 1))
+def test_cell_faces_match_boundary_faces_property(boxes, seed):
+    """``cell_faces`` gives ``boundary_faces``' cubes, signs and order, on
+    random cells of the outer box and of a ``restrict_box`` slice view."""
+    outer, inner = boxes
+    rng = np.random.default_rng(seed)
+    # each entry holds its own flat index in the outer grid
+    ids = np.arange(math.prod(grid_shape(outer)), dtype=np.float64)
+    view = restrict_box(Filtration(outer, ids.reshape(grid_shape(outer))), inner).grid
+    for box in (outer, inner):
+        cells = canonical_cells(box)
+        cubes = cells_to_cubes(box, cells)
+        dims = np.array([c.dim for c in cubes])
+        for q in range(box.ambient_dim + 1):
+            pick = np.flatnonzero((dims == q) & (rng.random(len(cells)) < 0.5))
+            faces, signs = cell_faces(box, cells[pick], q)
+            assert faces.shape == (len(pick), 2 * q)
+            for i, row in zip(pick, faces):
+                expected = boundary_faces(cubes[i])
+                assert cells_to_cubes(box, row) == [f.cube for f in expected]
+                assert signs.tolist() == [f.sign for f in expected]
+                if box == inner:  # the view's flat indices reach the outer cells
+                    assert view.ravel()[row].tolist() == [
+                        np.ravel_multi_index(cube_index(outer, f.cube), grid_shape(outer))
+                        for f in expected]
+    with pytest.raises(ValueError, match="not every cell"):
+        cell_faces(outer, canonical_cells(outer)[:1], 1)  # the vertex at lo

@@ -16,8 +16,10 @@ from randcube import (
     Window,
     betti,
     boundary_faces,
+    boundary_matrix,
     compute_diagram,
     faces_contained_in,
+    kernel_basis,
     parse_diagram,
     persistent_betti_direct,
     quadrant_mass,
@@ -28,7 +30,8 @@ from randcube import (
     validate,
     write_diagram,
 )
-from randcube.verify import random_filtration
+from randcube.homology import reduce_columns
+from randcube.verify import BIRTH_GRID, random_filtration
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
@@ -420,3 +423,73 @@ def test_array_corners_raise_on_one_bad_corner():
         quadrant_mass(diagram, 1, [0.5, 1.0, 2.0], 1.5)
     with pytest.raises(ValueError, match="rectangle requires"):
         rectangle_mass(diagram, 1, 0.0, [0.5, 1.0], 1.0, [2.0, 0.9])
+
+
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (0.5, math.nan), (0.3, INF),
+                                  (INF, INF), (-0.5, 1.0), (-INF, 1.0)])
+def test_bad_corners_raise_on_both_routes(s, t):
+    # at (0.3, inf) the diagram once gave 0 and the rank route the essential
+    # count 1; nan corners gave 0 from both
+    f = random_filtration(2, 2, 5)
+    diagram = compute_diagram(f)
+    for corner in ((s, t), ([0.5, s], [1.5, t])):  # alone, and among good ones
+        with pytest.raises(ValueError, match="s <= t"):
+            quadrant_mass(diagram, 0, *corner)
+        with pytest.raises(ValueError, match="s <= t"):
+            persistent_betti_direct(f, 0, *corner)
+
+
+# --- the array rank route against a per-corner cube-list reference --------------------
+
+def pb_reference(f, q, s, t):
+    """One corner on cube lists: the level-s cycle basis lifted into the
+    level-t q-cubes, reduced after the level-t boundary columns."""
+    cubes_s = sublevel(f, s)
+    kq_s = [c for c in cubes_s if c.dim == q]
+    if q == 0:
+        kernel = [{i: 1} for i in range(len(kq_s))]
+    else:
+        kernel = kernel_basis(boundary_matrix(cubes_s, q))
+    if not kernel:
+        return 0
+    bnd_t = boundary_matrix(sublevel(f, t), q + 1)
+    t_index = {c: i for i, c in enumerate(bnd_t.row_cubes)}
+    lifted = [{t_index[kq_s[i]]: v for i, v in vec.items()} for vec in kernel]
+    _, pivot_rows, _ = reduce_columns(bnd_t.columns + lifted)
+    return sum(j >= len(bnd_t.columns) for j in pivot_rows.values())
+
+
+# birth values, values between them, and values below and past every birth
+PB_CORNERS = st.sampled_from(sorted({0.0, 0.05, 1.5} | set(BIRTH_GRID)
+                                    | {round(b + 0.05, 2) for b in BIRTH_GRID}))
+
+
+@st.composite
+def pb_cases(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, {1: 3, 2: 2, 3: 2, 4: 1}[d]))
+    f = random_filtration(d, n, draw(st.integers(0, 10**6)))
+    return f, draw(st.integers(0, d - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pb_cases(), st.lists(PB_CORNERS, min_size=1, max_size=4),
+       st.lists(PB_CORNERS, min_size=1, max_size=4))
+def test_array_rank_route_matches_per_corner_reference(case, s_list, t_list):
+    f, q = case
+    s, t = np.array(s_list), np.array(t_list)
+    a, b = sorted((s_list[0], t_list[0]))
+    scalar = persistent_betti_direct(f, q, a, b)
+    assert type(scalar) is int and scalar == pb_reference(f, q, a, b)
+    assert persistent_betti_direct(f, q, b, b) == pb_reference(f, q, b, b)  # s == t
+
+    top = max(s_list)  # 1-D: repeated corners and s == t included
+    row = persistent_betti_direct(f, q, s, top)
+    assert row.dtype == np.int64
+    assert row.tolist() == [pb_reference(f, q, x, top) for x in s_list]
+
+    table = persistent_betti_direct(f, q, s[:, None], np.maximum(s[:, None], t))  # 2-D
+    assert table.shape == (len(s), len(t))
+    for i, x in enumerate(s_list):
+        for j, y in enumerate(np.maximum(x, t).tolist()):
+            assert table[i, j] == pb_reference(f, q, x, y)
