@@ -7,6 +7,7 @@ computed exactly over GF(p).
 """
 
 from randcube import (
+    Box,
     ElementaryCube,
     RationalField,
     Window,
@@ -19,6 +20,7 @@ from randcube import (
     faces_contained_in,
     rank,
 )
+from randcube.cubes import canonical_cells, cells_to_cubes
 
 # An elementary cube is a product of intervals [l, l+1] or {l}.  The unit
 # square in the plane:
@@ -45,16 +47,19 @@ for q in range(3):
     assert n_q == cube_count_formula(2, 2, q)
     print(f"window [-2,2]^2 holds {n_q} cubes of dimension {q}")
 
-# Homology: the full square is contractible; the hollow square has a loop.
-full = faces_contained_in(square)
-hollow = [c for c in full if c.dim < 2]
-print(f"\nbetti(full square)   = {[betti(full, q) for q in (0, 1)]}")
-print(f"betti(hollow square) = {[betti(hollow, q) for q in (0, 1)]}")
+# Homology runs on flat grid cells: every cube of a box has one position in
+# the box's grid.  The full square is contractible; the hollow square has a
+# loop.
+box = Box((0, 0), (1, 1))
+full = canonical_cells(box)  # every cube of the square's box
+hollow = full[[c.dim < 2 for c in cells_to_cubes(box, full)]]
+print(f"\nbetti(full square)   = {[betti(box, full, q) for q in (0, 1)]}")
+print(f"betti(hollow square) = {[betti(box, hollow, q) for q in (0, 1)]}")
 
 # Everything is exact linear algebra over GF(2^31 - 1); rationals are
 # available as a cross-check mode and must agree.
-mat = boundary_matrix(hollow, 1)
+mat = boundary_matrix(box, hollow, 1)
 print(f"\nboundary matrix of the hollow square: shape {mat.shape}, "
       f"rank {rank(mat)}")
-assert betti(hollow, 1) == betti(hollow, 1, RationalField()) == 1
+assert betti(box, hollow, 1) == betti(box, hollow, 1, RationalField()) == 1
 print("GF(p) and exact-rational Betti numbers agree")

@@ -11,7 +11,6 @@ from .cubes import (
     boundary_faces,
     cofaces_containing,
     cube_count_formula,
-    cube_in_window,
     enumerate_cubes,
     faces_contained_in,
 )

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .cubes import cell_coordinates
 from .limits import (
     estimate_log_mgf,
     estimate_mean_diagram,
@@ -196,11 +197,9 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
         filt = sample(config.model, config.n, config.seed, trial)
         path = out_dir / f"filtration_trial{trial:04d}.txt"
         path.write_text(format_filtration(filt))
-        counts: dict[int, int] = {}
-        for cube in filt.births:
-            counts[cube.dim] = counts.get(cube.dim, 0) + 1
-        summary = " ".join(f"q{q}={counts.get(q, 0)}"
-                           for q in range(config.model.d + 1))
+        extent = cell_coordinates(filt.region, np.flatnonzero(filt.grid < np.inf))[1]
+        counts = np.bincount(extent.sum(axis=1), minlength=filt.d + 1)
+        summary = " ".join(f"q{q}={c}" for q, c in enumerate(counts.tolist()))
         print(f"trial {trial}: {summary} -> {path}")
     return EXIT_OK
 

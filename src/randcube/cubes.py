@@ -112,16 +112,6 @@ class Box:
             for a, b, b_i, e_i in zip(self.lo, self.hi, cube.base, cube.extent)
         )
 
-    def max_norm_gap(self, other: "Box") -> int:
-        """d_max between the two boxes (0 if they intersect or touch)."""
-        gap = 0
-        for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi):
-            if a2 > b1:
-                gap = max(gap, a2 - b1)
-            elif a1 > b2:
-                gap = max(gap, a1 - b2)
-        return gap
-
 
 @dataclass(frozen=True)
 class Window:
@@ -290,8 +280,3 @@ def all_cubes_box(box: Box) -> list[ElementaryCube]:
 def cube_count_formula(d: int, n: int, q: int) -> int:
     """Closed-form number of q-cubes in the window [-n, n]^d."""
     return comb(d, q) * (2 * n) ** q * (2 * n + 1) ** (d - q)
-
-
-def cube_in_window(cube: ElementaryCube, window: Window) -> bool:
-    """True iff every interval endpoint of the cube lies in [-n, n]."""
-    return window.box.contains_cube(cube)

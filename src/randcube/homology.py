@@ -9,20 +9,24 @@ real-coefficient answer for d >= 4).
 
 Matrices are stored column-major as dicts {row_index: coefficient}; the
 elimination engine pivots on the lowest nonzero entry of a column (the
-largest row index), and any ints serve as row indices.  The rank-based
-persistent Betti route feeds it columns keyed by flat grid cells, while
-``boundary_matrix``, ``rank``, ``kernel_basis`` and ``betti`` work on
-``ElementaryCube`` lists.  The persistence diagram reduction has its own
-loop, so the two routes stay independent oracles.
+largest row index), and any ints serve as row indices.  ``boundary_matrix``
+and ``betti`` take a region's box and an array of flat grid cells of it (the
+layout ``cubes`` owns), with signed faces from ``cubes.cell_faces``; the
+rank-based persistent Betti route feeds the engine columns keyed by the same
+cells.  The persistence diagram reduction has its own loop, so the two
+routes stay independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable
 
-from .cubes import ElementaryCube, boundary_faces
+import numpy as np
+
+from .cubes import Box, cell_coordinates, cell_faces, cells_to_cubes, grid_shape
 
 DEFAULT_PRIME = 2147483647
 
@@ -149,17 +153,17 @@ def reduce_columns(
 
 @dataclass
 class SparseMatrix:
-    """Boundary-style matrix: rows/columns indexed by cubes, entries in the
-    field, stored column-major with no explicit zeros."""
+    """Boundary-style matrix: rows and columns indexed by flat grid cells,
+    entries in the field, stored column-major with no explicit zeros."""
 
-    row_cubes: list[ElementaryCube]
-    col_cubes: list[ElementaryCube]
+    row_cells: np.ndarray
+    col_cells: np.ndarray
     columns: list[Column]
     field: PrimeField | RationalField
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.row_cubes), len(self.col_cubes)
+        return len(self.row_cells), len(self.col_cells)
 
     def dump_coo(self) -> str:
         """Debug dump in coordinate text form: one "row col value" per line."""
@@ -170,34 +174,32 @@ class SparseMatrix:
         return "\n".join(lines)
 
 
-def boundary_matrix(
-    cubes: list[ElementaryCube],
-    q: int,
-    field=DEFAULT_FIELD,
-) -> SparseMatrix:
+def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
-    face-closed cube list, rows and columns in the order given.
+    face-closed set of the region's flat grid cells: rows are its
+    (q-1)-cells and columns its q-cells, both in the order given.
 
-    Raises ValueError("not face-closed ...") if some face of a q-cube is
-    missing from the list.
+    Raises ValueError("not face-closed ...") if some face of a q-cell is
+    missing from the set.
     """
     if q < 1:
         raise ValueError("boundary matrix requires q >= 1")
-    rows = [c for c in cubes if c.dim == q - 1]
-    cols = [c for c in cubes if c.dim == q]
-    row_index = {c: i for i, c in enumerate(rows)}
-    columns: list[Column] = []
-    for cube in cols:
-        col: Column = {}
-        for face in boundary_faces(cube):
-            i = row_index.get(face.cube)
-            if i is None:
-                raise ValueError(
-                    f"not face-closed: {face.cube.canonical()} missing "
-                    f"(face of {cube.canonical()})"
-                )
-            col[i] = field.from_signed(face.sign)
-        columns.append(col)
+    cells = np.asarray(cells, dtype=np.int64)
+    dims = cell_coordinates(region, cells)[1].sum(axis=1)
+    rows, cols = cells[dims == q - 1], cells[dims == q]
+    faces, signs = cell_faces(region, cols, q)
+    row = np.full(prod(grid_shape(region)), -1, dtype=np.int64)  # -1: not in the set
+    row[rows] = np.arange(len(rows))
+    missing = np.argwhere(row[faces] < 0)
+    if len(missing):
+        j, k = missing[0]
+        face, cube = cells_to_cubes(region, np.array([faces[j, k], cols[j]]))
+        raise ValueError(
+            f"not face-closed: {face.canonical()} missing "
+            f"(face of {cube.canonical()})"
+        )
+    signs = [field.from_signed(x) for x in signs.tolist()]
+    columns = [dict(zip(f, signs)) for f in row[faces].tolist()]
     return SparseMatrix(rows, cols, columns, field)
 
 
@@ -213,17 +215,17 @@ def kernel_basis(matrix: SparseMatrix) -> list[Column]:
     return kernel
 
 
-def betti(cubes: list[ElementaryCube], q: int, field=DEFAULT_FIELD) -> int:
-    """Exact q-th Betti number of a face-closed cube list.
+def betti(region: Box, cells, q: int, field=DEFAULT_FIELD) -> int:
+    """Exact q-th Betti number of a face-closed set of the region's flat
+    grid cells.
 
     dim ker of the q-th boundary map minus rank of the (q+1)-th one.
     """
-    if not cubes:
-        return 0
-    d = cubes[0].ambient_dim
+    d = region.ambient_dim
     if q < 0 or q > d:
         raise ValueError(f"q={q} out of range for d={d}")
-    n_q = sum(1 for c in cubes if c.dim == q)
-    rank_q = 0 if q == 0 else rank(boundary_matrix(cubes, q, field))
-    rank_q1 = 0 if q == d else rank(boundary_matrix(cubes, q + 1, field))
+    cells = np.asarray(cells, dtype=np.int64)
+    n_q = int((cell_coordinates(region, cells)[1].sum(axis=1) == q).sum())
+    rank_q = 0 if q == 0 else rank(boundary_matrix(region, cells, q, field))
+    rank_q1 = 0 if q == d else rank(boundary_matrix(region, cells, q + 1, field))
     return n_q - rank_q - rank_q1

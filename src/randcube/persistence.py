@@ -119,10 +119,11 @@ def validate(filtration: Filtration) -> Optional[tuple[ElementaryCube, Elementar
                 for face in boundary_faces(cube) if births.get(face.cube, INF) > t)
 
 
-def sublevel(filtration: Filtration, t: float) -> list[ElementaryCube]:
-    """Cubes born no later than t, in canonical order; face-closed whenever
-    the filtration is valid."""
-    return [c for c, b in filtration.births.items() if b <= t]
+def sublevel(filtration: Filtration, t: float) -> np.ndarray:
+    """Flat grid cells of the cubes born no later than t, in canonical
+    order; face-closed whenever the filtration is valid."""
+    cells = canonical_cells(filtration.region)
+    return cells[filtration.grid.ravel()[cells] <= t]
 
 
 class PersistenceDiagram:

@@ -13,17 +13,18 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cubes import (
+    Box,
     ElementaryCube,
     Window,
-    all_cubes_box,
     boundary_faces,
     canonical_cells,
+    cell_coordinates,
+    cells_to_cubes,
     cube_count_formula,
     enumerate_cubes,
     faces_contained_in,
@@ -107,17 +108,19 @@ def _plattice_model(d: int) -> ModelSpec:
 # corpora
 # ---------------------------------------------------------------------------
 
-def random_face_closed_set(d: int, n: int, seed: int) -> list[ElementaryCube]:
-    """Random subset of the window cubes, closed under faces."""
+def random_face_closed_set(d: int, n: int, seed: int) -> np.ndarray:
+    """Random subset of the window cubes, closed under faces, as flat grid
+    cells in canonical order (a 0.4 keep mask, then the kept cubes' faces)."""
     rng = np.random.default_rng(seed)
-    cubes = all_cubes_box(Window(n, d).box)
-    keep = [c for c, k in zip(cubes, rng.random(len(cubes)) < 0.4) if k]
-    keep.sort(key=lambda c: -c.dim)  # expand maximal cubes first
-    out: set[ElementaryCube] = set()
-    for cube in keep:
-        if cube not in out:
-            out.update(faces_contained_in(cube))
-    return sorted(out)
+    box = Window(n, d).box
+    cells = canonical_cells(box)
+    keep = np.zeros(grid_shape(box), dtype=bool)
+    keep.flat[cells] = rng.random(len(cells)) < 0.4
+    for axis in range(d):  # the even neighbours of a kept odd position are its faces
+        g = np.moveaxis(keep, axis, 0)
+        g[:-1:2] |= g[1::2]
+        g[2::2] |= g[1::2]
+    return cells[keep.ravel()[cells]]
 
 
 BIRTH_GRID = tuple((i + 1) / 10 for i in range(10))
@@ -185,13 +188,12 @@ def check_boundary_examples(scale: Scale, jobs: int = 1) -> CheckResult:
         failures.append(f"square boundary {got}")
 
     # the same expansion as a matrix column over the full square complex
-    full = faces_contained_in(square)
-    mat = boundary_matrix(full, 2)
-    col = mat.columns[0]
-    signs = {}
+    box = Box((0, 0), (1, 1))
+    mat = boundary_matrix(box, canonical_cells(box), 2)
+    rows = cells_to_cubes(box, mat.row_cells)
     p = DEFAULT_FIELD.p
-    for i, v in col.items():
-        signs[mat.row_cubes[i]] = 1 if v == 1 else (-1 if v == p - 1 else v)
+    signs = {rows[i]: 1 if v == 1 else (-1 if v == p - 1 else v)
+             for i, v in mat.columns[0].items()}
     expect_col = {
         ElementaryCube((0, 0), (1, 0)): 1,
         ElementaryCube((1, 0), (0, 1)): 1,
@@ -216,19 +218,20 @@ def check_boundary_examples(scale: Scale, jobs: int = 1) -> CheckResult:
 def _chain_complex_one(params) -> tuple[int, int]:
     d, n, seed = params
     field = DEFAULT_FIELD
-    cubes = random_face_closed_set(d, n, seed)
+    box = Window(n, d).box
+    cells = random_face_closed_set(d, n, seed)
     bad = 0
     comparisons = 0
     for q in range(1, d):
-        upper = boundary_matrix(cubes, q + 1, field)
-        if not upper.col_cubes:
+        upper = boundary_matrix(box, cells, q + 1, field)
+        if not len(upper.col_cells):
             continue
-        lower = boundary_matrix(cubes, q, field)
-        col_of = {c: lower.columns[i] for i, c in enumerate(lower.col_cubes)}
+        # upper's rows are lower's columns: the q-cells, in the same order
+        lower = boundary_matrix(box, cells, q, field)
         for col in upper.columns:
             acc: dict[int, int] = {}
             for i, v in col.items():
-                field.submul_into(acc, col_of[upper.row_cubes[i]], -v)
+                field.submul_into(acc, lower.columns[i], -v)
             comparisons += 1
             if acc:
                 bad += 1
@@ -319,6 +322,12 @@ def check_k_triangle(scale: Scale, jobs: int = 1) -> CheckResult:
 # criterion 5: the exact inequality suite
 # ---------------------------------------------------------------------------
 
+def _dim_counts(filt: Filtration, cells: np.ndarray) -> np.ndarray:
+    """Number of the region's cells of each dimension 0..d among these."""
+    dims = cell_coordinates(filt.region, cells)[1].sum(axis=1)
+    return np.bincount(dims, minlength=filt.d + 1)
+
+
 def _inequality_one(params) -> tuple[int, int, float]:
     d, n, seed = params
     filt = random_filtration(d, n, seed)
@@ -330,12 +339,12 @@ def _inequality_one(params) -> tuple[int, int, float]:
     s1, s2 = np.array(list(itertools.combinations((0.0,) + S_GRID, 2))).T[..., None]
     t1, t2 = np.array(list(itertools.combinations(T_GRID, 2))).T
     levels = {s: sublevel(filt, s) for s in S_GRID}
-    counts = {s: Counter(c.dim for c in cubes) for s, cubes in levels.items()}
+    counts = {s: _dim_counts(filt, cells) for s, cells in levels.items()}
     for q in range(d):
         # trivial bound at every grid point
         masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
         for s, row in zip(S_GRID, masses):
-            betti_s = betti(levels[s], q) if levels[s] else 0
+            betti_s = betti(filt.region, levels[s], q)
             slack = np.minimum(betti_s - row, counts[s][q] - betti_s)
             comparisons += len(slack)
             worst = min(worst, slack.min())
@@ -358,11 +367,10 @@ def _inequality_one(params) -> tuple[int, int, float]:
         inner = restrict(filt, n - 1)
         diagram_in = compute_diagram(inner)
         ns, nt = (0.2, 0.4, 0.5), (0.6, 0.8, 0.5)  # the (s, t) pairs checked
-        # per level, the cubes of each dimension born in filt but not in inner
-        extra = {}
-        for x in set(ns + nt):
-            inner_x = set(sublevel(inner, x))
-            extra[x] = Counter(c.dim for c in sublevel(filt, x) if c not in inner_x)
+        # per level, the cubes of each dimension born in filt but not in inner,
+        # whose births are a slice of filt's
+        extra = {x: _dim_counts(filt, sublevel(filt, x))
+                 - _dim_counts(inner, sublevel(inner, x)) for x in set(ns + nt)}
         for q in range(d):
             diffs = abs(quadrant_mass(diagram, q, ns, nt)
                         - quadrant_mass(diagram_in, q, ns, nt))

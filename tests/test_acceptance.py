@@ -78,7 +78,8 @@ def test_criterion_10_determinism_across_jobs():
 
 
 @pytest.mark.parametrize("check, comparisons", [(check_k_triangle, 1500),
-                                                (check_inequalities, 5352)])
+                                                (check_inequalities, 5352),
+                                                (check_chain_complex, 25437)])
 def test_smoke_scale_comparisons_and_margins_are_pinned(check, comparisons):
     result = check(SCALES["smoke"], 1)
     assert (result.passed, result.checks, result.worst_margin) == (True, comparisons, 0.0)

@@ -15,7 +15,6 @@ from randcube import (
     boundary_faces,
     cofaces_containing,
     cube_count_formula,
-    cube_in_window,
     enumerate_cubes,
     faces_contained_in,
     restrict_box,
@@ -164,9 +163,9 @@ def test_enumerate_q_out_of_range():
 def test_cube_in_window_boundary_cases():
     n = 3
     win = Window(n, 2)
-    assert cube_in_window(ElementaryCube((n - 1, n), (1, 0)), win)
-    assert not cube_in_window(ElementaryCube((n, 0), (1, 0)), win)
-    assert cube_in_window(ElementaryCube((-n, -n), (0, 0)), win)
+    assert win.box.contains_cube(ElementaryCube((n - 1, n), (1, 0)))
+    assert not win.box.contains_cube(ElementaryCube((n, 0), (1, 0)))
+    assert win.box.contains_cube(ElementaryCube((-n, -n), (0, 0)))
 
 
 def test_canonical_text_round_trip():
@@ -185,13 +184,6 @@ def test_pickle_round_trip_keeps_equality_and_hash():
 def test_window_volume():
     assert Window(3, 2).volume == 36.0
     assert Window(2, 3).volume == 64.0
-
-
-def test_box_gap():
-    a = Box((-2, -2), (2, 2))
-    b = Box((4, -1), (6, 1))
-    assert a.max_norm_gap(b) == 2
-    assert a.max_norm_gap(a) == 0
 
 
 def test_enumerate_box_respects_bounds():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,32 +7,58 @@ from hypothesis import strategies as st
 
 from randcube import (
     DEFAULT_FIELD,
+    Box,
     ElementaryCube,
     PrimeField,
     RationalField,
     SparseMatrix,
     Window,
     betti,
+    boundary_faces,
     boundary_matrix,
     faces_contained_in,
     rank,
 )
-from randcube.cubes import all_cubes_box
+from randcube.cubes import (
+    all_cubes_box,
+    canonical_cells,
+    cell_coordinates,
+    cell_faces,
+    cells_to_cubes,
+    cube_index,
+    grid_shape,
+)
 from randcube.homology import reduce_columns
+from randcube.verify import random_face_closed_set
 
 SQUARE = ElementaryCube((0, 0), (1, 1))
-FULL_SQUARE = faces_contained_in(SQUARE)
-HOLLOW_SQUARE = [c for c in FULL_SQUARE if c.dim < 2]
+SQUARE_BOX = Box((0, 0), (1, 1))
+FULL_SQUARE = canonical_cells(SQUARE_BOX)
+
+
+def to_cells(box, cubes):
+    """Flat grid cells of these cubes of the box, in the order given."""
+    index = np.array([cube_index(box, c) for c in cubes], dtype=np.int64)
+    return np.ravel_multi_index(index.reshape(len(cubes), box.ambient_dim).T, grid_shape(box))
+
+
+HOLLOW_SQUARE = FULL_SQUARE[FULL_SQUARE != to_cells(SQUARE_BOX, [SQUARE])]
 
 
 def random_face_closed(d, n, seed, p=0.4):
+    """A random face-closed cube list of the window [-n, n]^d, in canonical
+    order, with the window's box and the list's flat grid cells."""
     rng = np.random.default_rng(seed)
-    cubes = all_cubes_box(Window(n, d).box)
+    box = Window(n, d).box
+    cubes = all_cubes_box(box)
+    keep = [c for c, k in zip(cubes, rng.random(len(cubes)) < p) if k]
+    keep.sort(key=lambda c: -c.dim)  # largest first: a cube added as a face has its faces
     out = set()
-    for cube, keep in zip(cubes, rng.random(len(cubes)) < p):
-        if keep:
+    for cube in keep:
+        if cube not in out:
             out.update(faces_contained_in(cube))
-    return sorted(out)
+    cubes = sorted(out)
+    return cubes, box, to_cells(box, cubes)
 
 
 # --- field axioms, property-tested ------------------------------------------
@@ -73,11 +101,12 @@ def test_submul_into_cancels():
 # --- boundary matrices -------------------------------------------------------
 
 def test_boundary_matrix_square_column():
-    mat = boundary_matrix(FULL_SQUARE, 2)
+    mat = boundary_matrix(SQUARE_BOX, FULL_SQUARE, 2)
     assert mat.shape == (4, 1)
+    rows = cells_to_cubes(SQUARE_BOX, mat.row_cells)
     signs = {}
     for i, v in mat.columns[0].items():
-        signs[mat.row_cubes[i]] = 1 if v == 1 else -1
+        signs[rows[i]] = 1 if v == 1 else -1
     assert signs == {
         ElementaryCube((0, 0), (1, 0)): 1,   # bottom
         ElementaryCube((1, 0), (0, 1)): 1,   # right
@@ -87,28 +116,28 @@ def test_boundary_matrix_square_column():
 
 
 def test_boundary_matrix_single_edge():
-    edge = ElementaryCube((0,), (1,))
-    cubes = faces_contained_in(edge)
-    mat = boundary_matrix(cubes, 1)
+    box = Box((0,), (1,))
+    mat = boundary_matrix(box, canonical_cells(box), 1)
     col = mat.columns[0]
-    head = mat.row_cubes.index(ElementaryCube((1,), (0,)))
-    tail = mat.row_cubes.index(ElementaryCube((0,), (0,)))
+    rows = cells_to_cubes(box, mat.row_cells)
+    head = rows.index(ElementaryCube((1,), (0,)))
+    tail = rows.index(ElementaryCube((0,), (0,)))
     assert col[head] == 1 and col[tail] == DEFAULT_FIELD.p - 1
 
 
 def test_boundary_matrix_empty_column_list():
-    mat = boundary_matrix(HOLLOW_SQUARE, 2)
+    mat = boundary_matrix(SQUARE_BOX, HOLLOW_SQUARE, 2)
     assert mat.shape == (4, 0)
 
 
 def test_boundary_matrix_not_face_closed():
-    broken = [c for c in FULL_SQUARE if c != ElementaryCube((0, 0), (0, 0))]
-    with pytest.raises(ValueError, match="not face-closed"):
-        boundary_matrix(broken, 1)
+    broken = FULL_SQUARE[FULL_SQUARE != to_cells(SQUARE_BOX, [ElementaryCube((0, 0), (0, 0))])]
+    with pytest.raises(ValueError, match=r"not face-closed: 2;0,0;00 missing \(face of 2;0,0;01\)"):
+        boundary_matrix(SQUARE_BOX, broken, 1)
 
 
 def test_coo_dump():
-    mat = boundary_matrix(FULL_SQUARE, 2)
+    mat = boundary_matrix(SQUARE_BOX, FULL_SQUARE, 2)
     lines = mat.dump_coo().splitlines()
     assert len(lines) == 4
     assert all(len(line.split()) == 3 for line in lines)
@@ -126,7 +155,7 @@ def test_rank_zero_and_identity():
 
 def test_rank_hollow_square_boundary():
     # 4x4 incidence matrix of the cycle graph: rank 3
-    assert rank(boundary_matrix(HOLLOW_SQUARE, 1)) == 3
+    assert rank(boundary_matrix(SQUARE_BOX, HOLLOW_SQUARE, 1)) == 3
 
 
 def test_reduce_columns_kernel():
@@ -143,15 +172,16 @@ def test_reduce_columns_kernel():
 # --- Betti numbers -------------------------------------------------------------
 
 def test_betti_worked_examples():
-    assert [betti(FULL_SQUARE, q) for q in (0, 1, 2)] == [1, 0, 0]
-    assert [betti(HOLLOW_SQUARE, q) for q in (0, 1, 2)] == [1, 1, 0]
-    two_points = [ElementaryCube((0,), (0,)), ElementaryCube((2,), (0,))]
-    assert betti(two_points, 0) == 2
+    assert [betti(SQUARE_BOX, FULL_SQUARE, q) for q in (0, 1, 2)] == [1, 0, 0]
+    assert [betti(SQUARE_BOX, HOLLOW_SQUARE, q) for q in (0, 1, 2)] == [1, 1, 0]
+    line = Box((0,), (2,))
+    two_points = to_cells(line, [ElementaryCube((0,), (0,)), ElementaryCube((2,), (0,))])
+    assert betti(line, two_points, 0) == 2
 
 
 def test_betti_q_out_of_range():
     with pytest.raises(ValueError):
-        betti(FULL_SQUARE, 3)
+        betti(SQUARE_BOX, FULL_SQUARE, 3)
 
 
 def union_find_components(cubes):
@@ -178,20 +208,20 @@ def union_find_components(cubes):
 def test_betti0_matches_union_find():
     for seed in range(100):
         d = 2 if seed % 2 == 0 else 3
-        cubes = random_face_closed(d, 2, seed)
+        cubes, box, cells = random_face_closed(d, 2, seed)
         if not cubes:
             continue
-        assert betti(cubes, 0) == union_find_components(cubes)
+        assert betti(box, cells, 0) == union_find_components(cubes)
 
 
 def test_euler_poincare():
     for seed in range(40):
         d = 2 + seed % 3
-        cubes = random_face_closed(d, 1, 1000 + seed)
+        cubes, box, cells = random_face_closed(d, 1, 1000 + seed)
         if not cubes:
             continue
         chi_count = sum((-1) ** c.dim for c in cubes)
-        chi_betti = sum((-1) ** q * betti(cubes, q) for q in range(d + 1))
+        chi_betti = sum((-1) ** q * betti(box, cells, q) for q in range(d + 1))
         assert chi_count == chi_betti
 
 
@@ -199,32 +229,33 @@ def test_boundary_matrix_keeps_given_order():
     rng = np.random.default_rng(11)
     for seed in range(20):
         d = 2 + seed % 2
-        cubes = random_face_closed(d, 1, 4000 + seed)
-        shuffled = [cubes[i] for i in rng.permutation(len(cubes))]
+        cubes, box, cells = random_face_closed(d, 1, 4000 + seed)
+        perm = rng.permutation(len(cubes))
+        shuffled = [cubes[i] for i in perm]
         for q in range(1, d + 1):
-            mat = boundary_matrix(shuffled, q)
-            assert mat.row_cubes == [c for c in shuffled if c.dim == q - 1]
-            assert mat.col_cubes == [c for c in shuffled if c.dim == q]
-            assert rank(mat) == rank(boundary_matrix(cubes, q))
+            mat = boundary_matrix(box, cells[perm], q)
+            assert cells_to_cubes(box, mat.row_cells) == [c for c in shuffled if c.dim == q - 1]
+            assert cells_to_cubes(box, mat.col_cells) == [c for c in shuffled if c.dim == q]
+            assert rank(mat) == rank(boundary_matrix(box, cells, q))
         for q in range(d + 1):
-            assert betti(shuffled, q) == betti(cubes, q)
+            assert betti(box, cells[perm], q) == betti(box, cells, q)
 
 
 def test_boundary_composition_zero_matrix():
     f = DEFAULT_FIELD
     for seed in range(30):
         d = 2 + seed % 3
-        cubes = random_face_closed(d, 1, 2000 + seed)
+        _, box, cells = random_face_closed(d, 1, 2000 + seed)
         for q in range(1, d):
-            upper = boundary_matrix(cubes, q + 1, f)
-            if not upper.col_cubes:
+            upper = boundary_matrix(box, cells, q + 1, f)
+            if not len(upper.col_cells):
                 continue
-            lower = boundary_matrix(cubes, q, f)
-            col_of = {c: lower.columns[i] for i, c in enumerate(lower.col_cubes)}
+            lower = boundary_matrix(box, cells, q, f)
+            col_of = dict(zip(lower.col_cells.tolist(), lower.columns))
             for col in upper.columns:
                 acc = {}
                 for i, v in col.items():
-                    f.submul_into(acc, col_of[upper.row_cubes[i]], -v)
+                    f.submul_into(acc, col_of[int(upper.row_cells[i])], -v)
                 assert not acc
 
 
@@ -233,19 +264,85 @@ def test_field_independence_smoke():
     ra = RationalField()
     for seed in range(25):
         d = 2 if seed % 2 == 0 else 3
-        cubes = random_face_closed(d, 1, 3000 + seed)
+        cubes, box, cells = random_face_closed(d, 1, 3000 + seed)
         if not cubes:
             continue
         for q in range(d + 1):
-            assert betti(cubes, q, gf) == betti(cubes, q, ra)
+            assert betti(box, cells, q, gf) == betti(box, cells, q, ra)
 
 
 def test_gf2_fast_mode_on_torsion_free_complex():
     # 2d complexes cannot have torsion, so the flagged GF(2) mode must agree
     gf2 = PrimeField(2)
     for seed in range(10):
-        cubes = random_face_closed(2, 2, 4000 + seed)
+        cubes, box, cells = random_face_closed(2, 2, 4000 + seed)
         if not cubes:
             continue
         for q in (0, 1, 2):
-            assert betti(cubes, q, gf2) == betti(cubes, q)
+            assert betti(box, cells, q, gf2) == betti(box, cells, q)
+
+
+# --- the cell operator against a cube-list reference --------------------------------
+
+def reference_boundary(cubes, q, field):
+    """Rows, columns and coefficient columns of the q-th boundary map of a
+    face-closed cube list, built from ``boundary_faces`` in the order given."""
+    rows = [c for c in cubes if c.dim == q - 1]
+    cols = [c for c in cubes if c.dim == q]
+    row_index = {c: i for i, c in enumerate(rows)}
+    columns = [{row_index[f.cube]: field.from_signed(f.sign) for f in boundary_faces(c)}
+               for c in cols]
+    return rows, cols, columns
+
+
+@st.composite
+def face_closed_sets(draw):
+    """A random face-closed cube list of a translated, asymmetric box, in a
+    random order, with that box."""
+    d = draw(st.integers(1, 4))
+    lo = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    sides = draw(st.lists(st.integers(0, 3 if d <= 2 else (2 if d == 3 else 1)),
+                          min_size=d, max_size=d))
+    box = Box(lo, tuple(a + k for a, k in zip(lo, sides)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((0.1, 0.4, 0.8)))
+    cubes = all_cubes_box(box)
+    out = set()
+    for cube, keep in zip(cubes, rng.random(len(cubes)) < p):
+        if keep:
+            out.update(faces_contained_in(cube))
+    cubes = sorted(out)
+    return box, [cubes[i] for i in rng.permutation(len(cubes))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(face_closed_sets(), st.sampled_from((DEFAULT_FIELD, RationalField(), PrimeField(2))))
+def test_cell_boundary_matrix_matches_cube_list_reference(case, field):
+    box, cubes = case
+    cells = to_cells(box, cubes)
+    d = box.ambient_dim
+    ranks = {0: 0, d + 1: 0}
+    for q in range(1, d + 1):
+        mat = boundary_matrix(box, cells, q, field)
+        rows, cols, columns = reference_boundary(cubes, q, field)
+        assert cells_to_cubes(box, mat.row_cells) == rows
+        assert cells_to_cubes(box, mat.col_cells) == cols
+        assert [list(c.items()) for c in mat.columns] == [list(c.items()) for c in columns]
+        ranks[q] = reduce_columns(columns, field)[0]
+        assert rank(mat) == ranks[q]
+    for q in range(d + 1):
+        n_q = sum(c.dim == q for c in cubes)
+        assert betti(box, cells, q, field) == n_q - ranks[q] - ranks[q + 1]
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4) for n in (1, 2)])
+def test_random_face_closed_set_is_unchanged(d, n):
+    box = Window(n, d).box
+    for seed in range(20):
+        cells = random_face_closed_set(d, n, seed)
+        assert cells_to_cubes(box, cells) == random_face_closed(d, n, seed)[0]
+        present = np.zeros(math.prod(grid_shape(box)), dtype=bool)
+        present[cells] = True
+        dims = cell_coordinates(box, cells)[1].sum(axis=1)
+        for q in range(1, d + 1):
+            assert present[cell_faces(box, cells[dims == q], q)[0]].all()
