@@ -20,7 +20,7 @@ from randcube import (
     faces_contained_in,
     rank,
 )
-from randcube.cubes import canonical_cells, cells_to_cubes
+from randcube.cubes import canonical_cells, cell_dims
 
 # An elementary cube is a product of intervals [l, l+1] or {l}.  The unit
 # square in the plane:
@@ -30,9 +30,8 @@ print(f"square {square.canonical()} has dimension {square.dim}")
 # Its boundary is a signed chain of the four edges.  Signs alternate with the
 # index of the nondegenerate axis, so the square's boundary is the familiar
 # oriented loop:
-for face in boundary_faces(square):
-    sign = "+" if face.sign > 0 else "-"
-    print(f"  {sign}{face.cube.canonical()}")
+for face, sign in boundary_faces(square):
+    print(f"  {'+' if sign > 0 else '-'}{face.canonical()}")
 
 # Faces and cofaces: a cube contains 3^dim cubes and is contained in
 # 3^(d - dim) cubes.
@@ -52,7 +51,7 @@ for q in range(3):
 # loop.
 box = Box((0, 0), (1, 1))
 full = canonical_cells(box)  # every cube of the square's box
-hollow = full[[c.dim < 2 for c in cells_to_cubes(box, full)]]
+hollow = full[cell_dims(box, full) < 2]
 print(f"\nbetti(full square)   = {[betti(box, full, q) for q in (0, 1)]}")
 print(f"betti(hollow square) = {[betti(box, hollow, q) for q in (0, 1)]}")
 

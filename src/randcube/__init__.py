@@ -6,7 +6,6 @@ and their convex conjugates), with deterministic gap diagnostics."""
 from .cubes import (
     Box,
     ElementaryCube,
-    SignedCube,
     Window,
     boundary_faces,
     cofaces_containing,

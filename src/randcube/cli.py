@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cubes import cell_coordinates
+from .cubes import cell_dims
 from .limits import (
     estimate_log_mgf,
     estimate_mean_diagram,
@@ -36,7 +36,7 @@ from .models import (
     parse_filtration,
     sample,
 )
-from .persistence import compute_diagram, format_diagram, validate
+from .persistence import compute_diagram, format_diagram
 
 CONFIG_SCHEMA_VERSION = 1
 FILTRATION_FORMAT_VERSION = 1
@@ -197,8 +197,8 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
         filt = sample(config.model, config.n, config.seed, trial)
         path = out_dir / f"filtration_trial{trial:04d}.txt"
         path.write_text(format_filtration(filt))
-        extent = cell_coordinates(filt.region, np.flatnonzero(filt.grid < np.inf))[1]
-        counts = np.bincount(extent.sum(axis=1), minlength=filt.d + 1)
+        dims = cell_dims(filt.region, np.flatnonzero(filt.grid < np.inf))
+        counts = np.bincount(dims, minlength=filt.d + 1)
         summary = " ".join(f"q{q}={c}" for q, c in enumerate(counts.tolist()))
         print(f"trial {trial}: {summary} -> {path}")
     return EXIT_OK
@@ -208,21 +208,11 @@ def cmd_diagram(config: ExperimentConfig | None, filtration_path: str | None,
                 out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if filtration_path is not None:
-        try:
-            filt = parse_filtration(Path(filtration_path).read_text())
+        try:  # a face-condition violation is a ValueError of compute_diagram
+            diagram = compute_diagram(parse_filtration(Path(filtration_path).read_text()))
         except (OSError, ValueError) as exc:
             print(f"cannot read filtration: {exc}", file=sys.stderr)
             return EXIT_DATA_VIOLATION
-        violation = validate(filt)
-        if violation is not None:
-            face, cube = violation
-            print(
-                "monotone face condition violated: face "
-                f"{face.canonical()} born after {cube.canonical()}",
-                file=sys.stderr,
-            )
-            return EXIT_DATA_VIOLATION
-        diagram = compute_diagram(filt)
         path = out_dir / (Path(filtration_path).stem + ".diagram.txt")
         path.write_text(format_diagram(diagram))
         print(path)

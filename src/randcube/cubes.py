@@ -1,4 +1,4 @@
-"""Elementary cubes, faces/cofaces, and window geometry on the integer grid.
+"""Elementary cubes, window geometry, and the grid-cell layout on the integer grid.
 
 An elementary cube in R^d is a product of d elementary intervals, each either
 nondegenerate [l, l+1] or degenerate {l}.  We encode a cube as (base, extent):
@@ -8,6 +8,10 @@ pure functions on immutable values.
 
 It also owns the layout of a box's birth grid, one entry per cube at doubled
 coordinates c = 2*(base - lo) + extent: see ``grid_shape`` and what follows.
+The library computes on these flat grid cells (``cell_dims``, ``cell_faces``);
+``ElementaryCube`` objects appear only at text I/O, in error and violation
+messages, and in the cube-keyed reference enumerators ``boundary_faces``,
+``faces_contained_in`` and ``cofaces_containing``.
 """
 
 from __future__ import annotations
@@ -64,16 +68,6 @@ class ElementaryCube:
         """Lattice corner points of the cube (2^dim of them)."""
         axes = [(b, b + 1) if e else (b,) for b, e in zip(self.base, self.extent)]
         return list(itertools.product(*axes))
-
-
-@dataclass(frozen=True)
-class SignedCube:
-    cube: ElementaryCube
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -160,6 +154,12 @@ def cell_coordinates(box: Box, cells: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return c // 2 + np.asarray(box.lo, dtype=np.int64), c % 2
 
 
+def cell_dims(box: Box, cells) -> np.ndarray:
+    """Dimensions of the cubes at these flat grid indices: the number of odd
+    grid coordinates of each."""
+    return sum(c % 2 for c in np.unravel_index(cells, grid_shape(box)))
+
+
 def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
     """The cubes at these flat grid indices, in the order given."""
     base, extent = cell_coordinates(box, cells)
@@ -207,20 +207,19 @@ def box_slice(outer: Box, inner: Box) -> tuple[slice, ...]:
 
 
 @lru_cache(maxsize=262144)
-def boundary_faces(cube: ElementaryCube) -> list[SignedCube]:
-    """Signed codimension-1 faces of the cube.
+def boundary_faces(cube: ElementaryCube) -> list[tuple[ElementaryCube, int]]:
+    """Signed codimension-1 faces of the cube, as (face, sign) pairs.
 
     For the j-th nondegenerate axis (in increasing axis order) the face
     degenerated upward gets sign (-1)^(j-1) and the face degenerated downward
     the opposite sign.  Degenerate cubes have empty boundary.
     """
-    faces: list[SignedCube] = []
+    faces: list[tuple[ElementaryCube, int]] = []
     for j, axis in enumerate(a for a, e in enumerate(cube.extent) if e):
         sign = -1 if j % 2 else 1
         ext = cube.extent[:axis] + (0,) + cube.extent[axis + 1 :]
         up = cube.base[:axis] + (cube.base[axis] + 1,) + cube.base[axis + 1 :]
-        faces += [SignedCube(ElementaryCube(up, ext), sign),
-                  SignedCube(ElementaryCube(cube.base, ext), -sign)]
+        faces += [(ElementaryCube(up, ext), sign), (ElementaryCube(cube.base, ext), -sign)]
     return faces
 
 
@@ -259,8 +258,7 @@ def enumerate_cubes_box(box: Box, q: int) -> list[ElementaryCube]:
     if q < 0 or q > d:
         raise ValueError(f"q={q} out of range for d={d}")
     cells = canonical_cells(box)
-    dims = sum(np.ix_(*(np.arange(n) % 2 for n in grid_shape(box))))  # odd axes per cell
-    return cells_to_cubes(box, cells[dims.ravel()[cells] == q])
+    return cells_to_cubes(box, cells[cell_dims(box, cells) == q])
 
 
 def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:

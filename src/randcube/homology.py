@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cubes import Box, cell_coordinates, cell_faces, cells_to_cubes, grid_shape
+from .cubes import Box, cell_dims, cell_faces, cells_to_cubes, grid_shape
 
 DEFAULT_PRIME = 2147483647
 
@@ -185,7 +185,7 @@ def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMa
     if q < 1:
         raise ValueError("boundary matrix requires q >= 1")
     cells = np.asarray(cells, dtype=np.int64)
-    dims = cell_coordinates(region, cells)[1].sum(axis=1)
+    dims = cell_dims(region, cells)
     rows, cols = cells[dims == q - 1], cells[dims == q]
     faces, signs = cell_faces(region, cols, q)
     row = np.full(prod(grid_shape(region)), -1, dtype=np.int64)  # -1: not in the set
@@ -225,7 +225,7 @@ def betti(region: Box, cells, q: int, field=DEFAULT_FIELD) -> int:
     if q < 0 or q > d:
         raise ValueError(f"q={q} out of range for d={d}")
     cells = np.asarray(cells, dtype=np.int64)
-    n_q = int((cell_coordinates(region, cells)[1].sum(axis=1) == q).sum())
+    n_q = int((cell_dims(region, cells) == q).sum())
     rank_q = 0 if q == 0 else rank(boundary_matrix(region, cells, q, field))
     rank_q1 = 0 if q == d else rank(boundary_matrix(region, cells, q + 1, field))
     return n_q - rank_q - rank_q1

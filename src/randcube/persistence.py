@@ -4,6 +4,9 @@ A filtration is a birth grid: one float64 entry per elementary cube of a box
 in the layout that ``cubes`` owns, inf where the cube is never born; this
 module converts between cubes and grid positions only through it.  It must satisfy
 the monotone face condition (faces are born no later than their cofaces).
+Everything here runs on flat grid cells; cubes are built only for the
+{cube: birth} dict that ``Filtration`` takes and ``births`` returns (the text
+dump's view) and to name a bad birth or a violating (face, cube) pair.
 Diagrams are computed by standard column reduction of the total boundary
 matrix in birth order, on flat grid indices; persistent Betti numbers are
 additionally computed by a fully independent rank-based route on the same
@@ -22,8 +25,8 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .cubes import (Box, ElementaryCube, Window, boundary_faces, canonical_cells,
-                    cell_coordinates, cell_faces, cells_to_cubes, cube_index, grid_shape)
+from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
+                    cells_to_cubes, cube_index, grid_shape)
 from .homology import DEFAULT_FIELD, Column, reduce_columns
 
 INF = math.inf
@@ -105,18 +108,22 @@ def validate(filtration: Filtration) -> Optional[tuple[ElementaryCube, Elementar
     Violations are data, not exceptions.  Checking codimension-1 faces
     suffices: the general condition follows by transitivity.  A cube is late
     when one of its two neighbours along an axis where it is nondegenerate
-    (an odd position) is born after it; only then are the cubes looked at.
+    (an odd position) is born after it.  The first late cell's first face
+    (in ``cell_faces`` order) born after it is the face reported; only
+    those two cells are turned into cubes.
     """
-    grid = filtration.grid
+    region, grid = filtration.region, filtration.grid
     late = np.zeros(grid.shape, dtype=bool)
     for axis in range(grid.ndim):
         g, lt = np.moveaxis(grid, axis, 0), np.moveaxis(late, axis, 0)
         lt[1::2] |= (g[:-1:2] > g[1::2]) | (g[2::2] > g[1::2])
     if not late.any():
         return None
-    births = filtration.births
-    return next((face.cube, cube) for cube, t in births.items()
-                for face in boundary_faces(cube) if births.get(face.cube, INF) > t)
+    cells = canonical_cells(region)
+    cell = cells[np.argmax(late.ravel()[cells])]
+    (faces,), _ = cell_faces(region, [cell], cell_dims(region, [cell])[0])
+    face = faces[np.argmax(grid.flat[faces] > grid.flat[cell])]
+    return tuple(cells_to_cubes(region, [face, cell]))
 
 
 def sublevel(filtration: Filtration, t: float) -> np.ndarray:
@@ -170,7 +177,8 @@ def compute_diagram(
     used as a pivot row must reduce to zero and is skipped).  Pairs with
     equal birth and death are discarded.
 
-    ``_tie_key`` (a function of the cube) overrides the canonical tie-break
+    ``_tie_key`` (a function of the array of finite cells, in canonical
+    order, returning one key per cell) overrides the canonical tie-break
     among equal-birth cubes of equal dimension; the diagram is invariant
     under this choice, which the test suite asserts by shuffling it.
     """
@@ -178,9 +186,8 @@ def compute_diagram(
     flat, d = filtration.grid.ravel(), filtration.d
     cells = canonical_cells(filtration.region)
     cells = cells[flat[cells] < INF]  # the finite cubes, in canonical order
-    tie = np.arange(len(cells)) if _tie_key is None else np.array(
-        [_tie_key(c) for c in cells_to_cubes(filtration.region, cells)])
-    dims = cell_coordinates(filtration.region, cells)[1].sum(axis=1)
+    tie = np.arange(len(cells)) if _tie_key is None else np.asarray(_tie_key(cells))
+    dims = cell_dims(filtration.region, cells)
     order = np.lexsort((tie, dims, flat[cells]))
     cells, dims = cells[order], dims[order]
     births = flat[cells].tolist()
@@ -300,18 +307,16 @@ def persistent_betti_direct(
     region, flat = filtration.region, filtration.grid.ravel()
     cells = canonical_cells(region)
     cells = cells[flat[cells] <= t.max(initial=0.0)]
-    dims = cell_coordinates(region, cells)[1].sum(axis=1)
+    dims = cell_dims(region, cells)
     levels = np.unique(s)
     q_cells = cells[(dims == q) & (flat[cells] <= s.max(initial=0.0))]
     level = np.searchsorted(levels, flat[q_cells])  # the first s_k >= birth
     order = np.argsort(level, kind="stable")
     q_cells, level = q_cells[order].tolist(), level[order]
 
-    if q == 0:  # the 0-th boundary map is zero: every 0-chain is a cycle
-        kernel = [{j: field.from_signed(1)} for j in range(len(q_cells))]
-    else:
-        kernel = reduce_columns(_boundary_columns(region, q_cells, q, field), field,
-                                want_kernel=True)[2]
+    # 0-cells have empty boundary columns, so each is a cycle of its own
+    kernel = reduce_columns(_boundary_columns(region, q_cells, q, field), field,
+                            want_kernel=True)[2]
     cycle_level = level[np.array([max(c) for c in kernel], dtype=np.int64)]
     lifted = [{q_cells[j]: v for j, v in c.items()} for c in kernel]
 

@@ -233,3 +233,10 @@ def test_run_estimate_matches_across_jobs(tmp_path):
         run_estimate(raw, which, out2, jobs=2)
     for f in out1.iterdir():
         assert (out2 / f.name).read_bytes() == f.read_bytes()
+
+
+def test_smoke_verify_report_has_no_negative_zero(tmp_path, capsys):
+    assert main(["verify", "--scale", "smoke", "--jobs", "1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert "-0.0" not in (tmp_path / "verify_report.json").read_text()

@@ -23,6 +23,7 @@ from randcube.cubes import (
     all_cubes_box,
     box_slice,
     canonical_cells,
+    cell_dims,
     cell_faces,
     cells_to_cubes,
     cube_index,
@@ -46,16 +47,14 @@ def test_dimension_worked_examples():
 
 
 def test_boundary_of_edge_signs_and_order():
-    got = boundary_faces(ElementaryCube((0, 0), (1, 0)))
-    assert [(f.cube, f.sign) for f in got] == [
+    assert boundary_faces(ElementaryCube((0, 0), (1, 0))) == [
         (ElementaryCube((1, 0), (0, 0)), 1),
         (ElementaryCube((0, 0), (0, 0)), -1),
     ]
 
 
 def test_boundary_of_square_signs_and_order():
-    got = boundary_faces(ElementaryCube((0, 0), (1, 1)))
-    assert [(f.cube, f.sign) for f in got] == [
+    assert boundary_faces(ElementaryCube((0, 0), (1, 1))) == [
         (ElementaryCube((1, 0), (0, 1)), 1),
         (ElementaryCube((0, 0), (0, 1)), -1),
         (ElementaryCube((0, 1), (1, 0)), -1),
@@ -72,10 +71,10 @@ def test_boundary_face_count_distinct_contained():
         for cube in all_cubes_box(Window(1, d).box):
             faces = boundary_faces(cube)
             assert len(faces) == 2 * cube.dim
-            assert len({f.cube for f in faces}) == len(faces)
-            for f in faces:
-                assert cube_contains(cube, f.cube)
-                assert f.cube.dim == cube.dim - 1
+            assert len({f for f, _ in faces}) == len(faces)
+            for f, _ in faces:
+                assert cube_contains(cube, f)
+                assert f.dim == cube.dim - 1
 
 
 def test_signed_double_boundary_cancels():
@@ -85,10 +84,9 @@ def test_signed_double_boundary_cancels():
             if cube.dim < 2:
                 continue
             acc: dict[ElementaryCube, int] = {}
-            for f in boundary_faces(cube):
-                for g in boundary_faces(f.cube):
-                    key = g.cube
-                    acc[key] = acc.get(key, 0) + f.sign * g.sign
+            for f, f_sign in boundary_faces(cube):
+                for g, g_sign in boundary_faces(f):
+                    acc[g] = acc.get(g, 0) + f_sign * g_sign
             assert all(v == 0 for v in acc.values()), cube
 
 
@@ -206,12 +204,12 @@ def cubes(draw, max_d=4):
 def test_boundary_structure_property(cube):
     faces = boundary_faces(cube)
     assert len(faces) == 2 * cube.dim
-    assert len({f.cube for f in faces}) == len(faces)
-    assert sum(f.sign for f in faces) == 0
+    assert len({f for f, _ in faces}) == len(faces)
+    assert sum(sign for _, sign in faces) == 0
     acc = {}
-    for f in faces:
-        for g in boundary_faces(f.cube):
-            acc[g.cube] = acc.get(g.cube, 0) + f.sign * g.sign
+    for f, f_sign in faces:
+        for g, g_sign in boundary_faces(f):
+            acc[g] = acc.get(g, 0) + f_sign * g_sign
     assert all(v == 0 for v in acc.values())
 
 
@@ -262,6 +260,7 @@ def test_cube_cell_round_trip_property(boxes):
     cubes = brute_force_cubes(box)
     cells = [np.ravel_multi_index(cube_index(box, c), shape) for c in cubes]
     assert cells_to_cubes(box, cells) == cubes
+    assert cell_dims(box, cells).tolist() == [c.dim for c in cubes]
     assert cells == canonical_cells(box).tolist()
     assert sorted(cells) == list(range(math.prod(shape)))
 
@@ -297,11 +296,34 @@ def test_cell_faces_match_boundary_faces_property(boxes, seed):
             assert faces.shape == (len(pick), 2 * q)
             for i, row in zip(pick, faces):
                 expected = boundary_faces(cubes[i])
-                assert cells_to_cubes(box, row) == [f.cube for f in expected]
-                assert signs.tolist() == [f.sign for f in expected]
+                assert cells_to_cubes(box, row) == [f for f, _ in expected]
+                assert signs.tolist() == [sign for _, sign in expected]
                 if box == inner:  # the view's flat indices reach the outer cells
                     assert view.ravel()[row].tolist() == [
-                        np.ravel_multi_index(cube_index(outer, f.cube), grid_shape(outer))
-                        for f in expected]
+                        np.ravel_multi_index(cube_index(outer, f), grid_shape(outer))
+                        for f, _ in expected]
     with pytest.raises(ValueError, match="not every cell"):
         cell_faces(outer, canonical_cells(outer)[:1], 1)  # the vertex at lo
+
+
+def test_core_builds_no_cube(monkeypatch):
+    """Cubes are built only for text I/O and messages: with ``cells_to_cubes``
+    refusing, the diagram, the rank route, validation, the homology layer and
+    the cube-counting check all still run."""
+    from randcube import cubes, homology, persistence, verify
+
+    def refuse(*args):
+        raise AssertionError("cells_to_cubes called")
+
+    for module in (cubes, persistence, homology, verify):
+        monkeypatch.setattr(module, "cells_to_cubes", refuse)
+    f = verify.random_filtration(2, 2, 1)
+    assert persistence.validate(f) is None
+    diagram = persistence.compute_diagram(f)
+    for q in (0, 1):
+        assert persistence.persistent_betti_direct(f, q, 0.5, 0.8) == \
+            persistence.quadrant_mass(diagram, q, 0.5, 0.8)
+    cells = persistence.sublevel(f, 0.7)
+    assert homology.boundary_matrix(f.region, cells, 1).shape[1] > 0
+    assert homology.betti(f.region, cells, 0) >= 1
+    assert verify.check_cube_counting(verify.SCALES["smoke"]).passed

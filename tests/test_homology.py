@@ -290,7 +290,7 @@ def reference_boundary(cubes, q, field):
     rows = [c for c in cubes if c.dim == q - 1]
     cols = [c for c in cubes if c.dim == q]
     row_index = {c: i for i, c in enumerate(rows)}
-    columns = [{row_index[f.cube]: field.from_signed(f.sign) for f in boundary_faces(c)}
+    columns = [{row_index[f]: field.from_signed(sign) for f, sign in boundary_faces(c)}
                for c in cols]
     return rows, cols, columns
 

@@ -30,7 +30,7 @@ from randcube import (
     validate,
     write_diagram,
 )
-from randcube.cubes import cell_coordinates, cells_to_cubes
+from randcube.cubes import canonical_cells, cell_coordinates, cells_to_cubes
 from randcube.homology import reduce_columns
 from randcube.verify import BIRTH_GRID, random_filtration
 
@@ -60,6 +60,14 @@ def test_validate_reports_first_violation():
     births = {edge: 0.0, ElementaryCube((0,), (0,)): 0.0, vertex: 1.0}
     violation = validate(Filtration(Window(1, 1), births))
     assert violation == (vertex, edge)
+
+
+def test_validate_builds_no_births_dict():
+    grid = random_filtration(2, 2, 3).grid.copy()
+    grid[2, 2] = INF  # a vertex never born, under its four born edges
+    f = Filtration(Window(2, 2), grid)
+    assert validate(f) == (ElementaryCube((-1, -1), (0, 0)), ElementaryCube((-2, -1), (1, 0)))
+    assert f._births is None
 
 
 def test_validate_empty_filtration():
@@ -112,9 +120,9 @@ def reference_validate(filtration):
     first face (in boundary order) born after it."""
     births = filtration.births
     for cube in sorted(births):
-        for face in boundary_faces(cube):
-            if births.get(face.cube, INF) > births[cube]:
-                return (face.cube, cube)
+        for face, _ in boundary_faces(cube):
+            if births.get(face, INF) > births[cube]:
+                return (face, cube)
     return None
 
 
@@ -201,9 +209,9 @@ def test_diagram_tie_order_invariance():
     for seed in range(20):
         f = random_filtration(2, 2, 5000 + seed)
         reference = compute_diagram(f)
-        perm = {c: int(k) for c, k in
-                zip(sorted(f.births), rng.permutation(len(f.births)))}
-        shuffled = compute_diagram(f, _tie_key=lambda c: perm[c])
+        cells = canonical_cells(f.region).tolist()  # every cube is born
+        perm = dict(zip(cells, rng.permutation(len(cells)).tolist()))
+        shuffled = compute_diagram(f, _tie_key=lambda finite: [perm[c] for c in finite.tolist()])
         assert shuffled == reference
 
 
