@@ -16,7 +16,6 @@ from randcube import (
     boundary_matrix,
     cofaces_containing,
     cube_count_formula,
-    enumerate_cubes,
     faces_contained_in,
     rank,
 )
@@ -41,8 +40,9 @@ print(f"square contains {len(faces_contained_in(square))} cubes (3^2)")
 
 # Windows: the region [-n, n]^d.  Counting q-cubes has a closed form.
 win = Window(2, 2)
+dims = cell_dims(win.box, canonical_cells(win.box))
 for q in range(3):
-    n_q = len(enumerate_cubes(win, q))
+    n_q = int((dims == q).sum())
     assert n_q == cube_count_formula(2, 2, q)
     print(f"window [-2,2]^2 holds {n_q} cubes of dimension {q}")
 
@@ -52,13 +52,14 @@ for q in range(3):
 box = Box((0, 0), (1, 1))
 full = canonical_cells(box)  # every cube of the square's box
 hollow = full[cell_dims(box, full) < 2]
-print(f"\nbetti(full square)   = {[betti(box, full, q) for q in (0, 1)]}")
-print(f"betti(hollow square) = {[betti(box, hollow, q) for q in (0, 1)]}")
+print(f"\nbetti(full square)   = {betti(box, full).tolist()[:2]}")
+print(f"betti(hollow square) = {betti(box, hollow).tolist()[:2]}")
 
 # Everything is exact linear algebra over GF(2^31 - 1); rationals are
 # available as a cross-check mode and must agree.
 mat = boundary_matrix(box, hollow, 1)
 print(f"\nboundary matrix of the hollow square: shape {mat.shape}, "
       f"rank {rank(mat)}")
-assert betti(box, hollow, 1) == betti(box, hollow, 1, RationalField()) == 1
+assert (betti(box, hollow) == betti(box, hollow, RationalField())).all()
+assert betti(box, hollow).tolist() == [1, 1, 0]
 print("GF(p) and exact-rational Betti numbers agree")

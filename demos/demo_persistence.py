@@ -7,20 +7,18 @@ persistent Betti numbers computed by an entirely independent rank-based
 route.  That agreement is the library's central cross-check.
 """
 
-import io
-
 from randcube import (
     ElementaryCube,
     Filtration,
     Window,
     compute_diagram,
     faces_contained_in,
+    format_diagram,
     persistent_betti_direct,
     quadrant_mass,
     rectangle_mass,
     sublevel,
     validate,
-    write_diagram,
 )
 
 # Births: the square's edges and vertices appear at time 1, the filled square
@@ -53,7 +51,5 @@ box_mass = rectangle_mass(diagram, 1, 0.5, 1.0, 1.5, 2.5)
 print(f"\npairs born in (0.5, 1] dying in (1.5, 2.5]: {box_mass}")
 
 # Diagrams round-trip bit-exactly through their text format.
-buf = io.StringIO()
-write_diagram(diagram, buf)
 print("\ndiagram file:")
-print(buf.getvalue())
+print(format_diagram(diagram))

@@ -11,11 +11,11 @@ sampling the block directly.
 from randcube import (
     DistributionSpec,
     ModelSpec,
-    block_copy,
     block_window,
     format_filtration,
     restrict,
     sample,
+    sample_box,
     validate,
 )
 from randcube.models import restrict_box
@@ -50,7 +50,7 @@ model = ModelSpec("upper", 2, marks=marks)
 big = sample(model, 12, seed=7)
 z = (1, -1)
 carved = restrict_box(big, block_window(4, 1, z))
-direct = block_copy(model, k=4, r=1, z=z, seed=7)
+direct = sample_box(model, block_window(4, 1, z), seed=7)
 assert carved.births == direct.births
 print(f"block at z={z}: carved from the big window == sampled directly "
       f"({len(direct.births)} cubes)")

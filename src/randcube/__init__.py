@@ -10,7 +10,6 @@ from .cubes import (
     boundary_faces,
     cofaces_containing,
     cube_count_formula,
-    enumerate_cubes,
     faces_contained_in,
 )
 from .homology import (
@@ -27,7 +26,6 @@ from .homology import (
 from .models import (
     DistributionSpec,
     ModelSpec,
-    block_copy,
     block_window,
     format_filtration,
     parse_filtration,
@@ -44,11 +42,9 @@ from .persistence import (
     parse_diagram,
     persistent_betti_direct,
     quadrant_mass,
-    read_diagram,
     rectangle_mass,
     sublevel,
     validate,
-    write_diagram,
 )
 
 __version__ = "0.1.0"

@@ -252,23 +252,6 @@ def cofaces_containing(cube: ElementaryCube) -> list[ElementaryCube]:
     return [ElementaryCube(*zip(*combo)) for combo in itertools.product(*choices)]
 
 
-def enumerate_cubes_box(box: Box, q: int) -> list[ElementaryCube]:
-    """All elementary q-cubes contained in the box, in canonical order."""
-    d = box.ambient_dim
-    if q < 0 or q > d:
-        raise ValueError(f"q={q} out of range for d={d}")
-    cells = canonical_cells(box)
-    return cells_to_cubes(box, cells[cell_dims(box, cells) == q])
-
-
-def enumerate_cubes(window: Window, q: int) -> list[ElementaryCube]:
-    """All elementary q-cubes in [-n, n]^d, lexicographic (base, extent) order.
-
-    The count is C(d,q) * (2n)^q * (2n+1)^(d-q).
-    """
-    return enumerate_cubes_box(window.box, q)
-
-
 def all_cubes_box(box: Box) -> list[ElementaryCube]:
     """Every elementary cube of any dimension contained in the box, in
     canonical order."""

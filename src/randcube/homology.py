@@ -165,14 +165,6 @@ class SparseMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_cells), len(self.col_cells)
 
-    def dump_coo(self) -> str:
-        """Debug dump in coordinate text form: one "row col value" per line."""
-        lines = []
-        for j, col in enumerate(self.columns):
-            for i in sorted(col):
-                lines.append(f"{i} {j} {col[i]}")
-        return "\n".join(lines)
-
 
 def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
@@ -215,17 +207,15 @@ def kernel_basis(matrix: SparseMatrix) -> list[Column]:
     return kernel
 
 
-def betti(region: Box, cells, q: int, field=DEFAULT_FIELD) -> int:
-    """Exact q-th Betti number of a face-closed set of the region's flat
-    grid cells.
+def betti(region: Box, cells, field=DEFAULT_FIELD) -> np.ndarray:
+    """Exact Betti numbers b_0..b_d of a face-closed set of the region's flat
+    grid cells, as an int64 array.
 
-    dim ker of the q-th boundary map minus rank of the (q+1)-th one.
+    b_q is the number of q-cells minus the ranks of the q-th and (q+1)-th
+    boundary maps; each boundary matrix is built once.
     """
-    d = region.ambient_dim
-    if q < 0 or q > d:
-        raise ValueError(f"q={q} out of range for d={d}")
     cells = np.asarray(cells, dtype=np.int64)
-    n_q = int((cell_dims(region, cells) == q).sum())
-    rank_q = 0 if q == 0 else rank(boundary_matrix(region, cells, q, field))
-    rank_q1 = 0 if q == d else rank(boundary_matrix(region, cells, q + 1, field))
-    return n_q - rank_q - rank_q1
+    d = region.ambient_dim
+    ranks = np.array([0] + [rank(boundary_matrix(region, cells, q, field))
+                            for q in range(1, d + 1)] + [0])
+    return np.bincount(cell_dims(region, cells), minlength=d + 1) - ranks[:-1] - ranks[1:]

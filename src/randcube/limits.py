@@ -77,11 +77,6 @@ def rectangle_bounds(l: int, i: int, j: int) -> tuple[float, float, float, float
     return s_lo, i / den, (j - 1) / den, j / den
 
 
-def rectangle_upper_right(l: int, i: int, j: int) -> tuple[float, float]:
-    den = 2 ** (l + 1)
-    return i / den, j / den
-
-
 def bin_pair(l: int, birth: float, death: float) -> tuple[int, int] | None:
     """Rectangle key containing a finite pair, or None (overflow)."""
     den = 2 ** (l + 1)
@@ -127,7 +122,7 @@ def piecewise_constant_integral(
     """
     hist = histogram(diagram, q, l)
     approx = sum(
-        f(*rectangle_upper_right(l, i, j)) * c for (i, j), c in sorted(hist.counts.items())
+        f(*rectangle_bounds(l, i, j)[1::2]) * c for (i, j), c in sorted(hist.counts.items())
     )
     exact = sum(f(b, dth) for b, dth in diagram.degree(q) if dth < INF)
     return approx, exact
@@ -277,32 +272,38 @@ def estimate_mean_diagram(
     args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
     rows = ordered_map(_hist_trial, args, jobs)
 
-    pair_index = {p: i for i, p in enumerate(grid_pairs)}
-    mean_counts: dict[tuple[int, int], float] = {}
-    overflow = 0.0
-    infinite = 0.0
-    masses = np.zeros((trials, len(grid_pairs)), dtype=np.int64)
-    for trial, (counts, ovf, inf_ct, mrow) in enumerate(rows):
-        masses[trial] = mrow
-        overflow += ovf
-        infinite += inf_ct
-        for key, c in counts.items():
-            mean_counts[key] = mean_counts.get(key, 0.0) + c
-            i, j = key
-            s_lo, s_hi, t_lo, t_hi = rectangle_bounds(l, i, j)
-            # inclusion-exclusion identity, exact per trial
-            expect = mrow[pair_index[(s_hi, t_lo)]] - mrow[pair_index[(s_hi, t_hi)]]
-            if i > 1:
-                expect += (mrow[pair_index[(s_lo, t_hi)]]
-                           - mrow[pair_index[(s_lo, t_lo)]])
-            if expect != c:
-                raise AssertionError(
-                    f"histogram/quadrant identity failed at trial {trial}, "
-                    f"rectangle {key}: count {c} vs alternating sum {expect}"
-                )
-    mean_counts = {k: v / trials for k, v in sorted(mean_counts.items())}
+    keys = rectangle_keys(l)
+    key_index = {key: k for k, key in enumerate(keys)}
+    hist_counts, overflows, infinites, mass_rows = zip(*rows)
+    counts = np.zeros((trials, len(keys)), dtype=np.int64)
+    for trial, trial_counts in enumerate(hist_counts):
+        for key, c in trial_counts.items():
+            counts[trial, key_index[key]] = c
+    masses = np.array(mass_rows, dtype=np.int64)
+    # inclusion-exclusion identity, exact per trial, for every rectangle
+    # (zero counts included): count = m(s_hi, t_lo) - m(s_hi, t_hi)
+    # + m(s_lo, t_hi) - m(s_lo, t_lo), the last two terms only when i > 1
+    pair_index = {p: k for k, p in enumerate(grid_pairs)}
+    corners = np.array([
+        [pair_index[p] for p in ((s_hi, t_lo), (s_hi, t_hi), (s_lo, t_hi), (s_lo, t_lo))]
+        for s_lo, s_hi, t_lo, t_hi in (rectangle_bounds(l, i, j) for i, j in keys)
+    ])
+    inner = np.array([i > 1 for i, _ in keys])
+    m = masses[:, corners]  # (trials, keys, 4)
+    expect = m[..., 0] - m[..., 1] + (m[..., 2] - m[..., 3]) * inner
+    bad = np.argwhere(expect != counts)
+    if len(bad):
+        trial, k = bad[0]
+        raise AssertionError(
+            f"histogram/quadrant identity failed at trial {trial}, "
+            f"rectangle {keys[k]}: count {counts[trial, k]} vs alternating sum "
+            f"{expect[trial, k]}"
+        )
+    mean_counts = {key: c / trials
+                   for key, c in zip(keys, counts.sum(axis=0).tolist()) if c}
     return MeanDiagram(model, q, n, trials, l, seed, mean_counts,
-                       overflow / trials, infinite / trials, grid_pairs, masses)
+                       sum(overflows) / trials, sum(infinites) / trials,
+                       grid_pairs, masses)
 
 
 def lln_sweep(

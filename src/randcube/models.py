@@ -323,27 +323,6 @@ def block_window(k: int, r: int, z: tuple[int, ...]) -> Box:
     return base.translate(tuple(2 * k * zi for zi in z))
 
 
-def block_copy(
-    model: ModelSpec, k: int, r: int, z: tuple[int, ...], seed: int, trial: int = 0
-) -> Filtration:
-    """Sample the model on the translated block 2kz + [-(k-r), k-r]^d.
-
-    Blocks at distinct z are separated by max-norm distance 2r, so they are
-    independent when 2r exceeds the model's dependence range; by
-    stationarity each block is distributed as the centered window of radius
-    k - r.
-    """
-    if k <= r:
-        raise ValueError("block construction requires k > r")
-    if 2 * r <= model.dependence_range:
-        raise ValueError(
-            f"blocks not independent: 2r = {2 * r} <= R = {model.dependence_range}"
-        )
-    if len(z) != model.d:
-        raise ValueError("block offset has wrong dimension")
-    return sample_box(model, block_window(k, r, z), seed, trial)
-
-
 FILTRATION_HEADER = "#"
 
 

@@ -21,7 +21,7 @@ finite time.
 from __future__ import annotations
 
 import math
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -383,11 +383,3 @@ def parse_diagram(text: str) -> PersistenceDiagram:
             raise ValueError(f"pair with birth >= death in line {ln!r}")
         pairs.setdefault(int(q_str), []).append((b, dth))
     return PersistenceDiagram(d, pairs, meta)
-
-
-def write_diagram(diagram: PersistenceDiagram, fp: TextIO) -> None:
-    fp.write(format_diagram(diagram))
-
-
-def read_diagram(fp: TextIO) -> PersistenceDiagram:
-    return parse_diagram(fp.read())

@@ -226,12 +226,9 @@ def _chain_complex_one(params) -> tuple[int, int]:
     cells = random_face_closed_set(d, n, seed)
     bad = 0
     comparisons = 0
-    for q in range(1, d):
-        upper = boundary_matrix(box, cells, q + 1, field)
-        if not len(upper.col_cells):
-            continue
-        # upper's rows are lower's columns: the q-cells, in the same order
-        lower = boundary_matrix(box, cells, q, field)
+    mats = [boundary_matrix(box, cells, q, field) for q in range(1, d + 1)]
+    # each matrix's rows are the previous one's columns: the same cells, in order
+    for lower, upper in zip(mats, mats[1:]):
         for col in upper.columns:
             acc: dict[int, int] = {}
             for i, v in col.items():
@@ -327,11 +324,12 @@ def _inequality_one(params) -> tuple[int, int, float]:
     t1, t2 = np.array(list(itertools.combinations(T_GRID, 2))).T
     levels = {s: sublevel(filt, s) for s in S_GRID}
     counts = {s: _dim_counts(filt, cells) for s, cells in levels.items()}
+    bettis = {s: betti(filt.region, cells) for s, cells in levels.items()}
     for q in range(d):
         # trivial bound at every grid point
         masses = quadrant_mass(diagram, q, np.array(S_GRID)[:, None], T_GRID)
         for s, row in zip(S_GRID, masses):
-            betti_s = betti(filt.region, levels[s], q)
+            betti_s = bettis[s][q]
             slack = np.minimum(betti_s - row, counts[s][q] - betti_s)
             comparisons += len(slack)
             worst = min(worst, slack.min())

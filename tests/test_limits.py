@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randcube import DistributionSpec, ModelSpec
+from randcube import DistributionSpec, ModelSpec, limits
 from randcube.limits import (
     GridFunction,
     bin_pair,
@@ -19,7 +19,6 @@ from randcube.limits import (
     piecewise_constant_integral,
     rectangle_bounds,
     rectangle_keys,
-    rectangle_upper_right,
     regularity_gap,
     write_gap_csv,
     write_histogram_csv,
@@ -110,8 +109,8 @@ def test_piecewise_integral_single_pair_modulus():
     diagram = diagram_of({0: [(1.0, 2.0)]})
     l = 2
     approx, exact = piecewise_constant_integral(diagram, 0, f, l)
-    ur = rectangle_upper_right(l, 8, 16)
-    assert approx == f(*ur)
+    assert rectangle_bounds(l, 8, 16)[1::2] == (1.0, 2.0)
+    assert approx == f(1.0, 2.0)
     # mesh controls the gap: f is 1-Lipschitz in each coordinate
     assert abs(approx - exact) <= 2 * 2.0 ** -(l + 1)
 
@@ -183,6 +182,18 @@ def test_mean_diagram_quadrant_field_matches_pb_estimator():
     for col, pair in enumerate(sample_pairs):
         idx = grid.index(pair)
         assert np.array_equal(md.quadrant_masses[:, idx], pb.masses[:, col])
+
+
+def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
+    # a binning fault that drops every pair of one rectangle into overflow
+    # leaves that rectangle's count at 0; its quadrant sum still sees them
+    def lossy_bin_pair(l, birth, death):
+        key = bin_pair(l, birth, death)
+        return None if key == (3, 7) else key
+
+    monkeypatch.setattr(limits, "bin_pair", lossy_bin_pair)
+    with pytest.raises(AssertionError, match=r"rectangle \(3, 7\): count 0 vs"):
+        estimate_mean_diagram(LOWER2, 0, n=8, trials=16, l=3, seed=5)
 
 
 # --- lln sweep ----------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from randcube import (
     ElementaryCube,
     ModelSpec,
     Window,
-    block_copy,
     block_window,
     cofaces_containing,
     parse_filtration,
@@ -329,7 +328,7 @@ def test_block_window_geometry():
 
 def test_block_copy_center_equals_plain_sample():
     model = ModelSpec("upper", 2, marks=(UNI, UNI, UNI))
-    block = block_copy(model, k=4, r=1, z=(0, 0), seed=13)
+    block = sample_box(model, block_window(4, 1, (0, 0)), seed=13)
     plain = sample(model, 3, seed=13)
     assert block.births == plain.births
 
@@ -370,12 +369,6 @@ def test_sample_box_rejects_dimension_mismatch():
     model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
     with pytest.raises(ValueError, match="dimension"):
         sample_box(model, Window(1, 3).box, seed=1)
-
-
-def test_block_copy_rejects_dependent_blocks():
-    model = ModelSpec("upper", 2, marks=(UNI, UNI, UNI))
-    with pytest.raises(ValueError, match="not independent"):
-        block_copy(model, k=4, r=0, z=(0, 0), seed=13)
 
 
 def test_upper_blocks_share_no_marks():
