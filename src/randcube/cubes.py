@@ -8,10 +8,13 @@ pure functions on immutable values.
 
 It also owns the layout of a box's birth grid, one entry per cube at doubled
 coordinates c = 2*(base - lo) + extent: see ``grid_shape`` and what follows.
-The library computes on these flat grid cells (``cell_dims``, ``cell_faces``);
-``ElementaryCube`` objects appear only at text I/O, in error and violation
-messages, and in the cube-keyed reference enumerators ``boundary_faces``,
-``faces_contained_in`` and ``cofaces_containing``.
+The library computes on these flat grid cells (``cell_dims``, ``cell_faces``),
+and the filtration dump names them by their canonical texts (``cell_texts``).
+``ElementaryCube`` objects appear only for the {cube: birth} dict input and
+view of a filtration, for dump text that is not a window cube's canonical
+text, in error and violation messages, and in the cube-keyed reference
+enumerators ``boundary_faces``, ``faces_contained_in`` and
+``cofaces_containing``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class ElementaryCube:
             tuple(int(b) for b in bases.split(",")),
             tuple(int(c) for c in bits),
         )
-        if cube.ambient_dim != int(d_str) or cube.ambient_dim == 0:
+        if (cube.ambient_dim != int(d_str) or cube.ambient_dim == 0
+                or len(cube.extent) != cube.ambient_dim):
             raise ValueError(f"dimension mismatch in cube text {text!r}")
         if any(e not in (0, 1) for e in cube.extent):
             raise ValueError(f"extent bits must be 0/1 in cube text {text!r}")
@@ -160,15 +164,31 @@ def cell_dims(box: Box, cells) -> np.ndarray:
     return sum(c % 2 for c in np.unravel_index(cells, grid_shape(box)))
 
 
-def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
-    """The cubes at these flat grid indices, in the order given."""
+def _cube_parts(box: Box, cells) -> tuple[list, list, list[int], list[int]]:
+    """The box's bases and extents, each as a list of integer tuples in lex
+    order, and per cell the index of its base and of its extent in them."""
     base, extent = cell_coordinates(box, cells)
-    # the cubes share one tuple per base and one per extent, each in lex order
     bases = list(itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))))
     extents = list(itertools.product((0, 1), repeat=box.ambient_dim))
     i = np.ravel_multi_index((base - box.lo).T, np.subtract(box.hi, box.lo) + 1).tolist()
     k = np.ravel_multi_index(extent.T, (2,) * box.ambient_dim).tolist()
+    return bases, extents, i, k
+
+
+def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
+    """The cubes at these flat grid indices, in the order given."""
+    # the cubes share one tuple per base and one per extent
+    bases, extents, i, k = _cube_parts(box, cells)
     return [ElementaryCube(bases[a], extents[b]) for a, b in zip(i, k)]
+
+
+def cell_texts(box: Box, cells: np.ndarray) -> list[str]:
+    """The canonical texts "d;b_1,...,b_d;bits" (``ElementaryCube.canonical``)
+    of the cubes at these flat grid indices, in the order given."""
+    bases, extents, i, k = _cube_parts(box, cells)
+    bases = [f"{box.ambient_dim};" + ",".join(map(str, b)) for b in bases]
+    extents = [";" + "".join(map(str, e)) for e in extents]
+    return [bases[a] + extents[b] for a, b in zip(i, k)]
 
 
 def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

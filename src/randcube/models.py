@@ -7,6 +7,11 @@ region that contains it.  Carving a sub-box out of a sampled window therefore
 equals sampling that sub-box directly, which is what the block constructions
 in the gap diagnostics rely on.
 
+A sampled window leaves and re-enters the library as a text dump
+(``format_filtration``, ``parse_filtration``), written and read on the birth
+grid's cells through their canonical texts (``cubes.cell_texts``); only a
+line that does not spell a window cube canonically is read as a cube.
+
 Model kinds and their dependence ranges R:
 
 * upper  (R = 1): birth of Q = min mark over all cubes containing Q
@@ -27,8 +32,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
-from .cubes import (Box, ElementaryCube, Window, box_slice, cell_coordinates,
-                    grid_shape)
+from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
+                    cell_coordinates, cell_texts, cube_index, grid_shape)
 from .persistence import Filtration
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
@@ -329,36 +334,66 @@ FILTRATION_HEADER = "#"
 def format_filtration(filtration: Filtration) -> str:
     """Dump format: header "# d n seed model", then "<canonical cube> <birth>"
     per finite-birth cube in canonical order."""
-    lo, hi = filtration.region.lo, filtration.region.hi
+    region = filtration.region
+    lo, hi = region.lo, region.hi
     if any(a != -b for a, b in zip(lo, hi)) or len(set(hi)) > 1:
         raise ValueError("only centered-window filtrations have a dump form")
     n = hi[0]
     seed = filtration.meta.get("seed", "-")
     model = filtration.meta.get("model", "-")
+    cells = canonical_cells(region)
+    births = filtration.grid.ravel()[cells]
+    finite = births < INF
     lines = [f"# {filtration.d} {n} {seed} {model}"]
-    for cube, birth in filtration.births.items():
-        lines.append(f"{cube.canonical()} {birth!r}")
+    lines += [f"{text} {birth!r}" for text, birth in
+              zip(cell_texts(region, cells[finite]), births[finite].tolist())]
     return "\n".join(lines) + "\n"
 
 
 def parse_filtration(text: str) -> Filtration:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(FILTRATION_HEADER):
+    """Read a dump back.  Every cube line names a cube of the header's
+    window, at most once; cubes without a line are never born.
+
+    A line whose cube text is not the canonical text of a window cube (an
+    alternate spelling such as "05", or a cube outside the window) is read
+    through ``ElementaryCube.from_canonical``.  The first faulty line in file
+    order is reported; a nan or negative birth is reported afterwards, by
+    ``Filtration``.
+    """
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    header = lines[0][1] if lines else ""
+    if not header.startswith(FILTRATION_HEADER):
         raise ValueError("filtration file must start with a '# d n seed model' header")
-    tokens = lines[0][1:].split()
+    tokens = header[1:].split()
     if len(tokens) != 4:
-        raise ValueError(f"malformed filtration header: {lines[0]!r}")
+        raise ValueError(f"malformed filtration header: {header!r}")
     d, n = int(tokens[0]), int(tokens[1])
     meta: dict = {"n": n}
     if tokens[2] != "-":
         meta["seed"] = int(tokens[2])
     if tokens[3] != "-":
         meta["model"] = tokens[3]
-    births = {}
-    for ln in lines[1:]:
-        cube_text, birth_text = ln.split()
-        cube = ElementaryCube.from_canonical(cube_text)
-        if cube in births:
+    box = Window(n, d).box
+    shape = grid_shape(box)
+    cells = canonical_cells(box)
+    index = dict(zip(cell_texts(box, cells), cells.tolist()))
+    grid = np.full(cells.size, INF)
+    seen = np.zeros(cells.size, dtype=bool)
+    for number, ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != 2:
+            raise ValueError(f"malformed filtration line {number}: {ln!r}")
+        cube_text, birth_text = tokens
+        cell = index.get(cube_text)
+        if cell is None:
+            cube = ElementaryCube.from_canonical(cube_text)
+            if cube.ambient_dim != d or not box.contains_cube(cube):
+                kind = "never-born" if float(birth_text) == INF else "finite-birth"
+                raise ValueError(f"{kind} cube {cube.canonical()} lies outside the region")
+            cell = np.ravel_multi_index(cube_index(box, cube), shape)
+        if seen[cell]:
             raise ValueError(f"duplicate cube line {ln!r}")
-        births[cube] = float(birth_text)
-    return Filtration(Window(n, d), births, meta)
+        seen[cell] = True
+        grid[cell] = float(birth_text)
+    return Filtration(box, grid.reshape(shape), meta)

@@ -5,8 +5,10 @@ in the layout that ``cubes`` owns, inf where the cube is never born; this
 module converts between cubes and grid positions only through it.  It must satisfy
 the monotone face condition (faces are born no later than their cofaces).
 Everything here runs on flat grid cells; cubes are built only for the
-{cube: birth} dict that ``Filtration`` takes and ``births`` returns (the text
-dump's view) and to name a bad birth or a violating (face, cube) pair.
+{cube: birth} dict that ``Filtration`` takes and ``births`` returns and to
+name a bad birth or a violating (face, cube) pair.  The text dump
+(``models.format_filtration``/``parse_filtration``) reads and writes the
+grid directly, not through ``births``.
 Diagrams are computed by standard column reduction of the total boundary
 matrix in birth order, on flat grid indices; persistent Betti numbers are
 additionally computed by a fully independent rank-based route on the same
@@ -361,12 +363,14 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(HEADER_PREFIX):
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    header = lines[0][1] if lines else ""
+    if not header.startswith(HEADER_PREFIX):
         raise ValueError("diagram file must start with a '# d q_max n seed' header")
-    tokens = lines[0][1:].split()
+    tokens = header[1:].split()
     if len(tokens) != 4:
-        raise ValueError(f"malformed diagram header: {lines[0]!r}")
+        raise ValueError(f"malformed diagram header: {header!r}")
     d = int(tokens[0])
     meta: dict = {"d": d}
     meta["q_max"] = int(tokens[1]) if tokens[1] != "-" else d - 1
@@ -375,8 +379,11 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     if tokens[3] != "-":
         meta["seed"] = int(tokens[3])
     pairs: dict[int, list[tuple[float, float]]] = {}
-    for ln in lines[1:]:
-        q_str, b_str, d_str = ln.split()
+    for number, ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != 3:
+            raise ValueError(f"malformed diagram line {number}: {ln!r}")
+        q_str, b_str, d_str = tokens
         b = float(b_str)
         dth = INF if d_str == "inf" else float(d_str)
         if not b < dth:

@@ -143,6 +143,15 @@ def test_diagram_rejects_faulty_dump_exits_3(tmp_path, capsys, fault):
     assert not (tmp_path / "faulty.diagram.txt").exists()
 
 
+@pytest.mark.parametrize("line", ["2;0,0;10", "2;0,0;10 0.7 0.8"])
+def test_diagram_names_malformed_dump_line_exits_3(tmp_path, capsys, line):
+    filt_path = tmp_path / "faulty.txt"
+    filt_path.write_text(f"# 2 1 - -\n2;0,0;00 0.5\n\n{line}\n")
+    assert main(["diagram", "--filtration", str(filt_path),
+                 "--out", str(tmp_path)]) == EXIT_DATA_VIOLATION
+    assert f"malformed filtration line 4: '{line}'" in capsys.readouterr().err
+
+
 def test_nonfinite_mark_parameter_exits_2(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, mark={"family": "uniform",
                                           "params": [float("nan"), 1.0]})

@@ -24,6 +24,7 @@ from randcube.cubes import (
     canonical_cells,
     cell_dims,
     cell_faces,
+    cell_texts,
     cells_to_cubes,
     cube_index,
     grid_shape,
@@ -172,6 +173,13 @@ def test_canonical_text_round_trip():
     assert ElementaryCube((-1, 2), (1, 0)).canonical() == "2;-1,2;10"
 
 
+def test_canonical_text_rejects_bit_count_mismatch():
+    # one bit per axis: "2;0,0;0" once filled a whole grid row of a d=2 dump
+    for text in ("2;0,0;0", "2;0,0;000", "1;0;"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ElementaryCube.from_canonical(text)
+
+
 def test_pickle_round_trip_keeps_equality_and_hash():
     for cube in all_cubes_box(Window(1, 2).box):
         copy = pickle.loads(pickle.dumps(cube))
@@ -266,6 +274,18 @@ def test_cube_cell_round_trip_property(boxes):
 
 
 @settings(max_examples=100, deadline=None)
+@given(nested_boxes(), st.integers(0, 2**32 - 1))
+def test_cell_texts_match_canonical_property(boxes, seed):
+    """``cell_texts`` is ``canonical`` of ``cells_to_cubes``, for all cells in
+    canonical order and for random cells in any order, repeats included."""
+    box, _ = boxes
+    size = math.prod(grid_shape(box))
+    for cells in (canonical_cells(box),
+                  np.random.default_rng(seed).integers(0, size, 2 * size)):
+        assert cell_texts(box, cells) == [c.canonical() for c in cells_to_cubes(box, cells)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(nested_boxes())
 def test_box_slice_selects_inner_cubes_property(boxes):
     outer, inner = boxes
@@ -327,3 +347,27 @@ def test_core_builds_no_cube(monkeypatch):
     assert homology.boundary_matrix(f.region, cells, 1).shape[1] > 0
     assert homology.betti(f.region, cells)[0] >= 1
     assert verify.check_cube_counting(verify.SCALES["smoke"]).passed
+
+
+def test_dump_builds_no_cube(monkeypatch):
+    """A valid dump is written and read on grid cells: with the cube
+    constructor, ``cells_to_cubes`` and ``ElementaryCube.from_canonical``
+    refusing, dumps of a sampled window (``p_inf`` marks, so some cubes are
+    never born) and of a restriction of it round-trip."""
+    from randcube import cubes, models, persistence
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube built")
+
+    uniform = models.DistributionSpec("uniform", (0.0, 1.0), p_inf=0.2)
+    f = models.sample(models.ModelSpec("upper", 3, marks=(uniform,) * 4), 2, 7)
+    for module in (cubes, persistence):
+        monkeypatch.setattr(module, "cells_to_cubes", refuse)
+    monkeypatch.setattr(ElementaryCube, "from_canonical", staticmethod(refuse))
+    monkeypatch.setattr(ElementaryCube, "__init__", refuse)
+    for filt in (f, models.restrict(f, 1)):
+        dump = models.format_filtration(filt)
+        back = models.parse_filtration(dump)
+        assert back == filt
+        assert models.format_filtration(back) == dump
+    assert np.isinf(f.grid).any() and np.isfinite(f.grid).any()

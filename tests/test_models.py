@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randcube import (
     DistributionSpec,
@@ -418,3 +420,146 @@ def test_nan_birth_is_rejected_not_dropped():
         Filtration(Window(1, 2), {cube: math.nan})
     with pytest.raises(ValueError, match="nan"):
         parse_filtration("# 2 1 - -\n2;0,0;00 nan\n")
+
+
+def test_parse_filtration_rejects_never_born_cube_outside_window():
+    # format_filtration never writes such a line; it used to be dropped
+    for line in ("2;5,5;00 inf", "2;1,0;10 inf", "3;0,0,0;000 inf"):
+        with pytest.raises(ValueError, match="cube .* lies outside the region"):
+            parse_filtration(f"# 2 1 - -\n2;0,0;00 0.5\n{line}\n")
+    with pytest.raises(ValueError, match="^finite-birth cube 2;5,5;00 lies outside"):
+        parse_filtration("# 2 1 - -\n2;+5,5;00 0.5\n")
+
+
+def reference_parse_filtration(text):
+    """The cube-keyed parser that the cell-indexed one replaced: every line
+    through ``ElementaryCube.from_canonical`` into a {cube: birth} dict, read
+    by the ``Filtration`` dict constructor.  Only the malformed-line message
+    is new; ``from_canonical`` is shared with the parser under test."""
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    tokens = lines[0][1][1:].split()
+    d, n = int(tokens[0]), int(tokens[1])
+    meta = {"n": n}
+    if tokens[2] != "-":
+        meta["seed"] = int(tokens[2])
+    if tokens[3] != "-":
+        meta["model"] = tokens[3]
+    births = {}
+    for number, ln in lines[1:]:
+        tokens = ln.split()
+        if len(tokens) != 2:
+            raise ValueError(f"malformed filtration line {number}: {ln!r}")
+        cube = ElementaryCube.from_canonical(tokens[0])
+        if cube in births:
+            raise ValueError(f"duplicate cube line {ln!r}")
+        births[cube] = float(tokens[1])
+    return Filtration(Window(n, d), births, meta)
+
+
+def _respell(cube_text, draw):
+    """The same cube in another spelling: one integer field written with a
+    leading zero, a plus sign or a digit separator."""
+    d_text, bases, bits = cube_text.split(";")
+    fields = [d_text] + bases.split(",")
+    i = draw(st.integers(0, len(fields) - 1))
+    sign, digits = ("-", fields[i][1:]) if fields[i].startswith("-") else ("", fields[i])
+    prefix = draw(st.sampled_from(["0", "0_"] + ([] if sign else ["+"])))
+    fields[i] = sign + prefix + digits
+    return f"{fields[0]};{','.join(fields[1:])};{bits}"
+
+
+FAULTS = ("malformed", "tokens", "respelled", "duplicate", "respelled_duplicate",
+          "dimension", "outside", "birth", "blank")
+
+
+@st.composite
+def faulty_dumps(draw, fault):
+    """A sampled dump of any model, d = 1..4, with one injected fault.
+
+    Returns the text and whether the fault is a never-born cube outside the
+    window, which only the reference accepts."""
+    kind = draw(st.sampled_from(["upper", "lower", "perturbed_lattice", "ball_cover"]))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2 if d <= 3 else 1))
+    if kind in ("upper", "lower"):
+        p_inf = draw(st.sampled_from([0.0, 0.3]))
+        mark = DistributionSpec("uniform", (0.0, 1.0), p_inf=p_inf)
+        model = ModelSpec(kind, d, marks=(mark,) * (d + 1))
+    else:
+        model = ModelSpec(kind, d, perturbation=DistributionSpec("uniform", (-0.25, 0.25)),
+                          m_grid=2)
+    lines = format_filtration(sample(model, n, draw(st.integers(0, 2**16)))).splitlines()
+    assume(len(lines) > 1)
+    at = draw(st.integers(1, len(lines) - 1))
+    cube_text, birth_text = lines[at].split()
+    never_born_outside = False
+    if fault == "malformed":
+        bad = draw(st.sampled_from([
+            cube_text.rsplit(";", 1)[0],  # no extent bits
+            cube_text[:-1],  # one bit short
+            cube_text + "0",  # one bit too many
+            cube_text[:-1] + "2",  # a bit that is not 0/1
+            cube_text.replace(";", ",", 1),
+            "x;" + cube_text.split(";", 1)[1],
+            "0;;",
+            cube_text.split(";")[0] + ";;" + cube_text.split(";")[2],
+        ]))
+        lines[at] = f"{bad} {birth_text}"
+    elif fault == "tokens":
+        lines[at] = draw(st.sampled_from([cube_text, f"{lines[at]} {birth_text}"]))
+    elif fault == "respelled":
+        lines[at] = f"{_respell(cube_text, draw)} {birth_text}"
+    elif fault in ("duplicate", "respelled_duplicate"):
+        copy = lines[at] if fault == "duplicate" else f"{_respell(cube_text, draw)} {birth_text}"
+        lines.insert(draw(st.integers(1, len(lines))), copy)
+    elif fault in ("dimension", "outside"):
+        if fault == "dimension":
+            e = draw(st.sampled_from([-1, 1]) if d > 1 else st.just(1))
+            cube = ElementaryCube((0,) * (d + e), (0,) * (d + e))
+        else:
+            axis = draw(st.integers(0, d - 1))
+            base = [0] * d
+            base[axis] = draw(st.sampled_from([n, n + 1, -n - 1, 3 * n]))
+            extent = [0] * d
+            extent[axis] = 1 if base[axis] == n else draw(st.integers(0, 1))
+            cube = ElementaryCube(tuple(base), tuple(extent))
+        birth = draw(st.sampled_from(["0.5", "inf", "nan", "-1.0"]))
+        never_born_outside = birth == "inf"
+        lines.insert(draw(st.integers(1, len(lines))), f"{cube.canonical()} {birth}")
+    elif fault == "birth":
+        lines[at] = f"{cube_text} {draw(st.sampled_from(['nan', '-0.5', '-inf', 'x']))}"
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n", never_born_outside
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_parse_filtration_matches_cube_keyed_reference(fault, data):
+    """The cell-indexed parser reads every faulty dump as the cube-keyed one
+    does: the same grid and meta, or the same error.  The one difference: a
+    never-born cube outside the window is rejected, not dropped."""
+    text, never_born_outside = data.draw(faulty_dumps(fault))
+    got = _parse_outcome(parse_filtration, text)
+    expected = _parse_outcome(reference_parse_filtration, text)
+    if never_born_outside:
+        assert isinstance(expected, Filtration)
+        assert isinstance(got, ValueError), got
+        assert str(got).startswith("never-born cube") and "outside the region" in str(got)
+    elif isinstance(expected, Filtration):
+        assert isinstance(got, Filtration), got
+        assert np.array_equal(got.grid, expected.grid) and got.region == expected.region
+        assert got.meta == expected.meta
+    else:
+        assert type(got) is type(expected) and str(got) == str(expected)

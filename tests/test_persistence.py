@@ -360,6 +360,10 @@ def test_parse_diagram_rejects_garbage():
         parse_diagram("no header\n")
     with pytest.raises(ValueError):
         parse_diagram("# 2 1 - -\n0 2.0 1.0\n")  # birth >= death
+    # a line without exactly three tokens is named by its line number
+    for line in ("0 1.0", "0 1.0 2.0 3.0"):
+        with pytest.raises(ValueError, match=f"^malformed diagram line 3: '{line}'$"):
+            parse_diagram(f"# 2 1 - -\n\n{line}\n0 1.0 inf\n")
 
 
 # --- array corners against a per-pair reference loop -------------------------------
