@@ -7,12 +7,13 @@ persistent Betti numbers computed by an entirely independent rank-based
 route.  That agreement is the library's central cross-check.
 """
 
+import numpy as np
+
 from randcube import (
-    ElementaryCube,
+    Box,
     Filtration,
     Window,
     compute_diagram,
-    faces_contained_in,
     format_diagram,
     persistent_betti_direct,
     quadrant_mass,
@@ -20,12 +21,18 @@ from randcube import (
     sublevel,
     validate,
 )
+from randcube.cubes import box_slice, grid_shape
 
 # Births: the square's edges and vertices appear at time 1, the filled square
-# at time 2.  A 1-dimensional hole lives during [1, 2).
-square = ElementaryCube((0, 0), (1, 1))
-births = {c: (2.0 if c == square else 1.0) for c in faces_contained_in(square)}
-filt = Filtration(Window(2, 2), births)
+# at time 2.  A 1-dimensional hole lives during [1, 2).  A filtration is a
+# birth grid with one entry per cube of the window (inf = never born); the
+# cubes of [0, 1]^2 are a 3x3 block of it, with the square itself in the middle.
+window = Window(2, 2)
+grid = np.full(grid_shape(window.box), np.inf)
+square = grid[box_slice(window.box, Box((0, 0), (1, 1)))]  # a view into grid
+square[...] = 1.0
+square[1, 1] = 2.0
+filt = Filtration(window, grid)
 assert validate(filt) is None  # faces never appear after their cofaces
 
 print("sublevel sets:")

@@ -10,11 +10,11 @@ It also owns the layout of a box's birth grid, one entry per cube at doubled
 coordinates c = 2*(base - lo) + extent: see ``grid_shape`` and what follows.
 The library computes on these flat grid cells (``cell_dims``, ``cell_faces``),
 and the filtration dump names them by their canonical texts (``cell_texts``).
-``ElementaryCube`` objects appear only for the {cube: birth} dict input and
-view of a filtration, for dump text that is not a window cube's canonical
-text, in error and violation messages, and in the cube-keyed reference
-enumerators ``boundary_faces``, ``faces_contained_in`` and
-``cofaces_containing``.
+``ElementaryCube`` objects appear only for the {cube: birth} view of a
+filtration, for dump text that is not a window cube's canonical text, in
+error and violation messages, and in the cube-keyed enumerators
+``all_cubes_box``, ``boundary_faces``, ``faces_contained_in`` and
+``cofaces_containing``, which no library module calls.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ class Box:
             tuple(b + radius for b in self.hi),
         )
 
-    def contains_cube(self, cube: ElementaryCube) -> bool:
-        return all(
-            a <= b_i and b_i + e_i <= b
-            for a, b, b_i, e_i in zip(self.lo, self.hi, cube.base, cube.extent)
-        )
-
 
 @dataclass(frozen=True)
 class Window:
@@ -195,9 +189,10 @@ def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndar
     """Signed codimension-1 faces of the q-cubes at these flat grid indices.
 
     Returns a (len(cells), 2q) array of the faces' flat indices and their 2q
-    signs, in ``boundary_faces`` order: along the k-th nondegenerate axis the
-    face one axis stride up has sign (-1)^k, the one a stride down the
-    opposite sign.
+    signs.  The faces come in pairs, one pair per nondegenerate axis in
+    increasing axis order: along the k-th such axis (k = 0, 1, ...) first
+    the face one axis stride up (base + 1 on that axis), with sign (-1)^k,
+    then the face a stride down (the same base), with the opposite sign.
     """
     shape = grid_shape(box)
     cells = np.asarray(cells, dtype=np.int64)
@@ -209,11 +204,6 @@ def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndar
     faces = np.stack([cells[:, None] + step, cells[:, None] - step], axis=2)
     signs = np.repeat((-1) ** np.arange(q), 2) * np.tile([1, -1], q)
     return faces.reshape(len(cells), 2 * q), signs
-
-
-def cube_index(box: Box, cube: ElementaryCube) -> tuple[int, ...]:
-    """Grid index of a cube contained in the box."""
-    return tuple(2 * (b - a) + e for a, b, e in zip(box.lo, cube.base, cube.extent))
 
 
 def box_slice(outer: Box, inner: Box) -> tuple[slice, ...]:

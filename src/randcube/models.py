@@ -10,7 +10,8 @@ in the gap diagnostics rely on.
 A sampled window leaves and re-enters the library as a text dump
 (``format_filtration``, ``parse_filtration``), written and read on the birth
 grid's cells through their canonical texts (``cubes.cell_texts``); only a
-line that does not spell a window cube canonically is read as a cube.
+line that does not spell a window cube canonically is read as a cube, to
+find its canonical text.
 
 Model kinds and their dependence ranges R:
 
@@ -33,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
-                    cell_coordinates, cell_texts, cube_index, grid_shape)
+                    cell_coordinates, cell_texts, grid_shape)
 from .persistence import Filtration
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
@@ -354,11 +355,12 @@ def parse_filtration(text: str) -> Filtration:
     """Read a dump back.  Every cube line names a cube of the header's
     window, at most once; cubes without a line are never born.
 
-    A line whose cube text is not the canonical text of a window cube (an
-    alternate spelling such as "05", or a cube outside the window) is read
-    through ``ElementaryCube.from_canonical``.  The first faulty line in file
-    order is reported; a nan or negative birth is reported afterwards, by
-    ``Filtration``.
+    A line whose cube text is not the canonical text of a window cube is
+    read through ``ElementaryCube.from_canonical``, and its canonical text
+    is looked up again: an alternate spelling such as "05", "+1" or "0_1"
+    names the same cell, a miss is a cube outside the window (or of another
+    ambient dimension).  The first faulty line in file order is reported; a
+    nan or negative birth is reported afterwards, by ``Filtration``.
     """
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
@@ -375,7 +377,6 @@ def parse_filtration(text: str) -> Filtration:
     if tokens[3] != "-":
         meta["model"] = tokens[3]
     box = Window(n, d).box
-    shape = grid_shape(box)
     cells = canonical_cells(box)
     index = dict(zip(cell_texts(box, cells), cells.tolist()))
     grid = np.full(cells.size, INF)
@@ -386,14 +387,14 @@ def parse_filtration(text: str) -> Filtration:
             raise ValueError(f"malformed filtration line {number}: {ln!r}")
         cube_text, birth_text = tokens
         cell = index.get(cube_text)
-        if cell is None:
-            cube = ElementaryCube.from_canonical(cube_text)
-            if cube.ambient_dim != d or not box.contains_cube(cube):
+        if cell is None:  # another spelling, or not a window cube
+            cube = ElementaryCube.from_canonical(cube_text).canonical()
+            cell = index.get(cube)
+            if cell is None:
                 kind = "never-born" if float(birth_text) == INF else "finite-birth"
-                raise ValueError(f"{kind} cube {cube.canonical()} lies outside the region")
-            cell = np.ravel_multi_index(cube_index(box, cube), shape)
+                raise ValueError(f"{kind} cube {cube} lies outside the region")
         if seen[cell]:
             raise ValueError(f"duplicate cube line {ln!r}")
         seen[cell] = True
         grid[cell] = float(birth_text)
-    return Filtration(box, grid.reshape(shape), meta)
+    return Filtration(box, grid.reshape(grid_shape(box)), meta)

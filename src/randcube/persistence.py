@@ -1,11 +1,10 @@
 """Bounded cubical filtrations, persistence diagrams, persistent Betti numbers.
 
 A filtration is a birth grid: one float64 entry per elementary cube of a box
-in the layout that ``cubes`` owns, inf where the cube is never born; this
-module converts between cubes and grid positions only through it.  It must satisfy
-the monotone face condition (faces are born no later than their cofaces).
-Everything here runs on flat grid cells; cubes are built only for the
-{cube: birth} dict that ``Filtration`` takes and ``births`` returns and to
+in the layout that ``cubes`` owns, inf where the cube is never born; the grid
+is its only input form.  It must satisfy the monotone face condition (faces
+are born no later than their cofaces).  Everything here runs on flat grid
+cells; cubes are built only for the {cube: birth} view ``births`` and to
 name a bad birth or a violating (face, cube) pair.  The text dump
 (``models.format_filtration``/``parse_filtration``) reads and writes the
 grid directly, not through ``births``.
@@ -28,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
-                    cells_to_cubes, cube_index, grid_shape)
+                    cells_to_cubes, grid_shape)
 from .homology import DEFAULT_FIELD, Column, reduce_columns
 
 INF = math.inf
@@ -36,36 +35,20 @@ Corner = float | np.ndarray  # one corner coordinate, or an array of them
 
 
 class Filtration:
-    """A region plus its birth grid ``grid``, given as that array or as a
-    {cube: birth} dict (absent cubes and inf births are never born).  A nan
-    or negative birth is rejected, never read as "not born".  ``births``
-    reads the finite births back as a dict in canonical cube order."""
+    """A region plus its birth grid ``grid`` (inf where a cube is never
+    born).  A nan or negative birth is rejected, never read as "not born".
+    ``births`` reads the finite births back as a {cube: birth} dict in
+    canonical cube order."""
 
-    def __init__(
-        self,
-        region: Box | Window,
-        births: np.ndarray | dict[ElementaryCube, float],
-        meta: dict | None = None,
-    ):
+    def __init__(self, region: Box | Window, grid: np.ndarray, meta: dict | None = None):
         if isinstance(region, Window):
             region = region.box
         self.region = region
         self.meta = dict(meta) if meta else {}
         shape = grid_shape(region)
-        if isinstance(births, dict):
-            grid = np.full(shape, INF)
-            for cube, t in births.items():
-                if t == INF:  # before indexing: an outside cube's index would wrap
-                    continue
-                if cube.ambient_dim != region.ambient_dim or not region.contains_cube(cube):
-                    raise ValueError(
-                        f"finite-birth cube {cube.canonical()} lies outside the region"
-                    )
-                grid[cube_index(region, cube)] = t
-        else:
-            grid = np.asarray(births, dtype=np.float64)
-            if grid.shape != shape:
-                raise ValueError(f"birth grid shape {grid.shape} is not the region's {shape}")
+        grid = np.asarray(grid, dtype=np.float64)
+        if grid.shape != shape:
+            raise ValueError(f"birth grid shape {grid.shape} is not the region's {shape}")
         bad = ~(grid >= 0)  # also catches nan and -inf
         if bad.any():
             cells = canonical_cells(region)
@@ -144,6 +127,9 @@ class PersistenceDiagram:
         self.meta = dict(meta) if meta else {}
 
     def degree(self, q: int) -> list[tuple[float, float]]:
+        """The degree-q pairs; q must lie in 0..d-1."""
+        if not 0 <= q < self.d:
+            raise ValueError(f"q={q} out of range for d={self.d}")
         return self.pairs.get(q, [])
 
     def total_count(self, q: int) -> int:
@@ -383,10 +369,14 @@ def parse_diagram(text: str) -> PersistenceDiagram:
         tokens = ln.split()
         if len(tokens) != 3:
             raise ValueError(f"malformed diagram line {number}: {ln!r}")
-        q_str, b_str, d_str = tokens
-        b = float(b_str)
-        dth = INF if d_str == "inf" else float(d_str)
+        q, b = int(tokens[0]), float(tokens[1])
+        dth = INF if tokens[2] == "inf" else float(tokens[2])
+        if not 0 <= q < d:
+            raise ValueError(f"degree {q} out of range for d={d} in diagram line "
+                             f"{number}: {ln!r}")
+        if b < 0:
+            raise ValueError(f"negative birth in diagram line {number}: {ln!r}")
         if not b < dth:
             raise ValueError(f"pair with birth >= death in line {ln!r}")
-        pairs.setdefault(int(q_str), []).append((b, dth))
+        pairs.setdefault(q, []).append((b, dth))
     return PersistenceDiagram(d, pairs, meta)

@@ -19,12 +19,11 @@ import numpy as np
 
 from .cubes import (
     Box,
-    ElementaryCube,
     Window,
-    boundary_faces,
     canonical_cells,
     cell_dims,
-    cells_to_cubes,
+    cell_faces,
+    cell_texts,
     cube_count_formula,
     grid_shape,
 )
@@ -168,42 +167,28 @@ T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
 def check_boundary_examples(scale: Scale, jobs: int = 1) -> CheckResult:
     t0 = time.time()
     failures = []
-
-    vertex = ElementaryCube((0, 0), (0, 0))
-    if boundary_faces(vertex) != []:
-        failures.append("vertex boundary not empty")
-
-    edge = ElementaryCube((0, 0), (1, 0))
-    expect_edge = [
-        (ElementaryCube((1, 0), (0, 0)), 1),
-        (ElementaryCube((0, 0), (0, 0)), -1),
-    ]
-    if boundary_faces(edge) != expect_edge:
-        failures.append(f"edge boundary {boundary_faces(edge)}")
-
-    square = ElementaryCube((0, 0), (1, 1))
-    expect_square = [
-        (ElementaryCube((1, 0), (0, 1)), 1),
-        (ElementaryCube((0, 0), (0, 1)), -1),
-        (ElementaryCube((0, 1), (1, 0)), -1),
-        (ElementaryCube((0, 0), (1, 0)), 1),
-    ]
-    if boundary_faces(square) != expect_square:
-        failures.append(f"square boundary {boundary_faces(square)}")
+    box = Box((0, 0), (1, 1))
+    cells = canonical_cells(box)
+    cell_of = dict(zip(cell_texts(box, cells), cells.tolist()))
+    for name, text, expect in (
+        ("vertex", "2;0,0;00", []),
+        ("edge", "2;0,0;10", [("2;1,0;00", 1), ("2;0,0;00", -1)]),
+        ("square", "2;0,0;11",
+         [("2;1,0;01", 1), ("2;0,0;01", -1), ("2;0,1;10", -1), ("2;0,0;10", 1)]),
+    ):
+        cell = [cell_of[text]]
+        faces, signs = cell_faces(box, cell, cell_dims(box, cell)[0])
+        got = list(zip(cell_texts(box, faces[0]), signs.tolist()))
+        if got != expect:
+            failures.append(f"{name} boundary {got}")
 
     # the same expansion as a matrix column over the full square complex
-    box = Box((0, 0), (1, 1))
-    mat = boundary_matrix(box, canonical_cells(box), 2)
-    rows = cells_to_cubes(box, mat.row_cells)
+    mat = boundary_matrix(box, cells, 2)
+    rows = cell_texts(box, mat.row_cells)
     p = DEFAULT_FIELD.p
     signs = {rows[i]: 1 if v == 1 else (-1 if v == p - 1 else v)
              for i, v in mat.columns[0].items()}
-    expect_col = {
-        ElementaryCube((0, 0), (1, 0)): 1,
-        ElementaryCube((1, 0), (0, 1)): 1,
-        ElementaryCube((0, 1), (1, 0)): -1,
-        ElementaryCube((0, 0), (0, 1)): -1,
-    }
+    expect_col = {"2;0,0;10": 1, "2;1,0;01": 1, "2;0,1;10": -1, "2;0,0;01": -1}
     if signs != expect_col:
         failures.append(f"square matrix column {signs}")
 

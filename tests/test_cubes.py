@@ -26,9 +26,10 @@ from randcube.cubes import (
     cell_faces,
     cell_texts,
     cells_to_cubes,
-    cube_index,
     grid_shape,
 )
+
+from cube_grids import contains, cube_cells
 
 
 def cubes_of_dim(box: Box, q: int) -> list[ElementaryCube]:
@@ -161,10 +162,11 @@ def test_enumerate_d2_n1_examples():
 
 def test_cube_in_window_boundary_cases():
     n = 3
-    win = Window(n, 2)
-    assert win.box.contains_cube(ElementaryCube((n - 1, n), (1, 0)))
-    assert not win.box.contains_cube(ElementaryCube((n, 0), (1, 0)))
-    assert win.box.contains_cube(ElementaryCube((-n, -n), (0, 0)))
+    box = Window(n, 2).box
+    texts = set(cell_texts(box, canonical_cells(box)))
+    assert ElementaryCube((n - 1, n), (1, 0)).canonical() in texts
+    assert ElementaryCube((n, 0), (1, 0)).canonical() not in texts
+    assert ElementaryCube((-n, -n), (0, 0)).canonical() in texts
 
 
 def test_canonical_text_round_trip():
@@ -196,7 +198,7 @@ def test_enumerate_box_respects_bounds():
     box = Box((0, -1), (1, 1))
     for q in (0, 1, 2):
         for cube in cubes_of_dim(box, q):
-            assert box.contains_cube(cube)
+            assert contains(box, cube)
 
 
 @st.composite
@@ -266,7 +268,7 @@ def test_cube_cell_round_trip_property(boxes):
     box, _ = boxes
     shape = grid_shape(box)
     cubes = brute_force_cubes(box)
-    cells = [np.ravel_multi_index(cube_index(box, c), shape) for c in cubes]
+    cells = cube_cells(box, cubes).tolist()
     assert cells_to_cubes(box, cells) == cubes
     assert cell_dims(box, cells).tolist() == [c.dim for c in cubes]
     assert cells == canonical_cells(box).tolist()
@@ -293,7 +295,7 @@ def test_box_slice_selects_inner_cubes_property(boxes):
     sliced = outer_cells[box_slice(outer, inner)]
     assert sliced.shape == grid_shape(inner)
     got = cells_to_cubes(outer, sliced.ravel()[canonical_cells(inner)])
-    assert got == [c for c in brute_force_cubes(outer) if inner.contains_cube(c)]
+    assert got == [c for c in brute_force_cubes(outer) if contains(inner, c)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,9 +321,8 @@ def test_cell_faces_match_boundary_faces_property(boxes, seed):
                 assert cells_to_cubes(box, row) == [f for f, _ in expected]
                 assert signs.tolist() == [sign for _, sign in expected]
                 if box == inner:  # the view's flat indices reach the outer cells
-                    assert view.ravel()[row].tolist() == [
-                        np.ravel_multi_index(cube_index(outer, f), grid_shape(outer))
-                        for f, _ in expected]
+                    assert view.ravel()[row].tolist() == \
+                        cube_cells(outer, [f for f, _ in expected]).tolist()
     with pytest.raises(ValueError, match="not every cell"):
         cell_faces(outer, canonical_cells(outer)[:1], 1)  # the vertex at lo
 
@@ -335,7 +336,7 @@ def test_core_builds_no_cube(monkeypatch):
     def refuse(*args):
         raise AssertionError("cells_to_cubes called")
 
-    for module in (cubes, persistence, homology, verify):
+    for module in (cubes, persistence, homology):
         monkeypatch.setattr(module, "cells_to_cubes", refuse)
     f = verify.random_filtration(2, 2, 1)
     assert persistence.validate(f) is None
@@ -347,6 +348,46 @@ def test_core_builds_no_cube(monkeypatch):
     assert homology.boundary_matrix(f.region, cells, 1).shape[1] > 0
     assert homology.betti(f.region, cells)[0] >= 1
     assert verify.check_cube_counting(verify.SCALES["smoke"]).passed
+
+
+def test_boundary_examples_build_no_cube(monkeypatch):
+    """Criterion 1 states its worked examples on cells and canonical texts:
+    it passes with ``boundary_faces``, ``cells_to_cubes`` and the cube
+    constructor refusing, and ``verify`` imports none of them."""
+    from randcube import cubes, homology, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cube built")
+
+    assert not {"ElementaryCube", "boundary_faces", "cells_to_cubes"} & set(vars(verify))
+    for module in (cubes, homology):
+        monkeypatch.setattr(module, "cells_to_cubes", refuse)
+    monkeypatch.setattr(cubes, "boundary_faces", refuse)
+    monkeypatch.setattr(ElementaryCube, "__init__", refuse)
+    result = verify.check_boundary_examples(verify.SCALES["smoke"])
+    assert result.passed and result.checks == 4 and result.worst_margin == 0.0
+    assert result.detail == "worked 2d examples, signs exact"
+
+
+@pytest.mark.parametrize("where, failed", [
+    ("verify", ["edge boundary", "square boundary"]),
+    ("homology", ["square matrix column"]),
+])
+def test_boundary_examples_catch_flipped_signs(monkeypatch, where, failed):
+    """Criterion 1 fails when ``cell_faces`` negates its signs, in the face
+    lists of ``verify`` or in the boundary matrix of ``homology``."""
+    from randcube import homology, verify
+
+    def flipped(box, cells, q):
+        faces, signs = cell_faces(box, cells, q)
+        return faces, -signs
+
+    monkeypatch.setattr({"verify": verify, "homology": homology}[where],
+                        "cell_faces", flipped)
+    result = verify.check_boundary_examples(verify.SCALES["smoke"])
+    assert not result.passed and result.worst_margin < 0
+    names = ("vertex boundary", "edge boundary", "square boundary", "square matrix column")
+    assert [name for name in names if name in result.detail] == failed
 
 
 def test_dump_builds_no_cube(monkeypatch):

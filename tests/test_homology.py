@@ -25,24 +25,19 @@ from randcube.cubes import (
     cell_coordinates,
     cell_faces,
     cells_to_cubes,
-    cube_index,
     grid_shape,
 )
 from randcube.homology import reduce_columns
 from randcube.verify import random_face_closed_set
+
+from cube_grids import cube_cells
 
 SQUARE = ElementaryCube((0, 0), (1, 1))
 SQUARE_BOX = Box((0, 0), (1, 1))
 FULL_SQUARE = canonical_cells(SQUARE_BOX)
 
 
-def to_cells(box, cubes):
-    """Flat grid cells of these cubes of the box, in the order given."""
-    index = np.array([cube_index(box, c) for c in cubes], dtype=np.int64)
-    return np.ravel_multi_index(index.reshape(len(cubes), box.ambient_dim).T, grid_shape(box))
-
-
-HOLLOW_SQUARE = FULL_SQUARE[FULL_SQUARE != to_cells(SQUARE_BOX, [SQUARE])]
+HOLLOW_SQUARE = FULL_SQUARE[FULL_SQUARE != cube_cells(SQUARE_BOX, [SQUARE])]
 
 
 def random_face_closed(d, n, seed, p=0.4):
@@ -58,7 +53,7 @@ def random_face_closed(d, n, seed, p=0.4):
         if cube not in out:
             out.update(faces_contained_in(cube))
     cubes = sorted(out)
-    return cubes, box, to_cells(box, cubes)
+    return cubes, box, cube_cells(box, cubes)
 
 
 # --- field axioms, property-tested ------------------------------------------
@@ -131,7 +126,7 @@ def test_boundary_matrix_empty_column_list():
 
 
 def test_boundary_matrix_not_face_closed():
-    broken = FULL_SQUARE[FULL_SQUARE != to_cells(SQUARE_BOX, [ElementaryCube((0, 0), (0, 0))])]
+    broken = FULL_SQUARE[FULL_SQUARE != cube_cells(SQUARE_BOX, [ElementaryCube((0, 0), (0, 0))])]
     with pytest.raises(ValueError, match=r"not face-closed: 2;0,0;00 missing \(face of 2;0,0;01\)"):
         boundary_matrix(SQUARE_BOX, broken, 1)
 
@@ -169,7 +164,7 @@ def test_betti_worked_examples():
     assert full.dtype == np.int64 and full.tolist() == [1, 0, 0]
     assert betti(SQUARE_BOX, HOLLOW_SQUARE).tolist() == [1, 1, 0]
     line = Box((0,), (2,))
-    two_points = to_cells(line, [ElementaryCube((0,), (0,)), ElementaryCube((2,), (0,))])
+    two_points = cube_cells(line, [ElementaryCube((0,), (0,)), ElementaryCube((2,), (0,))])
     assert betti(line, two_points).tolist() == [2, 0]
 
 
@@ -305,7 +300,7 @@ def face_closed_sets(draw):
 @given(face_closed_sets(), st.sampled_from((DEFAULT_FIELD, RationalField(), PrimeField(2))))
 def test_cell_boundary_matrix_matches_cube_list_reference(case, field):
     box, cubes = case
-    cells = to_cells(box, cubes)
+    cells = cube_cells(box, cubes)
     d = box.ambient_dim
     ranks = {0: 0, d + 1: 0}
     for q in range(1, d + 1):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randcube import DistributionSpec, ModelSpec, limits
+from randcube import DistributionSpec, ModelSpec, limits, sample
 from randcube.limits import (
     GridFunction,
     bin_pair,
@@ -394,3 +394,20 @@ def test_gap_csv_schema():
     assert lines[0] == "kind,k,r,m,n,h,measured,bound,pass"
     assert lines[1].startswith("near_additivity,3,1,1,9,1,") \
         and lines[1].endswith(",true")
+
+
+def test_out_of_range_degree_raises_not_passes():
+    """A degree outside 0..d-1 raises on the diagram route, as on the rank
+    route, instead of giving a zero gap or an empty histogram."""
+    diagram = compute_diagram(sample(LOWER2, 2, 1))
+    for q in (-1, 2, 7):
+        with pytest.raises(ValueError, match=f"q={q} out of range for d=2"):
+            histogram(diagram, q, 2)
+        with pytest.raises(ValueError, match=f"q={q} out of range for d=2"):
+            piecewise_constant_integral(diagram, q, lambda s, t: 1.0, 2)
+    with pytest.raises(ValueError, match="q=7 out of range for d=2"):
+        regularity_gap(LOWER2, 7, [(0.3, 0.5)], 1, 3, seed=0)
+    with pytest.raises(ValueError, match="q=-1 out of range for d=2"):
+        near_additivity_gap(LOWER2, -1, [(0.3, 0.5)], 2, 1, 1, seed=0)
+    with pytest.raises(ValueError, match="q=5 out of range for d=2"):
+        estimate_mean_diagram(LOWER2, 5, 2, 2, 2, seed=0)

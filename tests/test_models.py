@@ -25,6 +25,8 @@ from randcube.cubes import all_cubes_box
 from randcube.models import _perturbed_points, restrict_box, sample_box
 from randcube.persistence import Filtration
 
+from cube_grids import filtration_from_births
+
 INF = math.inf
 UNI = DistributionSpec("uniform", (0.0, 1.0))
 
@@ -417,7 +419,7 @@ def test_parse_filtration_rejects_duplicate_cube_line():
 def test_nan_birth_is_rejected_not_dropped():
     cube = ElementaryCube((0, 0), (0, 0))
     with pytest.raises(ValueError, match="nan"):
-        Filtration(Window(1, 2), {cube: math.nan})
+        filtration_from_births(Window(1, 2), {cube: math.nan})
     with pytest.raises(ValueError, match="nan"):
         parse_filtration("# 2 1 - -\n2;0,0;00 nan\n")
 
@@ -433,9 +435,10 @@ def test_parse_filtration_rejects_never_born_cube_outside_window():
 
 def reference_parse_filtration(text):
     """The cube-keyed parser that the cell-indexed one replaced: every line
-    through ``ElementaryCube.from_canonical`` into a {cube: birth} dict, read
-    by the ``Filtration`` dict constructor.  Only the malformed-line message
-    is new; ``from_canonical`` is shared with the parser under test."""
+    through ``ElementaryCube.from_canonical`` into a {cube: birth} dict,
+    turned into a grid by ``filtration_from_births``.  Only the
+    malformed-line message is new; ``from_canonical`` is shared with the
+    parser under test."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     tokens = lines[0][1][1:].split()
@@ -454,7 +457,7 @@ def reference_parse_filtration(text):
         if cube in births:
             raise ValueError(f"duplicate cube line {ln!r}")
         births[cube] = float(tokens[1])
-    return Filtration(Window(n, d), births, meta)
+    return filtration_from_births(Window(n, d), births, meta)
 
 
 def _respell(cube_text, draw):

@@ -28,9 +28,11 @@ from randcube import (
     sublevel,
     validate,
 )
-from randcube.cubes import canonical_cells, cell_coordinates, cells_to_cubes
+from randcube.cubes import canonical_cells, cell_coordinates, cells_to_cubes, grid_shape
 from randcube.homology import reduce_columns
 from randcube.verify import BIRTH_GRID, random_filtration
+
+from cube_grids import filtration_from_births
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
@@ -39,7 +41,7 @@ SQUARE = ElementaryCube((0, 0), (1, 1))
 def hollow_square_then_fill() -> Filtration:
     """Edges and vertices of [0,1]^2 born at 1, the square itself at 2."""
     births = {c: (2.0 if c == SQUARE else 1.0) for c in faces_contained_in(SQUARE)}
-    return Filtration(Window(2, 2), births)
+    return filtration_from_births(Window(2, 2), births)
 
 
 # --- validation ----------------------------------------------------------------
@@ -49,14 +51,14 @@ def test_validate_ok_edge_after_endpoints():
     births = {edge: 1.0,
               ElementaryCube((0,), (0,)): 0.0,
               ElementaryCube((1,), (0,)): 0.0}
-    assert validate(Filtration(Window(1, 1), births)) is None
+    assert validate(filtration_from_births(Window(1, 1), births)) is None
 
 
 def test_validate_reports_first_violation():
     edge = ElementaryCube((0,), (1,))
     vertex = ElementaryCube((1,), (0,))
     births = {edge: 0.0, ElementaryCube((0,), (0,)): 0.0, vertex: 1.0}
-    violation = validate(Filtration(Window(1, 1), births))
+    violation = validate(filtration_from_births(Window(1, 1), births))
     assert violation == (vertex, edge)
 
 
@@ -68,19 +70,19 @@ def test_validate_builds_no_births_dict():
     assert f._births is None
 
 
+def never_born(window: Window) -> Filtration:
+    """The filtration of the window in which no cube is ever born."""
+    return Filtration(window, np.full(grid_shape(window.box), INF))
+
+
 def test_validate_empty_filtration():
-    assert validate(Filtration(Window(1, 2), {})) is None
+    assert validate(never_born(Window(1, 2))) is None
 
 
 def test_all_infinite_births_is_empty():
-    f = Filtration(Window(1, 1), {ElementaryCube((0,), (0,)): INF})
+    f = never_born(Window(1, 1))
     assert f.births == {}
     assert validate(f) is None
-
-
-def test_birth_outside_window_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        Filtration(Window(1, 1), {ElementaryCube((5,), (0,)): 0.0})
 
 
 # --- the birth grid ----------------------------------------------------------------
@@ -94,23 +96,11 @@ def test_births_dict_rebuilds_the_grid():
                       ModelSpec("perturbed_lattice", d, perturbation=law),
                       ModelSpec("ball_cover", d, perturbation=law, m_grid=2)):
             f = sample(model, 2, seed=40 + d)
-            g = Filtration(f.region, f.births)
+            g = filtration_from_births(f.region, f.births)
             assert g == f and np.array_equal(g.grid, f.grid)
             assert list(f.births) == sorted(f.births)
             if model.kind in ("lower", "upper"):
                 assert np.isinf(f.grid).any()
-
-
-def test_infinite_birth_outside_region_is_ignored():
-    inside = {ElementaryCube((0, 0), (0, 0)): 0.5}
-    reference = Filtration(Window(1, 2), inside)
-    # the first cube's grid index is (-2, -2), which numpy would wrap onto
-    # the cell of cube (1, 1) if it were written
-    outside = {ElementaryCube((-2, -2), (0, 0)): INF,
-               ElementaryCube((2, 2), (1, 1)): INF}
-    f = Filtration(Window(1, 2), {**inside, **outside})
-    assert np.array_equal(f.grid, reference.grid)
-    assert f.births == inside
 
 
 def reference_validate(filtration):
@@ -169,13 +159,13 @@ def test_diagram_hollow_square_then_fill():
 
 
 def test_diagram_of_empty_filtration():
-    diagram = compute_diagram(Filtration(Window(1, 2), {}))
+    diagram = compute_diagram(never_born(Window(1, 2)))
     assert diagram.pairs == {}
 
 
 def test_diagram_single_vertex():
     diagram = compute_diagram(
-        Filtration(Window(1, 2), {ElementaryCube((0, 0), (0, 0)): 0.0})
+        filtration_from_births(Window(1, 2), {ElementaryCube((0, 0), (0, 0)): 0.0})
     )
     assert diagram.degree(0) == [(0.0, INF)]
 
@@ -186,7 +176,7 @@ def test_diagram_rejects_invalid_filtration():
               ElementaryCube((0,), (0,)): 0.0,
               ElementaryCube((1,), (0,)): 1.0}
     with pytest.raises(ValueError, match="monotone"):
-        compute_diagram(Filtration(Window(1, 1), births))
+        compute_diagram(filtration_from_births(Window(1, 1), births))
 
 
 def test_diagram_matches_quadrant_oracle_on_grid():
@@ -351,7 +341,7 @@ def test_diagram_file_round_trip_bytes():
 
 
 def test_empty_diagram_file_is_header_only():
-    diagram = compute_diagram(Filtration(Window(1, 2), {}))
+    diagram = compute_diagram(never_born(Window(1, 2)))
     assert format_diagram(diagram) == "# 2 1 - -\n"
 
 
@@ -364,6 +354,35 @@ def test_parse_diagram_rejects_garbage():
     for line in ("0 1.0", "0 1.0 2.0 3.0"):
         with pytest.raises(ValueError, match=f"^malformed diagram line 3: '{line}'$"):
             parse_diagram(f"# 2 1 - -\n\n{line}\n0 1.0 inf\n")
+
+
+def test_parse_diagram_rejects_impossible_pairs():
+    # a degree outside 0..d-1 or a negative birth, named by its line number
+    for line, message in (("5 0.1 0.2", "degree 5 out of range for d=2"),
+                          ("2 0.1 0.2", "degree 2 out of range for d=2"),
+                          ("-1 -3.0 0.5", "degree -1 out of range for d=2"),
+                          ("1 -3.0 0.5", "negative birth"),
+                          ("0 -inf 0.5", "negative birth")):
+        with pytest.raises(ValueError, match=f"^{message} in diagram line 3: '{line}'$"):
+            parse_diagram(f"# 2 1 - -\n0 0.1 inf\n{line}\n")
+
+
+def test_degree_out_of_range_raises_on_every_diagram_query():
+    """``degree`` rejects q outside 0..d-1, so the mass queries raise as the
+    rank route does instead of counting an empty degree."""
+    f = random_filtration(2, 2, 5)
+    diagram = compute_diagram(f)
+    for q in (-1, 2, 7):
+        message = f"^q={q} out of range for d=2$"
+        with pytest.raises(ValueError, match=message):
+            diagram.degree(q)
+        with pytest.raises(ValueError, match=message):
+            quadrant_mass(diagram, q, 0.5, 0.8)
+        with pytest.raises(ValueError, match=message):
+            rectangle_mass(diagram, q, 0.2, 0.4, 0.6, 0.8)
+        with pytest.raises(ValueError, match=message):
+            persistent_betti_direct(f, q, 0.5, 0.8)
+    assert diagram.total_count(2) == 0  # the top degree is read as a count
 
 
 # --- array corners against a per-pair reference loop -------------------------------
@@ -393,7 +412,7 @@ def rectangle_reference(diagram, q, s1, s2, t1, t2):
 
 
 @settings(max_examples=200, deadline=None)
-@given(coarse_diagrams(), st.integers(0, 2), st.lists(COARSE, min_size=4, max_size=4))
+@given(coarse_diagrams(), st.integers(0, 1), st.lists(COARSE, min_size=4, max_size=4))
 def test_array_masses_match_per_pair_loop(diagram, q, corner):
     s1, s2, t1, t2 = sorted(corner)
     mass = quadrant_mass(diagram, q, s2, t1)

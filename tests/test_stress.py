@@ -4,9 +4,10 @@ and the window-ladder CSV path."""
 import json
 import math
 
+import numpy as np
+
 from randcube import (
     DistributionSpec,
-    ElementaryCube,
     Filtration,
     ModelSpec,
     Window,
@@ -17,7 +18,7 @@ from randcube import (
     validate,
 )
 from randcube.cli import main
-from randcube.cubes import all_cubes_box
+from randcube.cubes import grid_shape
 
 INF = math.inf
 UNI = DistributionSpec("uniform", (0.0, 1.0))
@@ -26,17 +27,16 @@ UNI = DistributionSpec("uniform", (0.0, 1.0))
 def test_everything_born_at_once():
     # the whole window appears at t = 0: one essential component, every other
     # pair has zero persistence and is discarded
-    births = {c: 0.0 for c in all_cubes_box(Window(2, 2).box)}
-    diagram = compute_diagram(Filtration(Window(2, 2), births))
+    grid = np.zeros(grid_shape(Window(2, 2).box))
+    diagram = compute_diagram(Filtration(Window(2, 2), grid))
     assert diagram.pairs == {0: [(0.0, INF)]}
 
 
 def test_two_ladder_levels_many_ties():
     # vertices at 0, everything else at 1: only component structure changes
-    births = {
-        c: (0.0 if c.dim == 0 else 1.0) for c in all_cubes_box(Window(2, 2).box)
-    }
-    filt = Filtration(Window(2, 2), births)
+    grid = np.ones(grid_shape(Window(2, 2).box))
+    grid[::2, ::2] = 0.0  # the vertices: even grid coordinates on both axes
+    filt = Filtration(Window(2, 2), grid)
     diagram = compute_diagram(filt)
     n_vertices = (2 * 2 + 1) ** 2
     # at time 0 every vertex is its own component; at 1 all but one die
