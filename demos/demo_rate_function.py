@@ -13,11 +13,7 @@ import os
 import numpy as np
 
 from randcube import DistributionSpec, ModelSpec
-from randcube.limits import (
-    estimate_log_mgf,
-    estimate_pb_density,
-    legendre_transform,
-)
+from randcube.limits import estimate_pb_density, legendre_transform, log_mgf
 
 jobs = min(4, os.cpu_count() or 1)
 uniform = DistributionSpec("uniform", (0.0, 1.0))
@@ -31,7 +27,7 @@ print(f"empirical density mean over {trials} trials: {xbar:.4f} "
       f"(std {float(est.std[0]):.4f})")
 
 lam = np.linspace(-60.0, 60.0, 241)
-phi = estimate_log_mgf(model, 0, pairs, [lam], n, trials, seed, jobs=jobs)
+phi = log_mgf(est, [lam])
 vals = phi.flat_values()
 print(f"phi_hat(0) = {float(vals[120])!r} (exactly zero by construction)")
 print(f"phi_hat(-60) = {float(vals[0]):.4f}, phi_hat(60) = {float(vals[-1]):.4f}")

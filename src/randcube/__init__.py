@@ -33,6 +33,7 @@ from .models import (
     restrict_box,
     sample,
     sample_box,
+    truncate,
 )
 from .persistence import (
     Filtration,

@@ -253,6 +253,10 @@ def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
         if len(config.q_list) != 1:
             raise ConfigError(f"estimate {which} takes a single q, got "
                               f"{config.q_list}")
+        if trials < 2:
+            raise ConfigError(f"estimate {which} needs trials >= 2")
+        if which == "rate" and config.x_axis is None:
+            raise ConfigError("estimate rate needs 'x_grid'")
         axes = [config.lambda_axis] * len(config.pairs)
         phi = estimate_log_mgf(model, config.q_list[0], config.pairs, axes,
                                config.n, trials, seed, jobs)
@@ -260,8 +264,6 @@ def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
             with open(out_dir / "mgf.csv", "w") as fp:
                 write_mgf_csv(fp, phi)
         else:
-            if config.x_axis is None:
-                raise ConfigError("estimate rate needs 'x_grid'")
             rate = legendre_transform(phi, [config.x_axis] * len(config.pairs))
             with open(out_dir / "rate.csv", "w") as fp:
                 write_rate_csv(fp, rate)

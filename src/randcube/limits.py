@@ -13,6 +13,15 @@ additivity) and from its largest aligned sub-window (regularity), and compare
 each sample against the corresponding deterministic bound
 3^d sqrt(h) (1 - (1 - r/k)^d)  resp.  3^d sqrt(h) (1 - ((2m+1)k/n)^d).
 A single measured > bound sample is a build-failing bug, not noise.
+
+A persistent Betti number beta_q^{s,t} reads only the cubes born by t, so
+the persistent-Betti estimators and the gap diagnostics reduce each window
+cut at T = the largest t they read (``models.truncate``); the cut diagram
+has the same quadrant masses at every corner with t <= T.  The histogram
+estimator never cuts: its overflow and infinite counts read the whole
+diagram.  Nor does anything outside the estimators (``cli diagram``, the
+k-triangle check, the rank route ``persistent_betti_direct``), so the two
+diagram routes stay independent oracles of the full filtration.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cubes import Window
-from .models import ModelSpec, block_window, restrict, restrict_box, sample
+from .models import ModelSpec, block_window, restrict_box, sample, truncate
 from .persistence import (
     PersistenceDiagram,
     compute_diagram,
@@ -134,7 +143,8 @@ def piecewise_constant_integral(
 
 def _pb_trial(args) -> np.ndarray:
     model, n, q, s, t, seed, trial = args
-    return quadrant_mass(compute_diagram(sample(model, n, seed, trial)), q, s, t)
+    filtration = truncate(sample(model, n, seed, trial), t.max(initial=0.0))
+    return quadrant_mass(compute_diagram(filtration), q, s, t)
 
 
 def _hist_trial(args):
@@ -396,6 +406,29 @@ class GridFunction:
         return self.values.reshape(-1)
 
 
+def log_mgf(pb: PBDensity, lambda_axes) -> GridFunction:
+    """Empirical volume-scaled log-moment-generating function of the
+    persistent-Betti tuple on a lambda grid, from the trials of ``pb``.
+
+    One common set of trials serves every lambda, which makes the estimate
+    exactly convex (up to float error) and ties its value at 0 to exactly 0;
+    each value is a stable log-sum-exp, so overflow cannot occur.
+    """
+    if pb.trials < 2:
+        raise ValueError("log-MGF estimation needs trials >= 2")
+    axes = tuple(np.asarray(a, dtype=np.float64) for a in lambda_axes)
+    if len(axes) != len(pb.pairs):
+        raise ValueError("need one lambda axis per (s, t) pair")
+    betas = pb.masses.astype(np.float64)  # (T, h)
+    grid = GridFunction(axes, np.zeros(tuple(len(a) for a in axes)))
+    lam = grid.points()  # (P, h)
+    dots = betas @ lam.T  # (T, P)
+    phi = (logsumexp(dots, axis=0) - math.log(pb.trials)) / pb.volume
+    meta = {"model": pb.model.kind, "n": pb.n, "trials": pb.trials,
+            "seed": pb.seed, "q": pb.q, "pairs": pb.pairs, "kind": "log_mgf"}
+    return GridFunction(axes, phi.reshape(grid.values.shape), meta)
+
+
 def estimate_log_mgf(
     model: ModelSpec,
     q: int,
@@ -406,28 +439,9 @@ def estimate_log_mgf(
     seed: int,
     jobs: int = 1,
 ) -> GridFunction:
-    """Empirical volume-scaled log-moment-generating function of the
-    persistent-Betti tuple on a lambda grid.
-
-    One common set of trials serves every lambda, which makes the estimate
-    exactly convex (up to float error) and ties its value at 0 to exactly 0;
-    each value is a stable log-sum-exp, so overflow cannot occur.
-    """
-    if trials < 2:
-        raise ValueError("log-MGF estimation needs trials >= 2")
-    pairs = tuple((float(s), float(t)) for s, t in pairs)
-    axes = tuple(np.asarray(a, dtype=np.float64) for a in lambda_axes)
-    if len(axes) != len(pairs):
-        raise ValueError("need one lambda axis per (s, t) pair")
-    est = estimate_pb_density(model, q, pairs, n, trials, seed, jobs)
-    betas = est.masses.astype(np.float64)  # (T, h)
-    grid = GridFunction(axes, np.zeros(tuple(len(a) for a in axes)))
-    lam = grid.points()  # (P, h)
-    dots = betas @ lam.T  # (T, P)
-    phi = (logsumexp(dots, axis=0) - math.log(trials)) / est.volume
-    meta = {"model": model.kind, "n": n, "trials": trials, "seed": seed,
-            "q": q, "pairs": pairs, "kind": "log_mgf"}
-    return GridFunction(axes, phi.reshape(grid.values.shape), meta)
+    """``log_mgf`` of a fresh ``estimate_pb_density`` pass."""
+    return log_mgf(estimate_pb_density(model, q, pairs, n, trials, seed, jobs),
+                   lambda_axes)
 
 
 def legendre_transform(phi: GridFunction, x_axes) -> GridFunction:
@@ -477,6 +491,74 @@ class GapReport:
         return self.measured <= self.bound
 
 
+def gap_reports(
+    model: ModelSpec,
+    q: int,
+    pairs,
+    seed: int,
+    near=(),
+    regular=(),
+    trial: int = 0,
+) -> list[GapReport]:
+    """The gap samples of one realization: a near-additivity report per
+    (k, r, m) in ``near``, then a regularity report per (k, n) in
+    ``regular`` (see ``near_additivity_gap`` and ``regularity_gap``).
+
+    Every spec is checked before any sampling.  The largest window is
+    sampled once and cut at the largest t; every window and block is carved
+    from it (carving equals sampling), and each distinct box is reduced once.
+    """
+    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
+    if not 0 <= q < model.d:
+        raise ValueError(f"q={q} out of range for d={model.d}")
+    for k, r, m in near:
+        if k <= r or r < 0:
+            raise ValueError("block construction requires 0 <= r < k")
+        if m < 0:
+            raise ValueError("m must be nonnegative")
+        if m >= 1 and 2 * r <= model.dependence_range:
+            # with a single block (m = 0) no independence between blocks is used
+            raise ValueError(
+                f"blocks not independent: 2r = {2 * r} <= R = {model.dependence_range}"
+            )
+    for k, n in regular:
+        if not 1 <= k <= n:
+            raise ValueError("regularity requires 1 <= k <= n")
+    radii = [(2 * m + 1) * k for k, _, m in near] + [n for _, n in regular]
+    if not radii:
+        return []
+    big = truncate(sample(model, max(radii), seed, trial), t.max(initial=0.0))
+    masses: dict = {}
+
+    def mass(box) -> np.ndarray:
+        if box not in masses:
+            diagram = compute_diagram(restrict_box(big, box))
+            masses[box] = quadrant_mass(diagram, q, s, t)
+        return masses[box]
+
+    d, h = model.d, len(pairs)
+    reports = []
+    for k, r, m in near:
+        big_n = (2 * m + 1) * k
+        window = Window(big_n, d)
+        s_blocks = sum(mass(block_window(k, r, z))
+                       for z in itertools.product(range(-m, m + 1), repeat=d))
+        measured = float(np.linalg.norm(mass(window.box) - s_blocks)) / window.volume
+        bound = 3 ** d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** d)
+        reports.append(GapReport("near_additivity", d, q, h, k, r, m, big_n,
+                                 seed, trial, measured, bound))
+    for k, n in regular:
+        m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
+        sub_n = (2 * m_n + 1) * k
+        window = Window(n, d)
+        gap = mass(window.box) - mass(Window(sub_n, d).box)
+        measured = float(np.linalg.norm(gap)) / window.volume
+        bound = 3 ** d * math.sqrt(h) * (1.0 - (sub_n / n) ** d)
+        reports.append(GapReport("regularity", d, q, h, k, 0, m_n, n,
+                                 seed, trial, measured, bound))
+    return reports
+
+
 def near_additivity_gap(
     model: ModelSpec,
     q: int,
@@ -490,28 +572,7 @@ def near_additivity_gap(
     """Gap between the big-window statistic on [-(2m+1)k, (2m+1)k]^d and the
     sum over its (2m+1)^d translated blocks carved from the same realization,
     against the bound 3^d sqrt(h) (1 - (1 - r/k)^d)."""
-    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
-    if k <= r or r < 0:
-        raise ValueError("block construction requires 0 <= r < k")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m >= 1 and 2 * r <= model.dependence_range:
-        # with a single block (m = 0) no independence between blocks is used
-        raise ValueError(
-            f"blocks not independent: 2r = {2 * r} <= R = {model.dependence_range}"
-        )
-    big_n = (2 * m + 1) * k
-    big = sample(model, big_n, seed, trial)
-    s_big = quadrant_mass(compute_diagram(big), q, s, t)
-    s_blocks = np.zeros(len(pairs), dtype=np.int64)
-    for z in itertools.product(range(-m, m + 1), repeat=model.d):
-        block = restrict_box(big, block_window(k, r, z))
-        s_blocks += quadrant_mass(compute_diagram(block), q, s, t)
-    measured = float(np.linalg.norm(s_big - s_blocks)) / Window(big_n, model.d).volume
-    h = len(pairs)
-    bound = 3 ** model.d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** model.d)
-    return GapReport("near_additivity", model.d, q, h, k, r, m, big_n,
-                     seed, trial, measured, bound)
+    return gap_reports(model, q, pairs, seed, near=((k, r, m),), trial=trial)[0]
 
 
 def regularity_gap(
@@ -526,19 +587,7 @@ def regularity_gap(
     """Gap between the window-n statistic and its largest aligned sub-window
     of radius (2m+1)k on the same realization, against the bound
     3^d sqrt(h) (1 - ((2m+1)k/n)^d)."""
-    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
-    if not 1 <= k <= n:
-        raise ValueError("regularity requires 1 <= k <= n")
-    m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
-    sub_n = (2 * m_n + 1) * k
-    big = sample(model, n, seed, trial)
-    s_n = quadrant_mass(compute_diagram(big), q, s, t)
-    s_sub = quadrant_mass(compute_diagram(restrict(big, sub_n)), q, s, t)
-    measured = float(np.linalg.norm(s_n - s_sub)) / Window(n, model.d).volume
-    h = len(pairs)
-    bound = 3 ** model.d * math.sqrt(h) * (1.0 - (sub_n / n) ** model.d)
-    return GapReport("regularity", model.d, q, h, k, 0, m_n, n,
-                     seed, trial, measured, bound)
+    return gap_reports(model, q, pairs, seed, regular=((k, n),), trial=trial)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,22 @@ def restrict(filtration: Filtration, m: int) -> Filtration:
     return out
 
 
+def truncate(filtration: Filtration, t_max: float) -> Filtration:
+    """The filtration cut at time t_max: cubes born after t_max are never
+    born.  Like ``restrict`` it is a grid operation that keeps the face
+    condition (a cube born by t_max has every face born by then) and the
+    metadata.
+
+    Column reduction pairs each column using only the columns before it in
+    (birth, dimension, canonical) order, so the cut diagram is exactly
+    {(b, d) : d <= t_max} together with {(b, inf) : b <= t_max < d} of the
+    full one: every quadrant mass with t <= t_max is unchanged.
+    """
+    grid = filtration.grid
+    return Filtration(filtration.region, np.where(grid <= t_max, grid, INF),
+                      filtration.meta)
+
+
 def block_window(k: int, r: int, z: tuple[int, ...]) -> Box:
     """The translated block 2kz + [-(k-r), k-r]^d."""
     base = Window(k - r, len(z)).box

@@ -31,11 +31,11 @@ from .homology import DEFAULT_FIELD, betti, boundary_matrix
 from .limits import (
     estimate_log_mgf,
     estimate_pb_density,
+    gap_reports,
     legendre_transform,
     lln_sweep,
-    near_additivity_gap,
+    log_mgf,
     ordered_map,
-    regularity_gap,
 )
 from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict
 from .persistence import (
@@ -379,34 +379,30 @@ GAP_PAIRS = {
 }
 
 
-def _gap_one(params) -> tuple[float, int]:
-    kind, mode, k, other, seed = params
+# the (k, r, m) near-additivity and (k, n) regularity samples per realization
+GAP_NEAR = tuple((k, 1, m) for k in (3, 4) for m in (1, 2))
+GAP_REGULAR = tuple((k, n) for k in (3, 4) for n in (7, 9))
+
+
+def _gap_one(params) -> list[float]:
+    """The margins (bound - measured) of one (model, seed) realization."""
+    kind, seed = params
     model = (_plattice_model(2) if kind == "perturbed_lattice"
              else _uniform_model(kind, 2))
-    pairs = GAP_PAIRS[kind]
-    if mode == "near":
-        report = near_additivity_gap(model, 0, pairs, k=k, r=1, m=other,
-                                     seed=seed)
-    else:
-        report = regularity_gap(model, 0, pairs, k=k, n=other, seed=seed)
-    return report.bound - report.measured, 1
+    reports = gap_reports(model, 0, GAP_PAIRS[kind], seed, near=GAP_NEAR,
+                          regular=GAP_REGULAR)
+    return [report.bound - report.measured for report in reports]
 
 
 def check_gap_bounds(scale: Scale, jobs: int = 1) -> CheckResult:
     t0 = time.time()
-    tasks = []
-    for seed_idx in range(scale.gap_seeds):
-        seed = CORPUS_SEED + 6000 + seed_idx
-        for kind in ("upper", "lower", "perturbed_lattice"):
-            for k in (3, 4):
-                for m in (1, 2):
-                    tasks.append((kind, "near", k, m, seed))
-                for n in (7, 9):
-                    tasks.append((kind, "reg", k, n, seed))
-    rows = ordered_map(_gap_one, tasks, jobs)
-    worst = min(r[0] for r in rows)
+    tasks = [(kind, CORPUS_SEED + 6000 + seed_idx)
+             for seed_idx in range(scale.gap_seeds)
+             for kind in ("upper", "lower", "perturbed_lattice")]
+    margins = [m for row in ordered_map(_gap_one, tasks, jobs) for m in row]
+    worst = min(margins)
     return CheckResult(
-        "gap_bounds", worst >= 0, len(rows), float(worst),
+        "gap_bounds", worst >= 0, len(margins), float(worst),
         f"near-additivity and regularity, {scale.gap_seeds} seeds x "
         "{upper, lower, perturbed_lattice} x parameter grid",
         time.time() - t0,
@@ -470,9 +466,7 @@ def check_rate_zero(scale: Scale, jobs: int = 1) -> CheckResult:
     est = estimate_pb_density(model, 0, pairs, n, scale.rate_trials,
                               RATE_SEED, jobs=jobs)
     xbar = float(est.mean[0])
-    phi = estimate_log_mgf(model, 0, pairs, [np.linspace(-60.0, 60.0, 241)],
-                           n=n, trials=scale.rate_trials, seed=RATE_SEED,
-                           jobs=jobs)
+    phi = log_mgf(est, [np.linspace(-60.0, 60.0, 241)])
     x_axis = np.linspace(0.0, 0.6, 61)
     rate = legendre_transform(phi, [x_axis])
     rv = rate.flat_values()

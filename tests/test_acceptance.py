@@ -4,7 +4,8 @@ promises, at the default verification scale.
 Each test prints its one-line pass/fail summary (visible with ``pytest -s``)
 and asserts the check passed.  ``randcube verify --scale default`` runs the
 same checks from the command line.  The smoke-scale pins at the end fix what
-the rank-route checks measure, so a faster path cannot change it unnoticed.
+the rank-route, gap, rate-zero and LLN checks measure, so a faster path
+cannot change it unnoticed.
 """
 
 import os
@@ -77,9 +78,18 @@ def test_criterion_10_determinism_across_jobs():
     run(check_determinism)
 
 
-@pytest.mark.parametrize("check, comparisons", [(check_k_triangle, 1500),
-                                                (check_inequalities, 5352),
-                                                (check_chain_complex, 25437)])
-def test_smoke_scale_comparisons_and_margins_are_pinned(check, comparisons):
+SMOKE_PINS = [
+    (check_k_triangle, 1500, 0.0),
+    (check_inequalities, 5352, 0.0),
+    (check_chain_complex, 25437, 0.0),
+    (check_gap_bounds, 120, 0.0),
+    (check_rate_zero, 61, 0.005182291666666663),
+    (check_lln_drift, 3, 0.0018426271562384938),
+]
+
+
+@pytest.mark.parametrize("check, comparisons, margin", SMOKE_PINS,
+                         ids=[f"{c.__name__}-{n}" for c, n, _ in SMOKE_PINS])
+def test_smoke_scale_comparisons_and_margins_are_pinned(check, comparisons, margin):
     result = check(SCALES["smoke"], 1)
-    assert (result.passed, result.checks, result.worst_margin) == (True, comparisons, 0.0)
+    assert (result.passed, result.checks, result.worst_margin) == (True, comparisons, margin)

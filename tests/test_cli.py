@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from randcube import limits
 from randcube.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_VIOLATION,
@@ -249,3 +250,27 @@ def test_smoke_verify_report_has_no_negative_zero(tmp_path, capsys):
                  "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
     assert "-0.0" not in (tmp_path / "verify_report.json").read_text()
+
+
+@pytest.mark.parametrize("which, overrides, drop, message", [
+    ("mgf", {"trials": 1}, None, "needs trials >= 2"),
+    ("rate", {"trials": 1}, None, "needs trials >= 2"),
+    ("rate", {}, "x_grid", "needs 'x_grid'"),
+])
+def test_estimate_ldp_config_faults_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, which, overrides, drop, message):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw.update(overrides)
+    raw.pop(drop, None)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", which, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / f"{which}.csv").exists()

@@ -1,10 +1,12 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from randcube import DistributionSpec, ModelSpec, limits, sample
+from randcube import (DistributionSpec, ModelSpec, Window, block_window, limits,
+                      sample, sample_box, verify)
 from randcube.limits import (
     GridFunction,
     bin_pair,
@@ -12,9 +14,11 @@ from randcube.limits import (
     estimate_log_mgf,
     estimate_mean_diagram,
     estimate_pb_density,
+    gap_reports,
     histogram,
     legendre_transform,
     lln_sweep,
+    log_mgf,
     near_additivity_gap,
     piecewise_constant_integral,
     rectangle_bounds,
@@ -26,7 +30,7 @@ from randcube.limits import (
     write_pb_csv,
     write_rate_csv,
 )
-from randcube.persistence import PersistenceDiagram, compute_diagram
+from randcube.persistence import PersistenceDiagram, compute_diagram, quadrant_mass
 
 INF = math.inf
 UNI = DistributionSpec("uniform", (0.0, 1.0))
@@ -272,6 +276,19 @@ def test_mgf_needs_two_trials_and_matching_axes():
         estimate_log_mgf(LOWER2, 0, [(0.5, 0.5)], [np.array([0.0])] * 2, 2, 3, 1)
 
 
+def test_log_mgf_of_a_given_pb_pass():
+    """phi(lambda) = log mean exp(lambda * beta) / volume over the pass's own
+    trials, with no new sampling."""
+    est = limits.PBDensity(LOWER2, 0, ((0.5, 0.5),), 1, 2, 0, np.array([[0], [1]]))
+    lam = np.array([-1.0, 0.0, 2.0])
+    phi = log_mgf(est, [lam])
+    assert np.allclose(phi.values, np.log((1 + np.exp(lam)) / 2) / 4, rtol=1e-15)
+    assert phi.meta == {"model": "lower", "n": 1, "trials": 2, "seed": 0, "q": 0,
+                        "pairs": ((0.5, 0.5),), "kind": "log_mgf"}
+    with pytest.raises(ValueError, match="one lambda axis per"):
+        log_mgf(est, [lam, lam])
+
+
 def test_legendre_of_grid_linear_function():
     lam = np.linspace(-2.0, 2.0, 21)
     a = 0.7
@@ -350,6 +367,100 @@ def test_regularity_gap_bound_value():
 def test_regularity_many_seeds():
     for seed in range(10):
         assert regularity_gap(UPPER2, 0, [(0.3, 0.6)], k=3, n=7, seed=seed).passed
+
+
+LAW = DistributionSpec("uniform", (-0.25, 0.25))
+# (model, q, pairs, near (k, r, m), regular (k, n)); ball_cover has R = 4,
+# so independent blocks need r >= 3 and k >= 4
+GAP_CASES = [
+    pytest.param(model, q, *case, id=f"{model.kind}-d{d}")
+    for d, q in ((2, 0), (3, 1))
+    for model, *case in (
+        (ModelSpec("lower", d, marks=(UNI,) * (d + 1)),
+         ((0.3, 0.6), (0.5, 0.8)), ((3, 1, 1), (2, 1, 0)), ((2, 5), (3, 7))),
+        (ModelSpec("upper", d, marks=(UNI,) * (d + 1)),
+         ((0.3, 0.6), (0.5, 0.8)), ((3, 1, 1),), ((2, 5), (3, 9))),
+        (ModelSpec("perturbed_lattice", d, perturbation=LAW),
+         ((1.0, 1.2), (0.9, 1.1)), ((3, 1, 1),), ((2, 5), (3, 7))),
+        (ModelSpec("ball_cover", d, perturbation=LAW, m_grid=3),
+         ((0.3, 0.5), (0.4, 0.6)), ((4, 3, 1),), ((4, 9), (2, 5))),
+    )
+]
+
+
+def fresh_gap_measurements(model, q, pairs, seed, near, regular):
+    """Reference: every window and block sampled on its own and reduced
+    whole, with no cut and no sharing."""
+    s, t = np.array(pairs).T
+
+    def mass(filtration):
+        return quadrant_mass(compute_diagram(filtration), q, s, t)
+
+    measured = []
+    for k, r, m in near:
+        big_n = (2 * m + 1) * k
+        blocks = sum(mass(sample_box(model, block_window(k, r, z), seed))
+                     for z in itertools.product(range(-m, m + 1), repeat=model.d))
+        gap = mass(sample(model, big_n, seed)) - blocks
+        measured.append(float(np.linalg.norm(gap)) / Window(big_n, model.d).volume)
+    for k, n in regular:
+        sub_n = (2 * ((n - k) // (2 * k)) + 1) * k
+        gap = mass(sample(model, n, seed)) - mass(sample(model, sub_n, seed))
+        measured.append(float(np.linalg.norm(gap)) / Window(n, model.d).volume)
+    return measured
+
+
+@pytest.mark.parametrize("model, q, pairs, near, regular", GAP_CASES)
+def test_gap_reports_equal_fresh_uncut_samples(model, q, pairs, near, regular):
+    reports = gap_reports(model, q, pairs, 31, near=near, regular=regular)
+    assert [g.kind for g in reports] == (["near_additivity"] * len(near)
+                                         + ["regularity"] * len(regular))
+    assert [g.measured for g in reports] == fresh_gap_measurements(
+        model, q, pairs, 31, near, regular)
+    assert all(g.passed for g in reports)
+
+
+def test_gap_reports_match_single_report_functions():
+    near, regular = ((3, 1, 1), (2, 1, 2)), ((3, 7), (2, 6))
+    reports = gap_reports(UPPER2, 0, [(0.3, 0.6)], 5, near=near, regular=regular)
+    singles = ([near_additivity_gap(UPPER2, 0, [(0.3, 0.6)], k, r, m, seed=5)
+                for k, r, m in near]
+               + [regularity_gap(UPPER2, 0, [(0.3, 0.6)], k, n, seed=5)
+                  for k, n in regular])
+    assert reports == singles
+    assert gap_reports(UPPER2, 0, [(0.3, 0.6)], 5) == []
+
+
+def test_gap_reports_check_every_spec_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    with pytest.raises(ValueError, match="not independent"):
+        gap_reports(UPPER2, 0, [(0.3, 0.6)], 0, near=((3, 1, 1), (3, 0, 1)))
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        gap_reports(UPPER2, 0, [(0.3, 0.6)], 0, near=((3, 1, 1),),
+                    regular=((4, 3),))
+    with pytest.raises(ValueError, match="q=2 out of range for d=2"):
+        gap_reports(UPPER2, 2, [(0.3, 0.6)], 0, regular=((3, 7),))
+
+
+def test_gap_task_reduces_each_distinct_box_once(monkeypatch):
+    regions = []
+
+    def counted(filtration, *args, **kwargs):
+        regions.append(filtration.region)
+        return compute_diagram(filtration, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "compute_diagram", counted)
+    margins = verify._gap_one(("lower", verify.CORPUS_SEED + 6000))
+    assert len(margins) == len(verify.GAP_NEAR) + len(verify.GAP_REGULAR) == 8
+    windows = {Window(n, 2).box for n in (20, 15, 12, 9, 7, 4, 3)}
+    blocks = {block_window(k, 1, z) for k in (3, 4)
+              for z in itertools.product(range(-2, 3), repeat=2)}
+    # the central k = 4 block is the window [-3, 3]^2
+    assert len(regions) == len(set(regions)) == len(windows | blocks) == 56
+    assert set(regions) == windows | blocks
 
 
 # --- csv output --------------------------------------------------------------------------------
