@@ -52,6 +52,13 @@ class ConfigError(Exception):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; a float or a bool is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_distribution(spec: dict) -> DistributionSpec:
     try:
         return DistributionSpec(
@@ -66,7 +73,7 @@ def _parse_distribution(spec: dict) -> DistributionSpec:
 def _parse_model(spec: dict) -> ModelSpec:
     if not isinstance(spec, dict) or "kind" not in spec or "d" not in spec:
         raise ConfigError("model must be an object with 'kind' and 'd'")
-    kind, d = spec["kind"], int(spec["d"])
+    kind, d = spec["kind"], _integer(spec["d"], "model d")
     marks: tuple[DistributionSpec, ...] = ()
     perturbation = None
     if kind in ("upper", "lower"):
@@ -80,7 +87,7 @@ def _parse_model(spec: dict) -> ModelSpec:
     elif "perturbation" in spec:
         perturbation = _parse_distribution(spec["perturbation"])
     return ModelSpec(kind, d, marks=marks, perturbation=perturbation,
-                     m_grid=int(spec.get("m_grid", 4)))
+                     m_grid=_integer(spec.get("m_grid", 4), "model m_grid"))
 
 
 def _parse_axis(grid: dict, name: str) -> np.ndarray:
@@ -89,7 +96,7 @@ def _parse_axis(grid: dict, name: str) -> np.ndarray:
     else:
         try:
             axis = np.linspace(float(grid["min"]), float(grid["max"]),
-                               int(grid["points"]))
+                               _integer(grid["points"], f"{name} points"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name} needs 'axis' or min/max/points") from exc
     if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
@@ -132,24 +139,26 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     model = _parse_model(raw.get("model", {}))
 
     q_raw = raw.get("q", 0)
-    q_list = [int(q) for q in (q_raw if isinstance(q_raw, list) else [q_raw])]
+    q_list = [_integer(q, "q")
+              for q in (q_raw if isinstance(q_raw, list) else [q_raw])]
     for q in q_list:
         if not 0 <= q < model.d:
             raise ConfigError(f"q={q} out of range for d={model.d}")
 
     if "n" not in raw and "n_list" not in raw:
         raise ConfigError("config needs 'n' (window radius) or 'n_list'")
-    n_list = [int(v) for v in raw.get("n_list", [])] or [int(raw["n"])]
+    n_list = ([_integer(v, "n_list entry") for v in raw.get("n_list", [])]
+              or [_integer(raw["n"], "n")])
     if any(v < 1 for v in n_list):
         raise ConfigError("window radii must be >= 1")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-    n = int(raw.get("n", n_list[-1]))
+    n = _integer(raw.get("n", n_list[-1]), "n")
 
-    trials = int(raw.get("trials", 1))
+    trials = _integer(raw.get("trials", 1), "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
 
     pairs = tuple(
         (float(p[0]), float(p[1])) for p in raw.get("pairs", [])
@@ -158,7 +167,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         if not 0 <= s <= t < np.inf:
             raise ConfigError(f"pair ({s}, {t}) violates 0 <= s <= t < inf")
 
-    fineness = int(raw.get("fineness", 2))
+    fineness = _integer(raw.get("fineness", 2), "fineness")
     if fineness < 1:
         raise ConfigError("fineness must be >= 1")
 
@@ -226,9 +235,11 @@ def cmd_diagram(config: ExperimentConfig | None, filtration_path: str | None,
     return EXIT_OK
 
 
-def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
-                      jobs: int) -> None:
+def run_estimate(config: ExperimentConfig, which: str, out_dir: Path,
+                 jobs: int) -> None:
+    """Write the ``which`` estimate's CSVs for a parsed config to out_dir."""
     model, seed, trials = config.model, config.seed, config.trials
+    out_dir.mkdir(parents=True, exist_ok=True)
     if which == "pb":
         if not config.pairs:
             raise ConfigError("estimate pb needs 'pairs'")
@@ -269,22 +280,6 @@ def _estimate_outputs(config: ExperimentConfig, which: str, out_dir: Path,
                 write_rate_csv(fp, rate)
     else:
         raise ConfigError(f"unknown estimate target {which!r}")
-
-
-def run_estimate(raw_config: dict, which: str, out_dir, jobs: int = 1) -> None:
-    """Programmatic entry point used by the determinism check."""
-    config = parse_config(raw_config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _estimate_outputs(config, which, out_dir, jobs)
-
-
-def cmd_estimate(config: ExperimentConfig, which: str, out_dir: Path,
-                 jobs: int) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _estimate_outputs(config, which, out_dir, jobs)
-    print(f"wrote {which} estimate to {out_dir}")
-    return EXIT_OK
 
 
 def cmd_verify(scale: str, jobs: int, out_dir: Path) -> int:
@@ -364,8 +359,10 @@ def main(argv=None) -> int:
                                _resolve_out(args.out, config))
         if args.command == "estimate":
             config = load_config(args.config)
-            return cmd_estimate(config, args.which,
-                                _resolve_out(args.out, config), args.jobs)
+            out_dir = _resolve_out(args.out, config)
+            run_estimate(config, args.which, out_dir, args.jobs)
+            print(f"wrote {args.which} estimate to {out_dir}")
+            return EXIT_OK
         if args.command == "verify":
             return cmd_verify(args.scale, args.jobs, Path(args.out))
     except ConfigError as exc:

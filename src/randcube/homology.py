@@ -4,8 +4,10 @@ Homology is computed over GF(p) with p = 2^31 - 1 by default.  Betti numbers
 over a prime field match the real-coefficient ones unless the complex has
 p-torsion, which cannot occur at the sizes handled here; an exact-rational
 mode is provided for cross-checks on small instances.  GF(2) is available as
-an explicitly requested fast mode only (2-torsion may diverge from the
-real-coefficient answer for d >= 4).
+an explicitly requested fast mode only: because of 2-torsion its Betti
+numbers may diverge from the real-coefficient ones for d >= 4, and its
+persistence diagrams already at d = 3 (a cubical Moebius band filtered after
+its boundary circle gives one bar over Q or GF(p), two bars over GF(2)).
 
 Matrices are stored column-major as dicts {row_index: coefficient}; the
 elimination engine pivots on the lowest nonzero entry of a column (the

@@ -256,10 +256,6 @@ class MeanDiagram:
     def volume(self) -> float:
         return Window(self.n, self.model.d).volume
 
-    def normalized(self) -> dict[tuple[int, int], float]:
-        vol = self.volume
-        return {key: c / vol for key, c in self.mean_counts.items()}
-
 
 def estimate_mean_diagram(
     model: ModelSpec,
@@ -277,6 +273,10 @@ def estimate_mean_diagram(
         raise ValueError("trials must be >= 1")
     if n < 1:
         raise ValueError("window radius must be >= 1 (volume normalization)")
+    if not 0 <= q < model.d:
+        raise ValueError(f"q={q} out of range for d={model.d}")
+    if l < 1:
+        raise ValueError("fineness l must be >= 1")
     grid_pairs = dyadic_grid_pairs(l)
     s, t = np.array(grid_pairs).T
     args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
@@ -319,54 +319,28 @@ def estimate_mean_diagram(
 def lln_sweep(
     model: ModelSpec,
     q: int,
-    pairs=None,
-    n_list=(),
+    pairs,
+    n_list,
     trials: int = 1,
     seed: int = 0,
     jobs: int = 1,
-    l: int | None = None,
 ) -> list[dict]:
-    """Convergence table across a window ladder.
-
-    With ``pairs``: per (n, pair) the mean and sample standard deviation of
-    the volume-scaled quadrant mass.  With a fineness ``l`` instead: per n
-    the volume-scaled mean histogram and its L1 distance to the previous
-    rung's (drift of the discretized mean diagram).
-    """
+    """Convergence table across a window ladder: per (n, pair) the mean and
+    sample standard deviation of the volume-scaled quadrant mass."""
     n_list = list(n_list)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
-    if (pairs is None) == (l is None):
-        raise ValueError("pass exactly one of pairs or fineness l")
     rows = []
-    if pairs is not None:
-        for n in n_list:
-            est = estimate_pb_density(model, q, pairs, n, trials, seed, jobs)
-            for idx, (s, t) in enumerate(est.pairs):
-                rows.append({
-                    "n": n,
-                    "s": s,
-                    "t": t,
-                    "mean": float(est.mean[idx]),
-                    "std": float(est.std[idx]),
-                })
-        return rows
-    prev: dict[tuple[int, int], float] | None = None
     for n in n_list:
-        result = estimate_mean_diagram(model, q, n, trials, l, seed, jobs)
-        normalized = result.normalized()
-        row = {
-            "n": n,
-            "binned_density": sum(normalized.values()),
-            "infinite_density": result.mean_infinite / result.volume,
-        }
-        if prev is not None:
-            keys = set(prev) | set(normalized)
-            row["hist_distance_prev"] = sum(
-                abs(normalized.get(k, 0.0) - prev.get(k, 0.0)) for k in sorted(keys)
-            )
-        rows.append(row)
-        prev = normalized
+        est = estimate_pb_density(model, q, pairs, n, trials, seed, jobs)
+        for idx, (s, t) in enumerate(est.pairs):
+            rows.append({
+                "n": n,
+                "s": s,
+                "t": t,
+                "mean": float(est.mean[idx]),
+                "std": float(est.std[idx]),
+            })
     return rows
 
 
@@ -482,7 +456,6 @@ class GapReport:
     m: int
     n: int  # big-window radius
     seed: int
-    trial: int
     measured: float
     bound: float
 
@@ -498,11 +471,17 @@ def gap_reports(
     seed: int,
     near=(),
     regular=(),
-    trial: int = 0,
 ) -> list[GapReport]:
-    """The gap samples of one realization: a near-additivity report per
-    (k, r, m) in ``near``, then a regularity report per (k, n) in
-    ``regular`` (see ``near_additivity_gap`` and ``regularity_gap``).
+    """The gap samples of one realization (trial 0 of ``seed``), h = len(pairs):
+
+    - per (k, r, m) in ``near``, near additivity: the norm of the statistic
+      on the big window [-(2m+1)k, (2m+1)k]^d minus the sum over its
+      (2m+1)^d translated blocks, per unit volume, against the bound
+      3^d sqrt(h) (1 - (1 - r/k)^d);
+    - then per (k, n) in ``regular``, regularity: the norm of the window-n
+      statistic minus that of its largest aligned sub-window of radius
+      (2m+1)k <= n, per unit volume, against the bound
+      3^d sqrt(h) (1 - ((2m+1)k/n)^d).
 
     Every spec is checked before any sampling.  The largest window is
     sampled once and cut at the largest t; every window and block is carved
@@ -527,7 +506,7 @@ def gap_reports(
     radii = [(2 * m + 1) * k for k, _, m in near] + [n for _, n in regular]
     if not radii:
         return []
-    big = truncate(sample(model, max(radii), seed, trial), t.max(initial=0.0))
+    big = truncate(sample(model, max(radii), seed), t.max(initial=0.0))
     masses: dict = {}
 
     def mass(box) -> np.ndarray:
@@ -546,7 +525,7 @@ def gap_reports(
         measured = float(np.linalg.norm(mass(window.box) - s_blocks)) / window.volume
         bound = 3 ** d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** d)
         reports.append(GapReport("near_additivity", d, q, h, k, r, m, big_n,
-                                 seed, trial, measured, bound))
+                                 seed, measured, bound))
     for k, n in regular:
         m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
         sub_n = (2 * m_n + 1) * k
@@ -555,39 +534,8 @@ def gap_reports(
         measured = float(np.linalg.norm(gap)) / window.volume
         bound = 3 ** d * math.sqrt(h) * (1.0 - (sub_n / n) ** d)
         reports.append(GapReport("regularity", d, q, h, k, 0, m_n, n,
-                                 seed, trial, measured, bound))
+                                 seed, measured, bound))
     return reports
-
-
-def near_additivity_gap(
-    model: ModelSpec,
-    q: int,
-    pairs,
-    k: int,
-    r: int,
-    m: int,
-    seed: int,
-    trial: int = 0,
-) -> GapReport:
-    """Gap between the big-window statistic on [-(2m+1)k, (2m+1)k]^d and the
-    sum over its (2m+1)^d translated blocks carved from the same realization,
-    against the bound 3^d sqrt(h) (1 - (1 - r/k)^d)."""
-    return gap_reports(model, q, pairs, seed, near=((k, r, m),), trial=trial)[0]
-
-
-def regularity_gap(
-    model: ModelSpec,
-    q: int,
-    pairs,
-    k: int,
-    n: int,
-    seed: int,
-    trial: int = 0,
-) -> GapReport:
-    """Gap between the window-n statistic and its largest aligned sub-window
-    of radius (2m+1)k on the same realization, against the bound
-    3^d sqrt(h) (1 - ((2m+1)k/n)^d)."""
-    return gap_reports(model, q, pairs, seed, regular=((k, n),), trial=trial)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,9 @@ class DistributionSpec:
         u = np.asarray(u, dtype=np.float64)
         out = np.empty_like(u)
         never = u >= 1.0 - self.p_inf if self.p_inf > 0 else np.zeros(u.shape, bool)
-        v = u if self.p_inf == 0 else np.where(never, 0.0, u / (1.0 - self.p_inf))
+        # the defect mass is never divided (with p_inf = 1 it would be 0/0)
+        v = u if self.p_inf == 0 else np.divide(u, 1.0 - self.p_inf,
+                                                out=np.zeros_like(u), where=~never)
         if self.family == "point_mass":
             out[...] = self.params[0]
         elif self.family == "uniform":
@@ -402,15 +404,19 @@ def parse_filtration(text: str) -> Filtration:
         if len(tokens) != 2:
             raise ValueError(f"malformed filtration line {number}: {ln!r}")
         cube_text, birth_text = tokens
-        cell = index.get(cube_text)
-        if cell is None:  # another spelling, or not a window cube
-            cube = ElementaryCube.from_canonical(cube_text).canonical()
-            cell = index.get(cube)
-            if cell is None:
-                kind = "never-born" if float(birth_text) == INF else "finite-birth"
-                raise ValueError(f"{kind} cube {cube} lies outside the region")
+        try:
+            birth = float(birth_text)
+            cell = index.get(cube_text)
+            if cell is None:  # another spelling, or not a window cube
+                cube = ElementaryCube.from_canonical(cube_text).canonical()
+                cell = index.get(cube)
+        except ValueError as exc:
+            raise ValueError(f"malformed filtration line {number}: {ln!r} ({exc})") from None
+        if cell is None:
+            kind = "never-born" if birth == INF else "finite-birth"
+            raise ValueError(f"{kind} cube {cube} lies outside the region")
         if seen[cell]:
             raise ValueError(f"duplicate cube line {ln!r}")
         seen[cell] = True
-        grid[cell] = float(birth_text)
+        grid[cell] = birth
     return Filtration(box, grid.reshape(grid_shape(box)), meta)

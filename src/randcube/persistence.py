@@ -369,14 +369,17 @@ def parse_diagram(text: str) -> PersistenceDiagram:
         tokens = ln.split()
         if len(tokens) != 3:
             raise ValueError(f"malformed diagram line {number}: {ln!r}")
-        q, b = int(tokens[0]), float(tokens[1])
-        dth = INF if tokens[2] == "inf" else float(tokens[2])
+        try:
+            q, b, dth = int(tokens[0]), float(tokens[1]), float(tokens[2])
+        except ValueError as exc:
+            raise ValueError(f"malformed diagram line {number}: {ln!r} ({exc})") from None
         if not 0 <= q < d:
             raise ValueError(f"degree {q} out of range for d={d} in diagram line "
                              f"{number}: {ln!r}")
         if b < 0:
             raise ValueError(f"negative birth in diagram line {number}: {ln!r}")
         if not b < dth:
-            raise ValueError(f"pair with birth >= death in line {ln!r}")
+            raise ValueError(f"pair with birth >= death in diagram line {number}: "
+                             f"{ln!r}")
         pairs.setdefault(q, []).append((b, dth))
     return PersistenceDiagram(d, pairs, meta)

@@ -516,10 +516,10 @@ def check_determinism(scale: Scale, jobs: int = 1) -> CheckResult:
     import tempfile
     from pathlib import Path
 
-    from .cli import run_estimate
+    from .cli import parse_config, run_estimate
 
     t0 = time.time()
-    config = {
+    config = parse_config({
         "schema_version": 1,
         "model": {
             "kind": "lower",
@@ -534,7 +534,7 @@ def check_determinism(scale: Scale, jobs: int = 1) -> CheckResult:
         "fineness": 2,
         "lambda_grid": {"min": -10.0, "max": 10.0, "points": 21},
         "x_grid": {"min": 0.0, "max": 0.6, "points": 31},
-    }
+    })
     outputs = {}
     many = max(2, jobs)  # a pool of at least two workers against one process
     with tempfile.TemporaryDirectory() as tmp:

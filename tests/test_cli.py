@@ -144,7 +144,8 @@ def test_diagram_rejects_faulty_dump_exits_3(tmp_path, capsys, fault):
     assert not (tmp_path / "faulty.diagram.txt").exists()
 
 
-@pytest.mark.parametrize("line", ["2;0,0;10", "2;0,0;10 0.7 0.8"])
+@pytest.mark.parametrize("line", ["2;0,0;10", "2;0,0;10 0.7 0.8", "2;0,0;10 abc",
+                                  "2;0,x;10 0.7"])
 def test_diagram_names_malformed_dump_line_exits_3(tmp_path, capsys, line):
     filt_path = tmp_path / "faulty.txt"
     filt_path.write_text(f"# 2 1 - -\n2;0,0;00 0.5\n\n{line}\n")
@@ -236,11 +237,11 @@ def test_estimate_pb_deterministic_model_zero_std(tmp_path, capsys):
 
 
 def test_run_estimate_matches_across_jobs(tmp_path):
-    raw = json.loads(json.dumps(BASE_CONFIG))
+    config = parse_config(json.loads(json.dumps(BASE_CONFIG)))
     out1, out2 = tmp_path / "j1", tmp_path / "j2"
     for which in ("pb", "mgf"):
-        run_estimate(raw, which, out1, jobs=1)
-        run_estimate(raw, which, out2, jobs=2)
+        run_estimate(config, which, out1, jobs=1)
+        run_estimate(config, which, out2, jobs=2)
     for f in out1.iterdir():
         assert (out2 / f.name).read_bytes() == f.read_bytes()
 
@@ -274,3 +275,34 @@ def test_estimate_ldp_config_faults_exit_2_before_sampling(
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (out / f"{which}.csv").exists()
+
+
+@pytest.mark.parametrize("field, overrides, model", [
+    ("n", {"n": 2.7}, {}),
+    ("n", {"n": True}, {}),
+    ("n_list entry", {"n_list": [1, 2.0]}, {}),
+    ("trials", {"trials": 3.9}, {}),
+    ("q", {"q": 0.9}, {}),
+    ("q", {"q": [0, 1.0]}, {}),
+    ("seed", {"seed": 1.5}, {}),
+    ("fineness", {"fineness": 2.5}, {}),
+    ("model d", {}, {"d": 2.5}),
+    ("model m_grid", {}, {"m_grid": 4.0}),
+    ("lambda_grid points", {"lambda_grid": {"min": -1.0, "max": 1.0,
+                                            "points": 3.0}}, {}),
+    ("x_grid points", {"x_grid": {"min": 0.0, "max": 1.0, "points": True}}, {}),
+], ids=["n", "n-bool", "n_list", "trials", "q", "q-list", "seed", "fineness",
+        "d", "m_grid", "lambda-points", "x-points-bool"])
+def test_non_integer_config_field_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, field, overrides, model):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    cfg, _ = write_config(tmp_path, overrides=overrides, **model)
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", "pb", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"{field} must be an integer" in err and "Traceback" not in err
+    assert not out.exists()

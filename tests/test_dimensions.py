@@ -18,9 +18,8 @@ from randcube import (
 from randcube.limits import (
     estimate_log_mgf,
     estimate_pb_density,
+    gap_reports,
     legendre_transform,
-    near_additivity_gap,
-    regularity_gap,
 )
 
 UNI = DistributionSpec("uniform", (0.0, 1.0))
@@ -40,9 +39,9 @@ def test_line_full_pipeline():
             persistent_betti_direct(filt, 0, s, t)
     est = estimate_pb_density(model, 0, [(0.5, 0.5)], 10, trials=5, seed=3)
     assert np.all(est.densities >= 0)
-    report = near_additivity_gap(model, 0, [(0.5, 0.5)], k=3, r=1, m=1, seed=3)
-    assert report.passed
-    assert regularity_gap(model, 0, [(0.5, 0.5)], k=2, n=7, seed=3).passed
+    reports = gap_reports(model, 0, [(0.5, 0.5)], 3, near=((3, 1, 1),),
+                          regular=((2, 7),))
+    assert len(reports) == 2 and all(g.passed for g in reports)
 
 
 def test_three_dimensional_pipeline():

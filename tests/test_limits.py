@@ -19,11 +19,9 @@ from randcube.limits import (
     legendre_transform,
     lln_sweep,
     log_mgf,
-    near_additivity_gap,
     piecewise_constant_integral,
     rectangle_bounds,
     rectangle_keys,
-    regularity_gap,
     write_gap_csv,
     write_histogram_csv,
     write_mgf_csv,
@@ -200,6 +198,17 @@ def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
         estimate_mean_diagram(LOWER2, 0, n=8, trials=16, l=3, seed=5)
 
 
+def test_mean_diagram_checks_degree_and_fineness_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    with pytest.raises(ValueError, match="q=5 out of range for d=2"):
+        estimate_mean_diagram(LOWER2, 5, n=2, trials=2, l=2, seed=0)
+    with pytest.raises(ValueError, match="fineness l must be >= 1"):
+        estimate_mean_diagram(LOWER2, 0, n=2, trials=2, l=0, seed=0)
+
+
 # --- lln sweep ----------------------------------------------------------------------------
 
 def test_lln_sweep_deterministic_model_zero_std():
@@ -221,24 +230,6 @@ def test_lln_sweep_vertex_density_drift_bound():
 def test_lln_sweep_requires_increasing_windows():
     with pytest.raises(ValueError):
         lln_sweep(LOWER2, 0, [(0.5, 0.5)], [4, 4], 2, 1)
-
-
-def test_lln_sweep_histogram_mode():
-    rows = lln_sweep(LOWER2, 1, n_list=[2, 4], trials=4, seed=3, l=2)
-    assert "hist_distance_prev" not in rows[0]
-    assert rows[1]["hist_distance_prev"] >= 0.0
-    assert all(r["binned_density"] >= 0.0 for r in rows)
-    # deterministic model: identical normalized histograms up to boundary
-    model = ModelSpec("lower", 2, marks=point_masses(0.2, 0.2, 0.8))
-    rows = lln_sweep(model, 1, n_list=[2, 4], trials=2, seed=3, l=2)
-    assert rows[1]["hist_distance_prev"] < 0.2
-
-
-def test_lln_sweep_rejects_both_modes():
-    with pytest.raises(ValueError):
-        lln_sweep(LOWER2, 0, [(0.5, 0.5)], [2, 4], 2, 1, l=2)
-    with pytest.raises(ValueError):
-        lln_sweep(LOWER2, 0, None, [2, 4], 2, 1)
 
 
 # --- log-MGF and conjugate -------------------------------------------------------------------
@@ -327,38 +318,37 @@ def test_grid_function_validation():
 # --- gap reports -------------------------------------------------------------------------------
 
 def test_near_additivity_single_block_is_exact():
-    report = near_additivity_gap(LOWER2, 0, [(0.3, 0.6)], k=4, r=0, m=0, seed=1)
+    report = gap_reports(LOWER2, 0, [(0.3, 0.6)], 1, near=((4, 0, 0),))[0]
     assert report.measured == 0.0 and report.passed
 
 
 def test_near_additivity_deterministic_lower():
     model = ModelSpec("lower", 2, marks=point_masses(0.2, 0.5, 0.8))
-    report = near_additivity_gap(model, 0, [(0.3, 0.6)], k=4, r=1, m=1, seed=1)
+    report = gap_reports(model, 0, [(0.3, 0.6)], 1, near=((4, 1, 1),))[0]
     assert report.bound == 9 * (1 - (3 / 4) ** 2)
     assert report.passed
 
 
 def test_near_additivity_many_seeds_upper():
     for seed in range(10):
-        report = near_additivity_gap(UPPER2, 0, [(0.3, 0.6)], k=3, r=1, m=1,
-                                     seed=seed)
+        report = gap_reports(UPPER2, 0, [(0.3, 0.6)], seed, near=((3, 1, 1),))[0]
         assert report.passed
 
 
 def test_near_additivity_rejects_dependent_blocks():
     with pytest.raises(ValueError, match="not independent"):
-        near_additivity_gap(UPPER2, 0, [(0.3, 0.6)], k=3, r=0, m=1, seed=0)
+        gap_reports(UPPER2, 0, [(0.3, 0.6)], 0, near=((3, 0, 1),))
     with pytest.raises(ValueError):
-        near_additivity_gap(UPPER2, 0, [(0.3, 0.6)], k=1, r=1, m=1, seed=0)
+        gap_reports(UPPER2, 0, [(0.3, 0.6)], 0, near=((1, 1, 1),))
 
 
 def test_regularity_gap_zero_at_exact_multiple():
-    report = regularity_gap(LOWER2, 0, [(0.3, 0.6)], k=2, n=6, seed=2)
+    report = gap_reports(LOWER2, 0, [(0.3, 0.6)], 2, regular=((2, 6),))[0]
     assert report.m == 1 and report.measured == 0.0
 
 
 def test_regularity_gap_bound_value():
-    report = regularity_gap(LOWER2, 0, [(0.3, 0.6)], k=2, n=7, seed=2)
+    report = gap_reports(LOWER2, 0, [(0.3, 0.6)], 2, regular=((2, 7),))[0]
     assert report.m == 1
     assert report.bound == pytest.approx(9 * (1 - (6 / 7) ** 2))
     assert report.passed
@@ -366,7 +356,7 @@ def test_regularity_gap_bound_value():
 
 def test_regularity_many_seeds():
     for seed in range(10):
-        assert regularity_gap(UPPER2, 0, [(0.3, 0.6)], k=3, n=7, seed=seed).passed
+        assert gap_reports(UPPER2, 0, [(0.3, 0.6)], seed, regular=((3, 7),))[0].passed
 
 
 LAW = DistributionSpec("uniform", (-0.25, 0.25))
@@ -423,10 +413,10 @@ def test_gap_reports_equal_fresh_uncut_samples(model, q, pairs, near, regular):
 def test_gap_reports_match_single_report_functions():
     near, regular = ((3, 1, 1), (2, 1, 2)), ((3, 7), (2, 6))
     reports = gap_reports(UPPER2, 0, [(0.3, 0.6)], 5, near=near, regular=regular)
-    singles = ([near_additivity_gap(UPPER2, 0, [(0.3, 0.6)], k, r, m, seed=5)
-                for k, r, m in near]
-               + [regularity_gap(UPPER2, 0, [(0.3, 0.6)], k, n, seed=5)
-                  for k, n in regular])
+    singles = ([gap_reports(UPPER2, 0, [(0.3, 0.6)], 5, near=(spec,))[0]
+                for spec in near]
+               + [gap_reports(UPPER2, 0, [(0.3, 0.6)], 5, regular=(spec,))[0]
+                  for spec in regular])
     assert reports == singles
     assert gap_reports(UPPER2, 0, [(0.3, 0.6)], 5) == []
 
@@ -498,7 +488,7 @@ def test_mgf_and_rate_csv_schema():
 
 
 def test_gap_csv_schema():
-    reports = [near_additivity_gap(LOWER2, 0, [(0.3, 0.6)], 3, 1, 1, seed=17)]
+    reports = gap_reports(LOWER2, 0, [(0.3, 0.6)], 17, near=((3, 1, 1),))
     buf = io.StringIO()
     write_gap_csv(buf, reports)
     lines = buf.getvalue().splitlines()
@@ -517,8 +507,8 @@ def test_out_of_range_degree_raises_not_passes():
         with pytest.raises(ValueError, match=f"q={q} out of range for d=2"):
             piecewise_constant_integral(diagram, q, lambda s, t: 1.0, 2)
     with pytest.raises(ValueError, match="q=7 out of range for d=2"):
-        regularity_gap(LOWER2, 7, [(0.3, 0.5)], 1, 3, seed=0)
+        gap_reports(LOWER2, 7, [(0.3, 0.5)], 0, regular=((1, 3),))
     with pytest.raises(ValueError, match="q=-1 out of range for d=2"):
-        near_additivity_gap(LOWER2, -1, [(0.3, 0.5)], 2, 1, 1, seed=0)
+        gap_reports(LOWER2, -1, [(0.3, 0.5)], 0, near=((2, 1, 1),))
     with pytest.raises(ValueError, match="q=5 out of range for d=2"):
         estimate_mean_diagram(LOWER2, 5, 2, 2, 2, seed=0)

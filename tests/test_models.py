@@ -166,6 +166,15 @@ def test_lower_mark_with_infinity_atom():
     assert validate(f) is None
 
 
+def test_lower_marks_all_at_infinity_give_no_cube():
+    # p_inf = 1: every uniform falls in the defect mass, none is divided
+    marks = (DistributionSpec("uniform", (0.0, 1.0), p_inf=1.0),) * 3
+    filtration = sample(ModelSpec("lower", 2, marks=marks), 2, seed=3)
+    assert np.all(filtration.grid == math.inf)
+    diagram = compute_diagram(filtration)
+    assert all(diagram.degree(q) == [] for q in range(2))
+
+
 def test_determinism_and_trial_separation():
     model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
     a = sample(model, 2, seed=9, trial=0)
@@ -433,11 +442,18 @@ def test_parse_filtration_rejects_never_born_cube_outside_window():
         parse_filtration("# 2 1 - -\n2;+5,5;00 0.5\n")
 
 
+@pytest.mark.parametrize("line", ["1;0;0 abc", "x;0;0 0.5", "1;0;2 0.5", "1;0 0.5"])
+def test_parse_filtration_names_unreadable_line(line):
+    # a birth that is not a float, or a cube text that is not a cube
+    with pytest.raises(ValueError, match=f"^malformed filtration line 3: '{line}' \\("):
+        parse_filtration(f"# 1 1 - -\n1;0;0 0.5\n{line}\n")
+
+
 def reference_parse_filtration(text):
     """The cube-keyed parser that the cell-indexed one replaced: every line
     through ``ElementaryCube.from_canonical`` into a {cube: birth} dict,
     turned into a grid by ``filtration_from_births``.  Only the
-    malformed-line message is new; ``from_canonical`` is shared with the
+    malformed-line messages are new; ``from_canonical`` is shared with the
     parser under test."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
@@ -453,10 +469,14 @@ def reference_parse_filtration(text):
         tokens = ln.split()
         if len(tokens) != 2:
             raise ValueError(f"malformed filtration line {number}: {ln!r}")
-        cube = ElementaryCube.from_canonical(tokens[0])
+        try:
+            cube = ElementaryCube.from_canonical(tokens[0])
+            birth = float(tokens[1])
+        except ValueError as exc:
+            raise ValueError(f"malformed filtration line {number}: {ln!r} ({exc})") from None
         if cube in births:
             raise ValueError(f"duplicate cube line {ln!r}")
-        births[cube] = float(tokens[1])
+        births[cube] = birth
     return filtration_from_births(Window(n, d), births, meta)
 
 

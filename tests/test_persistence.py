@@ -354,6 +354,10 @@ def test_parse_diagram_rejects_garbage():
     for line in ("0 1.0", "0 1.0 2.0 3.0"):
         with pytest.raises(ValueError, match=f"^malformed diagram line 3: '{line}'$"):
             parse_diagram(f"# 2 1 - -\n\n{line}\n0 1.0 inf\n")
+    # so is a line whose degree, birth or death does not parse
+    for line in ("x 0.1 1.0", "0 abc 1.0", "0 0.1 1,0"):
+        with pytest.raises(ValueError, match=f"^malformed diagram line 3: '{line}' \\("):
+            parse_diagram(f"# 2 1 - -\n\n{line}\n0 1.0 inf\n")
 
 
 def test_parse_diagram_rejects_impossible_pairs():
