@@ -41,6 +41,7 @@ from .persistence import (
     compute_diagram,
     format_diagram,
     parse_diagram,
+    persistent_betti_0,
     persistent_betti_direct,
     quadrant_mass,
     rectangle_mass,

@@ -59,12 +59,21 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a string or a bool is rejected, never
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_distribution(spec: dict) -> DistributionSpec:
     try:
         return DistributionSpec(
             spec["family"],
-            tuple(float(p) for p in spec.get("params", ())),
-            float(spec.get("p_inf", 0.0)),
+            tuple(_number(p, "distribution params entry")
+                  for p in spec.get("params", ())),
+            _number(spec.get("p_inf", 0.0), "distribution p_inf"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad distribution spec {spec!r}: {exc}") from exc
@@ -92,10 +101,12 @@ def _parse_model(spec: dict) -> ModelSpec:
 
 def _parse_axis(grid: dict, name: str) -> np.ndarray:
     if "axis" in grid:
-        axis = np.asarray([float(v) for v in grid["axis"]], dtype=np.float64)
+        axis = np.asarray([_number(v, f"{name} axis entry") for v in grid["axis"]],
+                          dtype=np.float64)
     else:
         try:
-            axis = np.linspace(float(grid["min"]), float(grid["max"]),
+            axis = np.linspace(_number(grid["min"], f"{name} min"),
+                               _number(grid["max"], f"{name} max"),
                                _integer(grid["points"], f"{name} points"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name} needs 'axis' or min/max/points") from exc
@@ -160,9 +171,11 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("trials must be >= 1")
     seed = _integer(raw.get("seed", 0), "seed")
 
-    pairs = tuple(
-        (float(p[0]), float(p[1])) for p in raw.get("pairs", [])
-    )
+    pairs = []
+    for p in raw.get("pairs", []):
+        if not isinstance(p, list) or len(p) != 2:
+            raise ConfigError(f"pairs entry must be a list [s, t], got {p!r}")
+        pairs.append((_number(p[0], "pairs entry"), _number(p[1], "pairs entry")))
     for s, t in pairs:
         if not 0 <= s <= t < np.inf:
             raise ConfigError(f"pair ({s}, {t}) violates 0 <= s <= t < inf")
@@ -180,7 +193,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     if "x_grid" in raw:
         x_axis = _parse_axis(raw["x_grid"], "x_grid")
 
-    return ExperimentConfig(model, q_list, n, n_list, trials, seed, pairs,
+    return ExperimentConfig(model, q_list, n, n_list, trials, seed, tuple(pairs),
                             fineness, lambda_axis, x_axis,
                             raw.get("out_dir"))
 

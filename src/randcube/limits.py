@@ -14,14 +14,18 @@ each sample against the corresponding deterministic bound
 3^d sqrt(h) (1 - (1 - r/k)^d)  resp.  3^d sqrt(h) (1 - ((2m+1)k/n)^d).
 A single measured > bound sample is a build-failing bug, not noise.
 
-A persistent Betti number beta_q^{s,t} reads only the cubes born by t, so
-the persistent-Betti estimators and the gap diagnostics reduce each window
-cut at T = the largest t they read (``models.truncate``); the cut diagram
-has the same quadrant masses at every corner with t <= T.  The histogram
-estimator never cuts: its overflow and infinite counts read the whole
-diagram.  Nor does anything outside the estimators (``cli diagram``, the
-k-triangle check, the rank route ``persistent_betti_direct``), so the two
-diagram routes stay independent oracles of the full filtration.
+The persistent-Betti estimators and the gap diagnostics read their
+quadrant masses through ``_quadrant_masses``.  In degree 0 it counts the
+components of X_t that meet X_s (``persistence.persistent_betti_0``), with
+no reduction.  In degree q >= 1 it reduces the window cut at T = the
+largest t read (``models.truncate``): beta_q^{s,t} reads only the cubes
+born by t, so the cut diagram has the same quadrant masses at every corner
+with t <= T.  The histogram estimator neither cuts nor labels: its overflow
+and infinite counts read the whole diagram.  Nothing outside the estimators
+cuts (``cli diagram``, the k-triangle check, the rank route
+``persistent_betti_direct``), so the two diagram routes stay independent
+oracles of the full filtration, and the k-triangle check compares the
+component route with both.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ from scipy.special import logsumexp
 from .cubes import Window
 from .models import ModelSpec, block_window, restrict_box, sample, truncate
 from .persistence import (
+    Filtration,
     PersistenceDiagram,
     compute_diagram,
+    persistent_betti_0,
     quadrant_mass,
 )
 
@@ -141,10 +147,20 @@ def piecewise_constant_integral(
 # per-trial workers (top level for pickling)
 # ---------------------------------------------------------------------------
 
+def _quadrant_masses(filtration: Filtration, q: int, s: np.ndarray,
+                     t: np.ndarray) -> np.ndarray:
+    """beta_q^{s,t} of a filtration at the corner arrays (s, t): components
+    of X_t meeting X_s for q = 0, else the quadrant masses of the diagram of
+    the filtration cut at the largest t."""
+    if q == 0:
+        return persistent_betti_0(filtration, s, t)
+    diagram = compute_diagram(truncate(filtration, t.max(initial=0.0)))
+    return quadrant_mass(diagram, q, s, t)
+
+
 def _pb_trial(args) -> np.ndarray:
     model, n, q, s, t, seed, trial = args
-    filtration = truncate(sample(model, n, seed, trial), t.max(initial=0.0))
-    return quadrant_mass(compute_diagram(filtration), q, s, t)
+    return _quadrant_masses(sample(model, n, seed, trial), q, s, t)
 
 
 def _hist_trial(args):
@@ -484,8 +500,8 @@ def gap_reports(
       3^d sqrt(h) (1 - ((2m+1)k/n)^d).
 
     Every spec is checked before any sampling.  The largest window is
-    sampled once and cut at the largest t; every window and block is carved
-    from it (carving equals sampling), and each distinct box is reduced once.
+    sampled once; every window and block is carved from it (carving equals
+    sampling), and each distinct box's masses are computed once.
     """
     s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
     if not 0 <= q < model.d:
@@ -506,13 +522,12 @@ def gap_reports(
     radii = [(2 * m + 1) * k for k, _, m in near] + [n for _, n in regular]
     if not radii:
         return []
-    big = truncate(sample(model, max(radii), seed), t.max(initial=0.0))
+    big = sample(model, max(radii), seed)
     masses: dict = {}
 
     def mass(box) -> np.ndarray:
         if box not in masses:
-            diagram = compute_diagram(restrict_box(big, box))
-            masses[box] = quadrant_mass(diagram, q, s, t)
+            masses[box] = _quadrant_masses(restrict_box(big, box), q, s, t)
         return masses[box]
 
     d, h = model.d, len(pairs)

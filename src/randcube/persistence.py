@@ -13,6 +13,17 @@ matrix in birth order, on flat grid indices; persistent Betti numbers are
 additionally computed by a fully independent rank-based route on the same
 grid cells, over arrays of (s, t) corners, so the two act as mutual oracles
 (neither calls the other; they share only the face operator ``cell_faces``).
+In degree 0 a third route, ``persistent_betti_0``, counts the components of
+X_t that meet X_s by labelling the grid: two cells one step apart along one
+axis differ in one doubled coordinate, one even and one odd, so they are
+exactly a codimension-1 (face, cube) pair, and the cross-shaped
+neighbourhood of ``ndimage.label`` joins two cells of X_t exactly when one
+is a codimension-1 face of the other.  (On a face-closed set the full 3^d
+neighbourhood gives the same components: two diagonal neighbours have a
+common face, born no later than either.)  It uses neither the reduction nor
+``cell_faces``, and it is for q = 0 only.  The estimators and gap
+diagnostics of ``limits`` read their q = 0 masses from it; the diagram, its
+histogram and the reduction and rank routes never do.
 
 Time values are exact binary64; birth-time comparisons are exact equality,
 never epsilon-based.  Death = inf is a distinct sentinel ordered above every
@@ -25,6 +36,7 @@ import math
 from typing import Optional
 
 import numpy as np
+from scipy import ndimage
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
                     cells_to_cubes, grid_shape)
@@ -261,6 +273,16 @@ def _boundary_columns(region: Box, cells, q: int, field) -> list[Column]:
     return [dict(zip(f, signs)) for f in faces.tolist()]
 
 
+def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:
+    """The broadcast corner arrays of a persistent Betti query; every corner
+    must satisfy 0 <= s <= t < inf."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                               np.asarray(t, dtype=np.float64))
+    if not np.all((0 <= s) & (s <= t) & (t < INF)):
+        raise ValueError("persistent Betti requires 0 <= s <= t < inf")
+    return s, t
+
+
 def persistent_betti_direct(
     filtration: Filtration, q: int, s: Corner, t: Corner, field=DEFAULT_FIELD
 ) -> int | np.ndarray:
@@ -284,10 +306,7 @@ def persistent_betti_direct(
     it, so the count over levels <= k is beta_q^{s_k,t}.  This route never
     touches the diagram reduction, so the two can cross-check each other.
     """
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
-                               np.asarray(t, dtype=np.float64))
-    if not np.all((0 <= s) & (s <= t) & (t < INF)):
-        raise ValueError("persistent Betti requires 0 <= s <= t < inf")
+    s, t = _pb_corners(s, t)
     if not 0 <= q < filtration.d:
         raise ValueError(f"q={q} out of range for d={filtration.d}")
     _require_valid(filtration)
@@ -324,6 +343,30 @@ def persistent_betti_direct(
                         dtype=np.int64)
         per_level = np.bincount(cycle_level[kept], minlength=len(levels))
         out[at] = per_level.cumsum()[s_level[at]]
+    return out if out.ndim else int(out)
+
+
+def persistent_betti_0(filtration: Filtration, s: Corner, t: Corner) -> int | np.ndarray:
+    """beta_0^{s,t} as the number of connected components of X_t that
+    contain a cube of X_s: the rank of H_0(X_s) -> H_0(X_t).
+
+    The corners broadcast as in ``persistent_betti_direct`` and must satisfy
+    0 <= s <= t < inf.  Per distinct t, one ``ndimage.label`` of the cells
+    born by t (the default cross structure is the codimension-1 face
+    relation, see the module docstring) and the smallest birth in each
+    component; a component meets X_s exactly when that birth is <= s.  The
+    counts are exact integers, with no field arithmetic.
+    """
+    s, t = _pb_corners(s, t)
+    _require_valid(filtration)
+    grid = filtration.grid
+    out = np.zeros(s.shape, dtype=np.int64)
+    for t_value in np.unique(t):
+        at = t == t_value
+        labels, count = ndimage.label(grid <= t_value)
+        first = np.full(count + 1, INF)  # label 0, the cells not born by t, is dropped
+        np.minimum.at(first, labels.ravel(), grid.ravel())
+        out[at] = np.searchsorted(np.sort(first[1:]), s[at], side="right")
     return out if out.ndim else int(out)
 
 

@@ -41,6 +41,7 @@ from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict
 from .persistence import (
     Filtration,
     compute_diagram,
+    persistent_betti_0,
     persistent_betti_direct,
     quadrant_mass,
     rectangle_mass,
@@ -274,8 +275,12 @@ def _k_triangle_one(params) -> tuple[int, int]:
     s = np.array(S_GRID)[:, None]
     for q in range(d):
         masses = quadrant_mass(diagram, q, s, T_GRID)
-        comparisons += masses.size
-        bad += int((masses != persistent_betti_direct(filtration, q, s, T_GRID)).sum())
+        routes = [persistent_betti_direct(filtration, q, s, T_GRID)]
+        if q == 0:  # the component route, a third independent one
+            routes.append(persistent_betti_0(filtration, s, T_GRID))
+        for other in routes:
+            comparisons += masses.size
+            bad += int((masses != other).sum())
     return bad, comparisons
 
 

@@ -82,7 +82,7 @@ SMOKE_PINS = [
     (check_boundary_examples, 4, 0.0),
     (check_cube_counting, 56, 0.0),
     (check_mgf_structure, 6521, 0.0),
-    (check_k_triangle, 1500, 0.0),
+    (check_k_triangle, 2100, 0.0),
     (check_inequalities, 5352, 0.0),
     (check_chain_complex, 25437, 0.0),
     (check_gap_bounds, 120, 0.0),

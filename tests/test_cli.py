@@ -306,3 +306,41 @@ def test_non_integer_config_field_exits_2_before_sampling(
     err = capsys.readouterr().err
     assert f"{field} must be an integer" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message, overrides, model", [
+    ("distribution params entry must be a number", {},
+     {"mark": {"family": "uniform", "params": ["0.0", 1.0]}}),
+    ("distribution params entry must be a number", {},
+     {"mark": {"family": "uniform", "params": [0.0, True]}}),
+    ("distribution p_inf must be a number", {},
+     {"mark": {"family": "uniform", "params": [0.0, 1.0], "p_inf": "0.3"}}),
+    ("distribution p_inf must be a number", {},
+     {"mark": {"family": "uniform", "params": [0.0, 1.0], "p_inf": False}}),
+    ("pairs entry must be a number", {"pairs": [["0.3", 0.5]]}, {}),
+    ("pairs entry must be a number", {"pairs": [[0.3, True]]}, {}),
+    ("pairs entry must be a list [s, t]", {"pairs": [[0.3, 0.5, 0.7]]}, {}),
+    ("pairs entry must be a list [s, t]", {"pairs": [[0.3]]}, {}),
+    ("pairs entry must be a list [s, t]", {"pairs": [0.3]}, {}),
+    ("lambda_grid axis entry must be a number",
+     {"lambda_grid": {"axis": [-1.0, "0", 1.0]}}, {}),
+    ("lambda_grid min must be a number",
+     {"lambda_grid": {"min": "-1", "max": 1.0, "points": 3}}, {}),
+    ("x_grid max must be a number",
+     {"x_grid": {"min": 0.0, "max": True, "points": 3}}, {}),
+], ids=["params-string", "params-bool", "p_inf-string", "p_inf-bool", "pair-string",
+        "pair-bool", "pair-three", "pair-one", "pair-scalar", "axis-string",
+        "min-string", "max-bool"])
+def test_non_number_config_field_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, message, overrides, model):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    cfg, _ = write_config(tmp_path, overrides=overrides, **model)
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", "pb", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

@@ -437,12 +437,13 @@ def test_gap_reports_check_every_spec_before_sampling(monkeypatch):
 
 def test_gap_task_reduces_each_distinct_box_once(monkeypatch):
     regions = []
+    real = limits._quadrant_masses
 
-    def counted(filtration, *args, **kwargs):
+    def counted(filtration, *args):
         regions.append(filtration.region)
-        return compute_diagram(filtration, *args, **kwargs)
+        return real(filtration, *args)
 
-    monkeypatch.setattr(limits, "compute_diagram", counted)
+    monkeypatch.setattr(limits, "_quadrant_masses", counted)
     margins = verify._gap_one(("lower", verify.CORPUS_SEED + 6000))
     assert len(margins) == len(verify.GAP_NEAR) + len(verify.GAP_REGULAR) == 8
     windows = {Window(n, 2).box for n in (20, 15, 12, 9, 7, 4, 3)}

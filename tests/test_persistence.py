@@ -21,6 +21,7 @@ from randcube import (
     format_diagram,
     kernel_basis,
     parse_diagram,
+    persistent_betti_0,
     persistent_betti_direct,
     quadrant_mass,
     rectangle_mass,
@@ -461,8 +462,11 @@ def test_bad_corners_raise_on_both_routes(s, t):
     for corner in ((s, t), ([0.5, s], [1.5, t])):  # alone, and among good ones
         with pytest.raises(ValueError, match="s <= t"):
             quadrant_mass(diagram, 0, *corner)
-        with pytest.raises(ValueError, match="s <= t"):
+        with pytest.raises(ValueError, match="s <= t") as rank:
             persistent_betti_direct(f, 0, *corner)
+        with pytest.raises(ValueError) as labelled:
+            persistent_betti_0(f, *corner)
+        assert str(labelled.value) == str(rank.value)
 
 
 # --- the array rank route against a per-corner cube-list reference --------------------
@@ -519,3 +523,79 @@ def test_array_rank_route_matches_per_corner_reference(case, s_list, t_list):
     for i, x in enumerate(s_list):
         for j, y in enumerate(np.maximum(x, t).tolist()):
             assert table[i, j] == pb_reference(f, q, x, y)
+
+
+# --- the component route in degree 0 against both diagram routes ------------------------
+
+UNIFORM = DistributionSpec("uniform", (0.0, 1.0))
+TIED = DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+DEFECTIVE = DistributionSpec("uniform", (0.25, 0.75), p_inf=0.3)
+LAW = DistributionSpec("uniform", (-0.25, 0.25))
+
+
+@st.composite
+def component_cases(draw):
+    """A random filtration or a sampled window of any of the four models
+    (tied ``empirical`` marks and ``p_inf`` atoms included), d = 1..4."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, {1: 3, 2: 2, 3: 2, 4: 1}[d]))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("random", "lower", "upper", "perturbed_lattice",
+                                 "ball_cover")))
+    if kind == "random":
+        return random_filtration(d, n, seed)
+    if kind in ("lower", "upper"):
+        mark = draw(st.sampled_from((UNIFORM, TIED, DEFECTIVE)))
+        model = ModelSpec(kind, d, marks=(mark,) * (d + 1))
+    else:
+        model = ModelSpec(kind, d, perturbation=LAW, m_grid=3)
+    return sample(model, n, seed, draw(st.integers(0, 3)))
+
+
+def corner_candidates(f) -> np.ndarray:
+    """0, every finite birth, the midpoints between births, a time below
+    every birth and one past the last."""
+    births = np.unique(f.grid[f.grid < INF])
+    if not births.size:
+        return np.array([0.0, 0.5])
+    extra = [0.0, births[0] / 2, births[-1] + 0.5]
+    return np.unique(np.concatenate([births, (births[:-1] + births[1:]) / 2, extra]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(component_cases(), st.data())
+def test_component_route_matches_both_diagram_routes(f, data):
+    values = corner_candidates(f)
+    index = st.integers(0, len(values) - 1)
+    s = values[data.draw(st.lists(index, min_size=1, max_size=5))]
+    t = values[data.draw(st.lists(index, min_size=1, max_size=5))]
+    s, t = s[:, None], np.maximum(s[:, None], t)  # 2-D, s <= t, ties with births
+    diagram = compute_diagram(f)
+    labelled = persistent_betti_0(f, s, t)
+    assert labelled.dtype == np.int64 and labelled.shape == t.shape
+    assert np.array_equal(labelled, quadrant_mass(diagram, 0, s, t))
+    assert np.array_equal(labelled, persistent_betti_direct(f, 0, s, t))
+    # s == t, and s below every birth
+    assert np.array_equal(persistent_betti_0(f, s, s), quadrant_mass(diagram, 0, s, s))
+    below, top = float(values[1]) / 2, float(values[-1])
+    scalar = persistent_betti_0(f, below, top)
+    assert type(scalar) is int and scalar == quadrant_mass(diagram, 0, below, top)
+
+
+def test_component_route_counts_components_meeting_x_s():
+    # X_1 is the hollow square (one component); at s = 0.5 nothing is born
+    f = hollow_square_then_fill()
+    assert persistent_betti_0(f, 0.5, 1.0) == 0
+    assert persistent_betti_0(f, 1.0, 1.0) == 1
+    assert persistent_betti_0(f, [0.5, 1.0, 1.0], [2.0, 1.5, 2.5]).tolist() == [0, 1, 1]
+
+
+def test_component_route_rejects_face_violation_like_the_rank_route():
+    grid = random_filtration(2, 2, 3).grid.copy()
+    grid[2, 2] = INF  # a vertex never born, under its four born edges
+    f = Filtration(Window(2, 2), grid)
+    with pytest.raises(ValueError, match="monotone face condition") as rank:
+        persistent_betti_direct(f, 0, 0.5, 1.0)
+    with pytest.raises(ValueError) as labelled:
+        persistent_betti_0(f, 0.5, 1.0)
+    assert str(labelled.value) == str(rank.value)

@@ -17,6 +17,7 @@ from randcube import (
     compute_diagram,
     limits,
     models,
+    persistent_betti_0,
     persistent_betti_direct,
     quadrant_mass,
     sample,
@@ -110,20 +111,29 @@ def test_truncate_keeps_births_up_to_t_max_only():
 
 
 def test_full_diagram_paths_never_truncate(monkeypatch, tmp_path, capsys):
-    """The histogram estimator, ``cli diagram``, the k-triangle check and the
-    rank route read the whole filtration; only the estimators that read
-    quadrant masses at t <= t_max cut."""
+    """The histogram estimator, ``cli diagram``, the k-triangle check's
+    reduction and rank routes, and the rank route itself read the whole
+    filtration and never label components; only the estimators that read
+    quadrant masses at t <= t_max cut (q >= 1) or label (q = 0).  Criterion
+    4 compares the component route with the other two on purpose, so
+    ``verify`` keeps the real one."""
     real = models.truncate
 
-    def refuse(*args):
-        raise AssertionError("truncate called")
+    def refusing(name):
+        def refuse(*args):
+            raise AssertionError(f"{name} called")
+        return refuse
 
     for module in [m for name, m in sys.modules.items() if name.startswith("randcube")]:
         for attr, value in list(vars(module).items()):
             if value is real:
-                monkeypatch.setattr(module, attr, refuse)
+                monkeypatch.setattr(module, attr, refusing("truncate"))
+            elif value is persistent_betti_0 and module is not verify:
+                monkeypatch.setattr(module, attr, refusing("persistent_betti_0"))
 
     with pytest.raises(AssertionError, match="truncate called"):
+        limits.estimate_pb_density(LOWER2, 1, [(0.3, 0.5)], 2, 1, seed=0)
+    with pytest.raises(AssertionError, match="persistent_betti_0 called"):
         limits.estimate_pb_density(LOWER2, 0, [(0.3, 0.5)], 2, 1, seed=0)
     limits.estimate_mean_diagram(LOWER2, 0, 2, 2, 2, seed=0)
     assert verify.check_k_triangle(verify.SCALES["smoke"]).passed
