@@ -133,9 +133,10 @@ def grid_shape(box: Box) -> tuple[int, ...]:
     return tuple(2 * (b - a) + 1 for a, b in zip(box.lo, box.hi))
 
 
+@lru_cache(maxsize=64)
 def canonical_cells(box: Box) -> np.ndarray:
     """Flat indices into the box's grid of all its cubes, in canonical order:
-    by base, then by extent."""
+    by base, then by extent.  Cached per box, so the array is read-only."""
     shape = grid_shape(box)
     d = len(shape)
     # padded to even length, each axis splits into (base, extent)
@@ -143,7 +144,9 @@ def canonical_cells(box: Box) -> np.ndarray:
                    constant_values=-1)
     cells = cells.reshape([s for n in shape for s in ((n + 1) // 2, 2)])
     cells = cells.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-    return cells[cells >= 0]
+    cells = cells[cells >= 0]
+    cells.flags.writeable = False
+    return cells
 
 
 def cell_coordinates(box: Box, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +199,15 @@ def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndar
     """
     shape = grid_shape(box)
     cells = np.asarray(cells, dtype=np.int64)
-    extent = cell_coordinates(box, cells)[1]
+    extent = np.stack(np.unravel_index(cells, shape), axis=-1) % 2
     if np.any(extent.sum(axis=1) != q):
         raise ValueError(f"not every cell is a {q}-cube")
     stride = np.array([prod(shape[a + 1:]) for a in range(len(shape))], dtype=np.int64)
     step = stride[np.nonzero(extent)[1].reshape(len(cells), q)]
-    faces = np.stack([cells[:, None] + step, cells[:, None] - step], axis=2)
-    signs = np.repeat((-1) ** np.arange(q), 2) * np.tile([1, -1], q)
-    return faces.reshape(len(cells), 2 * q), signs
+    up_down = np.array([1, -1])
+    faces = cells[:, None, None] + step[:, :, None] * up_down
+    signs = ((-1) ** np.arange(q))[:, None] * up_down
+    return faces.reshape(len(cells), 2 * q), signs.ravel()
 
 
 def box_slice(outer: Box, inner: Box) -> tuple[slice, ...]:

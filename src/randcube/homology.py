@@ -9,14 +9,18 @@ numbers may diverge from the real-coefficient ones for d >= 4, and its
 persistence diagrams already at d = 3 (a cubical Moebius band filtered after
 its boundary circle gives one bar over Q or GF(p), two bars over GF(2)).
 
-Matrices are stored column-major as dicts {row_index: coefficient}; the
-elimination engine pivots on the lowest nonzero entry of a column (the
-largest row index), and any ints serve as row indices.  ``boundary_matrix``
-and ``betti`` take a region's box and an array of flat grid cells of it (the
-layout ``cubes`` owns), with signed faces from ``cubes.cell_faces``; the
-rank-based persistent Betti route feeds the engine columns keyed by the same
-cells.  The persistence diagram reduction has its own loop, so the two
-routes stay independent oracles.
+A boundary matrix is stored as the integer array it is: a
+``scipy.sparse.csc_array`` of its signed coefficients (+-1), each column's
+entries in ``cubes.cell_faces`` order.  The elimination engine works on
+field-valued dict columns {row_index: coefficient}, built from that array
+only where an elimination needs them (``SparseMatrix.columns``); it pivots
+on the lowest nonzero entry of a column (the largest row index), and any
+ints serve as row indices.  ``boundary_matrix`` and ``betti`` take a
+region's box and an array of flat grid cells of it (the layout ``cubes``
+owns), with signed faces from ``cubes.cell_faces``; the rank-based
+persistent Betti route feeds the engine columns keyed by the same cells.
+The persistence diagram reduction has its own loop, so the two routes stay
+independent oracles.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .cubes import Box, cell_dims, cell_faces, cells_to_cubes, grid_shape
 
@@ -109,20 +114,28 @@ DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def reduce_columns(
-    columns: Iterable[Column],
+    columns: Sequence[Column],
     field=DEFAULT_FIELD,
     want_kernel: bool = False,
+    pivots: dict[int, Column] | None = None,
 ):
     """Column elimination with pivot at each column's largest row index.
 
-    Returns (rank, pivot_rows, kernel) where pivot_rows maps pivot row ->
-    input column index and kernel is a list of coordinate dicts {input column
-    index: coefficient} spanning the kernel (only populated when
-    ``want_kernel``).
+    Returns (rank, pivot_rows, kernel) where rank counts the given columns
+    that keep a pivot, pivot_rows maps pivot row -> input column index and
+    kernel is a list of coordinate dicts {input column index: coefficient}
+    spanning the kernel (only populated when ``want_kernel``).
+
+    ``pivots`` ({pivot row: reduced column}) holds columns reduced by earlier
+    calls: the given columns are reduced against them as well, and their own
+    reduced columns are added to it, so a run of calls reduces one matrix
+    piece by piece.  It cannot be combined with ``want_kernel``.
     """
-    pivot_of: dict[int, int] = {}
-    stored_cols: list[Column] = []
-    stored_combos: list[Column] = []
+    if pivots is None:
+        pivots = {}
+    elif want_kernel:
+        raise ValueError("want_kernel needs a fresh elimination, not pivots")
+    combos: dict[int, Column] = {}  # pivot row -> its column's coordinates
     pivot_rows: dict[int, int] = {}
     kernel: list[Column] = []
     one = field.from_signed(1)
@@ -131,47 +144,58 @@ def reduce_columns(
         combo: Column = {j: one} if want_kernel else {}
         while col:
             low = max(col)
-            hit = pivot_of.get(low)
+            hit = pivots.get(low)
             if hit is None:
                 break
             factor = col[low]
-            field.submul_into(col, stored_cols[hit], factor)
+            field.submul_into(col, hit, factor)
             if want_kernel:
-                field.submul_into(combo, stored_combos[hit], factor)
+                field.submul_into(combo, combos[low], factor)
         if col:
             low = max(col)
             inv = field.inv(col[low])
             field.scale_into(col, inv)
             if want_kernel:
                 field.scale_into(combo, inv)
-            pivot_of[low] = len(stored_cols)
+                combos[low] = combo
+            pivots[low] = col
             pivot_rows[low] = j
-            stored_cols.append(col)
-            stored_combos.append(combo)
         elif want_kernel:
             kernel.append(combo)
-    return len(stored_cols), pivot_rows, kernel
+    return len(pivot_rows), pivot_rows, kernel
 
 
 @dataclass
 class SparseMatrix:
     """Boundary-style matrix: rows and columns indexed by flat grid cells,
-    entries in the field, stored column-major with no explicit zeros."""
+    its signed integer coefficients held as a CSC array with no explicit
+    zeros, read in the field as dict columns."""
 
     row_cells: np.ndarray
     col_cells: np.ndarray
-    columns: list[Column]
+    coefficients: sparse.csc_array
     field: PrimeField | RationalField
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_cells), len(self.col_cells)
 
+    @property
+    def columns(self) -> list[Column]:
+        """The columns as {row index: field value} dicts, entries in stored
+        order; built afresh on each read, for an elimination."""
+        c = self.coefficients
+        rows, ptr, data = c.indices.tolist(), c.indptr.tolist(), c.data.tolist()
+        value = {v: self.field.from_signed(v) for v in set(data)}
+        values = [value[v] for v in data]
+        return [dict(zip(rows[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:])]
+
 
 def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
     face-closed set of the region's flat grid cells: rows are its
-    (q-1)-cells and columns its q-cells, both in the order given.
+    (q-1)-cells and columns its q-cells, both in the order given.  Each
+    column holds its 2q signed faces in ``cell_faces`` order.
 
     Raises ValueError("not face-closed ...") if some face of a q-cell is
     missing from the set.
@@ -184,17 +208,20 @@ def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMa
     faces, signs = cell_faces(region, cols, q)
     row = np.full(prod(grid_shape(region)), -1, dtype=np.int64)  # -1: not in the set
     row[rows] = np.arange(len(rows))
-    missing = np.argwhere(row[faces] < 0)
-    if len(missing):
-        j, k = missing[0]
+    index = row[faces]
+    if index.size and index.min() < 0:
+        j, k = np.argwhere(index < 0)[0]
         face, cube = cells_to_cubes(region, np.array([faces[j, k], cols[j]]))
         raise ValueError(
             f"not face-closed: {face.canonical()} missing "
             f"(face of {cube.canonical()})"
         )
-    signs = [field.from_signed(x) for x in signs.tolist()]
-    columns = [dict(zip(f, signs)) for f in row[faces].tolist()]
-    return SparseMatrix(rows, cols, columns, field)
+    coefficients = np.empty(index.shape, dtype=np.int64)
+    coefficients[:] = signs  # one row of 2q signs per column
+    coefficients = sparse.csc_array(
+        (coefficients.ravel(), index.ravel(), np.arange(0, index.size + 1, 2 * q)),
+        shape=(len(rows), len(cols)))
+    return SparseMatrix(rows, cols, coefficients, field)
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -184,10 +184,10 @@ def _neighbour_pass(grid: np.ndarray, first: int, op) -> None:
     a cube into it; from 2 (the interior degenerate positions) every coface.
     """
     for axis in range(grid.ndim):
-        g = np.moveaxis(grid, axis, 0)
-        mid = g[first:-1:2]
-        op(mid, g[first - 1:-2:2], out=mid)
-        op(mid, g[first + 1::2], out=mid)
+        pre = (slice(None),) * axis
+        mid = grid[pre + (slice(first, -1, 2),)]
+        op(mid, grid[pre + (slice(first - 1, -2, 2),)], out=mid)
+        op(mid, grid[pre + (slice(first + 1, None, 2),)], out=mid)
 
 
 def _mark_grid(

@@ -112,8 +112,9 @@ def validate(filtration: Filtration) -> Optional[tuple[ElementaryCube, Elementar
     region, grid = filtration.region, filtration.grid
     late = np.zeros(grid.shape, dtype=bool)
     for axis in range(grid.ndim):
-        g, lt = np.moveaxis(grid, axis, 0), np.moveaxis(late, axis, 0)
-        lt[1::2] |= (g[:-1:2] > g[1::2]) | (g[2::2] > g[1::2])
+        odd, below, above = ((slice(None),) * axis + (slice(a, b, 2),)
+                             for a, b in ((1, None), (0, -1), (2, None)))
+        late[odd] |= (grid[below] > grid[odd]) | (grid[above] > grid[odd])
     if not late.any():
         return None
     cells = canonical_cells(region)
@@ -300,11 +301,15 @@ def persistent_betti_direct(
     level), and one elimination of their boundary columns gives a nested
     cycle basis: each kernel combination's largest column lies in the level
     where its cycle appears, so the combinations up to level k span
-    Z_q(s_k).  Then, per distinct t, one elimination of [level-t
-    (q+1)-boundary columns | lifted cycle basis] counts the cycle columns
-    that keep a pivot.  A column's pivot does not depend on the columns after
-    it, so the count over levels <= k is beta_q^{s_k,t}.  This route never
-    touches the diagram reduction, so the two can cross-check each other.
+    Z_q(s_k).  The (q+1)-cells are ordered by birth (canonical order among
+    equal births), so the boundary columns that span B_q(t) are a prefix of
+    them, and that prefix is reduced once, growing with the distinct t
+    values in increasing order.  Per distinct t, the lifted cycle basis is
+    reduced against the boundary pivots fed so far and its own, and the
+    cycle columns that keep a pivot are counted.  A column's pivot does not
+    depend on the columns after it, so the count over levels <= k is
+    beta_q^{s_k,t}.  This route never touches the diagram reduction, so the
+    two can cross-check each other.
     """
     s, t = _pb_corners(s, t)
     if not 0 <= q < filtration.d:
@@ -328,8 +333,10 @@ def persistent_betti_direct(
     lifted = [{q_cells[j]: v for j, v in c.items()} for c in kernel]
 
     up = cells[dims == q + 1]
+    up = up[np.argsort(flat[up], kind="stable")]  # so B_q(t) is a prefix
     up_births = flat[up]
-    boundary = _boundary_columns(region, up, q + 1, field)
+    boundary: dict[int, Column] = {}  # the pivots of the boundary columns fed so far
+    fed = 0
     s_level = np.searchsorted(levels, s)
     out = np.zeros(s.shape, dtype=np.int64)
     for t_value in np.unique(t):
@@ -337,10 +344,12 @@ def persistent_betti_direct(
         m = np.searchsorted(cycle_level, s_level[at].max(), side="right")
         if m == 0:
             continue
-        cols = [boundary[i] for i in np.flatnonzero(up_births <= t_value)]
-        _, pivot_rows, _ = reduce_columns(cols + lifted[:m], field)
-        kept = np.array([j - len(cols) for j in pivot_rows.values() if j >= len(cols)],
-                        dtype=np.int64)
+        end = int(np.searchsorted(up_births, t_value, side="right"))
+        reduce_columns(_boundary_columns(region, up[fed:end], q + 1, field), field,
+                       pivots=boundary)
+        fed = end
+        _, pivot_rows, _ = reduce_columns(lifted[:m], field, pivots=dict(boundary))
+        kept = np.fromiter(pivot_rows.values(), dtype=np.int64, count=len(pivot_rows))
         per_level = np.bincount(cycle_level[kept], minlength=len(levels))
         out[at] = per_level.cumsum()[s_level[at]]
     return out if out.ndim else int(out)

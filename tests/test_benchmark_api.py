@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from randcube import DistributionSpec, ElementaryCube, ModelSpec, sample
+from randcube import Box, DistributionSpec, ElementaryCube, ModelSpec, sample
+from randcube.cubes import canonical_cells
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -44,3 +45,25 @@ def test_filtration_births_is_a_cube_dict():
     assert isinstance(births, dict) and len(births) == 25
     assert all(isinstance(c, ElementaryCube) and isinstance(t, float)
                for c, t in births.items())
+
+
+def test_reduce_columns_gets_a_sized_sequence(monkeypatch):
+    """The traced run counts ``len(args[0])`` of every ``reduce_columns``
+    call, so ``rank``, ``kernel_basis`` and ``betti`` must hand it a sized
+    sequence, not a generator."""
+    from randcube import homology
+
+    real = homology.reduce_columns
+    sizes = []
+
+    def sized(columns, *args, **kwargs):
+        sizes.append(len(columns))
+        return real(columns, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "reduce_columns", sized)
+    box = Box((0, 0), (1, 1))
+    cells = canonical_cells(box)
+    edges = homology.boundary_matrix(box, cells, 1)
+    assert homology.rank(edges) == 3 and len(homology.kernel_basis(edges)) == 1
+    assert homology.betti(box, cells).tolist() == [1, 0, 0]
+    assert sizes == [4, 4, 4, 1]

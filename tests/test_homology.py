@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from randcube import (
     DEFAULT_FIELD,
@@ -135,10 +136,11 @@ def test_boundary_matrix_not_face_closed():
 
 def test_rank_zero_and_identity():
     f = DEFAULT_FIELD
-    zero = SparseMatrix([], [], [{} for _ in range(3)], f)
-    assert rank(zero) == 0
-    ident = SparseMatrix([], [], [{i: 1} for i in range(5)], f)
-    assert rank(ident) == 5
+    zero = SparseMatrix(np.arange(0), np.arange(3), sparse.csc_array((0, 3), dtype=np.int64), f)
+    assert zero.columns == [{}, {}, {}] and rank(zero) == 0
+    ident = SparseMatrix(np.arange(5), np.arange(5),
+                         sparse.eye_array(5, dtype=np.int64, format="csc"), f)
+    assert ident.columns == [{i: 1} for i in range(5)] and rank(ident) == 5
 
 
 def test_rank_hollow_square_boundary():
@@ -240,6 +242,98 @@ def test_boundary_composition_zero_matrix():
                 for i, v in col.items():
                     f.submul_into(acc, col_of[int(upper.row_cells[i])], -v)
                 assert not acc
+
+
+def _nonvanishing_by_dicts(lower, upper):
+    """The upper columns whose image under lower is not zero, by GF(p)
+    arithmetic on the dict columns: the reference for the product route."""
+    f = upper.field
+    lower_columns = lower.columns
+    bad = []
+    for j, col in enumerate(upper.columns):
+        acc = {}
+        for i, v in col.items():
+            f.submul_into(acc, lower_columns[i], -v)
+        if acc:
+            bad.append(j)
+    return bad
+
+
+def test_composition_product_matches_dict_arithmetic():
+    """The integer product lower @ upper flags exactly the columns that the
+    GF(p) dict loop flags, on exact matrices and with one sign flipped."""
+    rng = np.random.default_rng(5)
+    flagged = 0
+    for seed in range(30):
+        d = 2 + seed % 3
+        _, box, cells = random_face_closed(d, 1, 2000 + seed)
+        for q in range(1, d):
+            lower, upper = (boundary_matrix(box, cells, k) for k in (q, q + 1))
+            if not upper.coefficients.nnz:
+                continue
+            for target in (None, upper, lower):
+                if target is not None:
+                    target.coefficients.data[rng.integers(target.coefficients.nnz)] *= -1
+                product = lower.coefficients @ upper.coefficients
+                bad = np.flatnonzero(product.count_nonzero(axis=0)).tolist()
+                assert bad == _nonvanishing_by_dicts(lower, upper)
+                flagged += len(bad)
+    assert flagged > 0
+
+
+def _patched_chain_complex(monkeypatch, edit):
+    """Smoke criterion 2 with every boundary matrix passed through ``edit``."""
+    from randcube import verify
+
+    def edited(box, cells, q, *args):
+        mat = boundary_matrix(box, cells, q, *args)
+        edit(box, q, mat)
+        return mat
+
+    monkeypatch.setattr(verify, "boundary_matrix", edited)
+    return verify.check_chain_complex(verify.SCALES["smoke"])
+
+
+def test_chain_complex_check_counts_one_flipped_sign(monkeypatch):
+    """One flipped coefficient in a top-degree matrix (an upper matrix only)
+    is exactly one bad comparison."""
+    flipped = []
+
+    def flip_once(box, q, mat):
+        if not flipped and q == box.ambient_dim and mat.coefficients.nnz:
+            mat.coefficients.data[0] *= -1
+            flipped.append(q)
+
+    result = _patched_chain_complex(monkeypatch, flip_once)
+    assert flipped and not result.passed
+    assert result.checks == 25437 and result.worst_margin == -1.0
+
+
+def test_chain_complex_check_catches_misaligned_cells(monkeypatch):
+    """A lower matrix whose column cells are permuted fails, although its
+    coefficients, and so the product, are untouched."""
+    def roll_edges(box, q, mat):
+        if q == 1:
+            mat.col_cells = np.roll(mat.col_cells, 1)
+
+    result = _patched_chain_complex(monkeypatch, roll_edges)
+    assert not result.passed and result.worst_margin <= -1.0
+    assert result.checks == 25437
+
+
+def test_reduce_columns_in_pieces():
+    """Feeding a matrix's columns in pieces through ``pivots`` gives the
+    pivots of one elimination of them all."""
+    for seed in range(10):
+        _, box, cells = random_face_closed(3, 1, 5000 + seed)
+        columns = boundary_matrix(box, cells, 2).columns
+        whole, pivot_rows, _ = reduce_columns(columns)
+        pivots, total = {}, 0
+        for start in range(0, len(columns), 7):
+            total += reduce_columns(columns[start:start + 7], pivots=pivots)[0]
+        assert total == whole and sorted(pivots) == sorted(pivot_rows)
+    with pytest.raises(ValueError, match="want_kernel"):
+        reduce_columns([{0: 1}], want_kernel=True, pivots={})
 
 
 def test_field_independence_smoke():
