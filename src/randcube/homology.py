@@ -9,18 +9,19 @@ numbers may diverge from the real-coefficient ones for d >= 4, and its
 persistence diagrams already at d = 3 (a cubical Moebius band filtered after
 its boundary circle gives one bar over Q or GF(p), two bars over GF(2)).
 
-A boundary matrix is stored as the integer array it is: a
-``scipy.sparse.csc_array`` of its signed coefficients (+-1), each column's
-entries in ``cubes.cell_faces`` order.  The elimination engine works on
-field-valued dict columns {row_index: coefficient}, built from that array
-only where an elimination needs them (``SparseMatrix.columns``); it pivots
-on the lowest nonzero entry of a column (the largest row index), and any
-ints serve as row indices.  ``boundary_matrix`` and ``betti`` take a
-region's box and an array of flat grid cells of it (the layout ``cubes``
-owns), with signed faces from ``cubes.cell_faces``; the rank-based
-persistent Betti route feeds the engine columns keyed by the same cells.
-The persistence diagram reduction has its own loop, so the two routes stay
-independent oracles.
+The elimination engine works on field-valued dict columns {row_index:
+coefficient}; it pivots on the lowest nonzero entry of a column (the
+largest row index), scales a new pivot column to pivot entry 1 unless it
+already is 1, and any ints serve as row indices.  ``boundary_columns``
+builds such columns straight from ``cubes.cell_faces``, keyed by the faces'
+flat grid cells (the layout ``cubes`` owns); ``betti`` eliminates them once
+per degree, and the rank-based persistent Betti route feeds the engine the
+same columns.  ``boundary_matrix`` stores a boundary matrix as the integer
+array it is, a ``scipy.sparse.csc_array`` of its signed coefficients (+-1)
+with rows and columns in the order given, for exact integer products
+(criterion 2); ``SparseMatrix.columns`` reads it back as dict columns for
+``rank`` and ``kernel_basis``.  The persistence diagram reduction has its
+own loop, so the two routes stay independent oracles.
 """
 
 from __future__ import annotations
@@ -151,12 +152,13 @@ def reduce_columns(
             field.submul_into(col, hit, factor)
             if want_kernel:
                 field.submul_into(combo, combos[low], factor)
-        if col:
-            low = max(col)
-            inv = field.inv(col[low])
-            field.scale_into(col, inv)
+        if col:  # the loop stopped at a new pivot, its row is low
+            if col[low] != one:
+                inv = field.inv(col[low])
+                field.scale_into(col, inv)
+                if want_kernel:
+                    field.scale_into(combo, inv)
             if want_kernel:
-                field.scale_into(combo, inv)
                 combos[low] = combo
             pivots[low] = col
             pivot_rows[low] = j
@@ -191,6 +193,35 @@ class SparseMatrix:
         return [dict(zip(rows[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:])]
 
 
+def _require_faces(region: Box, cells: np.ndarray, faces: np.ndarray,
+                   present: np.ndarray) -> None:
+    """Raise the "not face-closed" ValueError naming the first face (in cell,
+    then ``cell_faces`` order) that ``present`` marks as missing."""
+    if not present.all():
+        j, k = np.argwhere(~present)[0]
+        face, cube = cells_to_cubes(region, np.array([faces[j, k], cells[j]]))
+        raise ValueError(
+            f"not face-closed: {face.canonical()} missing "
+            f"(face of {cube.canonical()})"
+        )
+
+
+def boundary_columns(region: Box, cells, q: int, field=DEFAULT_FIELD,
+                     member: np.ndarray | None = None) -> list[Column]:
+    """Boundary columns of the region's q-cells given as flat grid cells:
+    {face's flat grid index: signed coefficient}, in ``cell_faces`` order.
+
+    With ``member`` (a boolean mask over the region's flat grid), a face
+    outside it raises ValueError("not face-closed ...").
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    faces, signs = cell_faces(region, cells, q)
+    if member is not None:
+        _require_faces(region, cells, faces, member[faces])
+    signs = [field.from_signed(x) for x in signs.tolist()]
+    return [dict(zip(f, signs)) for f in faces.tolist()]
+
+
 def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
     face-closed set of the region's flat grid cells: rows are its
@@ -209,13 +240,7 @@ def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMa
     row = np.full(prod(grid_shape(region)), -1, dtype=np.int64)  # -1: not in the set
     row[rows] = np.arange(len(rows))
     index = row[faces]
-    if index.size and index.min() < 0:
-        j, k = np.argwhere(index < 0)[0]
-        face, cube = cells_to_cubes(region, np.array([faces[j, k], cols[j]]))
-        raise ValueError(
-            f"not face-closed: {face.canonical()} missing "
-            f"(face of {cube.canonical()})"
-        )
+    _require_faces(region, cols, faces, index >= 0)
     coefficients = np.empty(index.shape, dtype=np.int64)
     coefficients[:] = signs  # one row of 2q signs per column
     coefficients = sparse.csc_array(
@@ -241,10 +266,19 @@ def betti(region: Box, cells, field=DEFAULT_FIELD) -> np.ndarray:
     grid cells, as an int64 array.
 
     b_q is the number of q-cells minus the ranks of the q-th and (q+1)-th
-    boundary maps; each boundary matrix is built once.
+    boundary maps.  Each map is eliminated once, from its dict columns keyed
+    by flat grid index (a rank does not depend on the row order).
+
+    Raises ValueError("not face-closed ...") if some face of a cell is
+    missing from the set.
     """
     cells = np.asarray(cells, dtype=np.int64)
     d = region.ambient_dim
-    ranks = np.array([0] + [rank(boundary_matrix(region, cells, q, field))
-                            for q in range(1, d + 1)] + [0])
-    return np.bincount(cell_dims(region, cells), minlength=d + 1) - ranks[:-1] - ranks[1:]
+    dims = cell_dims(region, cells)
+    member = np.zeros(prod(grid_shape(region)), dtype=bool)
+    member[cells] = True
+    ranks = np.zeros(d + 2, dtype=np.int64)
+    for q in range(1, d + 1):
+        columns = boundary_columns(region, cells[dims == q], q, field, member)
+        ranks[q] = reduce_columns(columns, field)[0]
+    return np.bincount(dims, minlength=d + 1) - ranks[:-1] - ranks[1:]

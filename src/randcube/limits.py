@@ -30,7 +30,6 @@ component route with both.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -39,7 +38,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cubes import Window
-from .models import ModelSpec, block_window, restrict_box, sample, truncate
+from .models import ModelSpec, block_union, restrict_box, sample, truncate
 from .persistence import (
     Filtration,
     PersistenceDiagram,
@@ -500,8 +499,15 @@ def gap_reports(
       3^d sqrt(h) (1 - ((2m+1)k/n)^d).
 
     Every spec is checked before any sampling.  The largest window is
-    sampled once; every window and block is carved from it (carving equals
-    sampling), and each distinct box's masses are computed once.
+    sampled once and every window is carved from it (carving equals
+    sampling); each distinct window's masses are computed once.  The sum
+    over a spec's blocks is read from one filtration, the big window with
+    every cube outside the union of the blocks never born
+    (``models.block_union``).  For m >= 1 the spec check gives 2r > R >= 0,
+    so r >= 1 and two closed blocks lie 2r >= 2 apart: no cube of one is a
+    face of a cube of another, the union is their disjoint union, and its
+    homology is the direct sum at every level, so every beta_q^{s,t} of it
+    is the sum over the blocks.  For m = 0 there is one block.
     """
     s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
     if not 0 <= q < model.d:
@@ -523,21 +529,20 @@ def gap_reports(
     if not radii:
         return []
     big = sample(model, max(radii), seed)
-    masses: dict = {}
-
-    def mass(box) -> np.ndarray:
-        if box not in masses:
-            masses[box] = _quadrant_masses(restrict_box(big, box), q, s, t)
-        return masses[box]
-
     d, h = model.d, len(pairs)
+    masses: dict[int, np.ndarray] = {}  # per window radius
+
+    def mass(n: int) -> np.ndarray:
+        if n not in masses:
+            masses[n] = _quadrant_masses(restrict_box(big, Window(n, d).box), q, s, t)
+        return masses[n]
+
     reports = []
     for k, r, m in near:
         big_n = (2 * m + 1) * k
         window = Window(big_n, d)
-        s_blocks = sum(mass(block_window(k, r, z))
-                       for z in itertools.product(range(-m, m + 1), repeat=d))
-        measured = float(np.linalg.norm(mass(window.box) - s_blocks)) / window.volume
+        s_blocks = _quadrant_masses(block_union(big, k, r, m), q, s, t)
+        measured = float(np.linalg.norm(mass(big_n) - s_blocks)) / window.volume
         bound = 3 ** d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** d)
         reports.append(GapReport("near_additivity", d, q, h, k, r, m, big_n,
                                  seed, measured, bound))
@@ -545,7 +550,7 @@ def gap_reports(
         m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
         sub_n = (2 * m_n + 1) * k
         window = Window(n, d)
-        gap = mass(window.box) - mass(Window(sub_n, d).box)
+        gap = mass(n) - mass(sub_n)
         measured = float(np.linalg.norm(gap)) / window.volume
         bound = 3 ** d * math.sqrt(h) * (1.0 - (sub_n / n) ** d)
         reports.append(GapReport("regularity", d, q, h, k, 0, m_n, n,

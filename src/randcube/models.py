@@ -347,6 +347,27 @@ def block_window(k: int, r: int, z: tuple[int, ...]) -> Box:
     return base.translate(tuple(2 * k * zi for zi in z))
 
 
+def block_union(filtration: Filtration, k: int, r: int, m: int) -> Filtration:
+    """The filtration on the window [-(2m+1)k, (2m+1)k]^d with every cube
+    outside the union of the blocks ``block_window(k, r, z)``, z in
+    {-m, ..., m}^d, never born.
+
+    The union is the product of one union of intervals per axis, so the
+    grid is cut one axis at a time.  Like ``truncate`` it keeps the face
+    condition: each block is a closed box, so a cube in it has its faces in
+    it.
+    """
+    n = (2 * m + 1) * k
+    line = np.zeros(4 * n + 1, dtype=bool)  # one axis of the window's grid
+    for z in range(-m, m + 1):
+        line[box_slice(Window(n, 1).box, block_window(k, r, (z,)))] = True
+    window = restrict_box(filtration, Window(n, filtration.d).box)
+    grid = window.grid.copy()
+    for axis in range(filtration.d):
+        grid[(slice(None),) * axis + (~line,)] = INF
+    return Filtration(window.region, grid, filtration.meta)
+
+
 FILTRATION_HEADER = "#"
 
 

@@ -40,7 +40,7 @@ from scipy import ndimage
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
                     cells_to_cubes, grid_shape)
-from .homology import DEFAULT_FIELD, Column, reduce_columns
+from .homology import DEFAULT_FIELD, Column, boundary_columns, reduce_columns
 
 INF = math.inf
 Corner = float | np.ndarray  # one corner coordinate, or an array of them
@@ -195,6 +195,7 @@ def compute_diagram(
     index = np.empty(flat.size, dtype=np.int64)
     index[cells] = np.arange(len(cells))
 
+    one = field.from_signed(1)
     pivot_row_of: dict[int, int] = {}  # pivot row index -> killing column index
     for q in range(d, 0, -1):
         cols = np.flatnonzero(dims == q)
@@ -212,9 +213,9 @@ def compute_diagram(
                 if hit is None:
                     break
                 field.submul_into(col, hit, col[low])
-            if col:
-                low = max(col)
-                field.scale_into(col, field.inv(col[low]))
+            if col:  # the loop stopped at a new pivot, its row is low
+                if col[low] != one:
+                    field.scale_into(col, field.inv(col[low]))
                 pivots[low] = col
                 pivot_row_of[low] = j
 
@@ -267,13 +268,6 @@ def rectangle_mass(diagram: PersistenceDiagram, q: int, s1: Corner, s2: Corner,
     return mass if mass.ndim else int(mass)
 
 
-def _boundary_columns(region: Box, cells, q: int, field) -> list[Column]:
-    """Boundary columns of the q-cells, keyed by the faces' flat indices."""
-    faces, signs = cell_faces(region, cells, q)
-    signs = [field.from_signed(x) for x in signs.tolist()]
-    return [dict(zip(f, signs)) for f in faces.tolist()]
-
-
 def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:
     """The broadcast corner arrays of a persistent Betti query; every corner
     must satisfy 0 <= s <= t < inf."""
@@ -304,12 +298,20 @@ def persistent_betti_direct(
     Z_q(s_k).  The (q+1)-cells are ordered by birth (canonical order among
     equal births), so the boundary columns that span B_q(t) are a prefix of
     them, and that prefix is reduced once, growing with the distinct t
-    values in increasing order.  Per distinct t, the lifted cycle basis is
-    reduced against the boundary pivots fed so far and its own, and the
-    cycle columns that keep a pivot are counted.  A column's pivot does not
-    depend on the columns after it, so the count over levels <= k is
-    beta_q^{s_k,t}.  This route never touches the diagram reduction, so the
-    two can cross-check each other.
+    values in increasing order.  Per distinct t, the prefix of the lifted
+    cycle basis that the corners read is reduced against the boundary
+    pivots fed so far and its own, and the cycle columns that keep a pivot
+    are counted.  A column's pivot does not depend on the columns after it,
+    so the count over levels <= k is beta_q^{s_k,t}.
+
+    Each kept column's reduced form then replaces it, and each column of the
+    prefix that lost its pivot becomes empty, for the next t.  A reduced
+    column is its original plus earlier lifted columns and columns of
+    B_q(t); as B_q only grows with t, every prefix of the lifted basis spans
+    the same space together with B_q(t') at every later t', so the counts do
+    not change, and each t reduces only what the earlier ones left.  Columns
+    past a shorter prefix are still the originals.  This route never
+    touches the diagram reduction, so the two can cross-check each other.
     """
     s, t = _pb_corners(s, t)
     if not 0 <= q < filtration.d:
@@ -327,7 +329,7 @@ def persistent_betti_direct(
     q_cells, level = q_cells[order].tolist(), level[order]
 
     # 0-cells have empty boundary columns, so each is a cycle of its own
-    kernel = reduce_columns(_boundary_columns(region, q_cells, q, field), field,
+    kernel = reduce_columns(boundary_columns(region, q_cells, q, field), field,
                             want_kernel=True)[2]
     cycle_level = level[np.array([max(c) for c in kernel], dtype=np.int64)]
     lifted = [{q_cells[j]: v for j, v in c.items()} for c in kernel]
@@ -345,11 +347,17 @@ def persistent_betti_direct(
         if m == 0:
             continue
         end = int(np.searchsorted(up_births, t_value, side="right"))
-        reduce_columns(_boundary_columns(region, up[fed:end], q + 1, field), field,
+        reduce_columns(boundary_columns(region, up[fed:end], q + 1, field), field,
                        pivots=boundary)
         fed = end
-        _, pivot_rows, _ = reduce_columns(lifted[:m], field, pivots=dict(boundary))
+        reduced = dict(boundary)
+        _, pivot_rows, _ = reduce_columns(lifted[:m], field, pivots=reduced)
         kept = np.fromiter(pivot_rows.values(), dtype=np.int64, count=len(pivot_rows))
+        # carry the reduced forms to the next t; a column in the span of the
+        # ones before it stays there, as B_q(t) only grows
+        lifted[:m] = [{}] * m
+        for row, j in pivot_rows.items():
+            lifted[j] = reduced[row]
         per_level = np.bincount(cycle_level[kept], minlength=len(levels))
         out[at] = per_level.cumsum()[s_level[at]]
     return out if out.ndim else int(out)

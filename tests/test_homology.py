@@ -159,6 +159,27 @@ def test_reduce_columns_kernel():
     assert (vec[0] + vec[1]) % f.p == 0
 
 
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, RationalField()], ids=["gf_p", "rational"])
+def test_reduce_columns_normalises_pivot_entries_other_than_one(field):
+    """Pivot entries 2 and 3 are scaled to 1, entries already 1 are kept,
+    and the kernel combinations still vanish."""
+    signed = [{0: 1, 2: 2}, {1: 3, 2: 4}, {0: 2, 1: 3, 2: 6}, {1: -1}, {0: 1, 2: 1}]
+    columns = [{row: field.from_signed(v) for row, v in c.items()} for c in signed]
+    one = field.from_signed(1)
+    pivots = {}
+    r, pivot_rows, _ = reduce_columns(columns, field, pivots=pivots)
+    assert r == 3 and pivot_rows == {2: 0, 1: 1, 0: 2}
+    assert all(col[row] == one for row, col in pivots.items())
+    assert pivots[2] == {0: field.inv(field.from_signed(2)), 2: one}
+    _, _, kernel = reduce_columns(columns, field, want_kernel=True)
+    assert len(kernel) == len(columns) - r == 2
+    for combo in kernel:
+        total: dict = {}
+        for j, c in combo.items():
+            field.submul_into(total, columns[j], -c)  # total += c * column j
+        assert total == {}
+
+
 # --- Betti numbers -------------------------------------------------------------
 
 def test_betti_worked_examples():
@@ -334,6 +355,16 @@ def test_reduce_columns_in_pieces():
         assert total == whole and sorted(pivots) == sorted(pivot_rows)
     with pytest.raises(ValueError, match="want_kernel"):
         reduce_columns([{0: 1}], want_kernel=True, pivots={})
+
+
+@pytest.mark.parametrize("base, extent, named", [
+    ((0, 0), (0, 0), r"2;0,0;00 missing \(face of 2;0,0;01\)"),  # under an edge
+    ((0, 0), (1, 0), r"2;0,0;10 missing \(face of 2;0,0;11\)"),  # under the square
+])
+def test_betti_names_a_missing_face(base, extent, named):
+    broken = FULL_SQUARE[FULL_SQUARE != cube_cells(SQUARE_BOX, [ElementaryCube(base, extent)])]
+    with pytest.raises(ValueError, match="not face-closed: " + named):
+        betti(SQUARE_BOX, broken)
 
 
 def test_field_independence_smoke():

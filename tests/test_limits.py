@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randcube import (DistributionSpec, ModelSpec, Window, block_window, limits,
                       sample, sample_box, verify)
@@ -28,6 +30,7 @@ from randcube.limits import (
     write_pb_csv,
     write_rate_csv,
 )
+from randcube.models import block_union, restrict, restrict_box
 from randcube.persistence import PersistenceDiagram, compute_diagram, quadrant_mass
 
 INF = math.inf
@@ -435,23 +438,63 @@ def test_gap_reports_check_every_spec_before_sampling(monkeypatch):
         gap_reports(UPPER2, 2, [(0.3, 0.6)], 0, regular=((3, 7),))
 
 
-def test_gap_task_reduces_each_distinct_box_once(monkeypatch):
-    regions = []
+def test_gap_task_masses_each_window_and_union_once(monkeypatch):
+    calls = []
     real = limits._quadrant_masses
 
     def counted(filtration, *args):
-        regions.append(filtration.region)
+        calls.append(filtration)
         return real(filtration, *args)
 
     monkeypatch.setattr(limits, "_quadrant_masses", counted)
     margins = verify._gap_one(("lower", verify.CORPUS_SEED + 6000))
     assert len(margins) == len(verify.GAP_NEAR) + len(verify.GAP_REGULAR) == 8
-    windows = {Window(n, 2).box for n in (20, 15, 12, 9, 7, 4, 3)}
-    blocks = {block_window(k, 1, z) for k in (3, 4)
-              for z in itertools.product(range(-2, 3), repeat=2)}
-    # the central k = 4 block is the window [-3, 3]^2
-    assert len(regions) == len(set(regions)) == len(windows | blocks) == 56
-    assert set(regions) == windows | blocks
+    big = sample(verify._uniform_model("lower", 2), 20, verify.CORPUS_SEED + 6000)
+    # the near windows 9, 15, 12, 20, the regular windows 7, 9 and their
+    # largest aligned sub-windows 3, 9, 4, 4; then one union per near spec
+    windows = [restrict(big, n) for n in (20, 15, 12, 9, 7, 4, 3)]
+    unions = [block_union(big, *spec) for spec in verify.GAP_NEAR]
+    assert len(calls) == len(windows) + len(unions) == 11
+    for expected in windows + unions:
+        assert sum(f == expected for f in calls) == 1
+
+
+# (model, corners s and t, block specs (k, r, m)): m = 0 and m >= 1 with
+# r >= 1, as the spec check requires; ``ball_cover`` with r = 3, the
+# smallest r that gives it independent blocks (at d = 3 only m = 0, as its
+# m = 1 window is too large for a test)
+UNION_CASES = [
+    pytest.param(model, s, t, specs, id=f"{model.kind}-d{d}")
+    for d in (2, 3)
+    for model, s, t, specs in (
+        (ModelSpec("lower", d, marks=(UNI,) * (d + 1)), (0.3, 0.5), (0.6, 0.8),
+         ((2, 1, 1), (3, 0, 0))),
+        (ModelSpec("upper", d, marks=(UNI,) * (d + 1)), (0.3, 0.5), (0.6, 0.8),
+         ((2, 1, 1), (2, 1, 0))),
+        (ModelSpec("perturbed_lattice", d, perturbation=LAW), (1.0, 0.9),
+         (1.2, 1.1), ((2, 1, 1), (3, 2, 0))),
+        (ModelSpec("ball_cover", d, perturbation=LAW, m_grid=3), (0.3, 0.4),
+         (0.5, 0.6), ((4, 3, 1), (4, 3, 0)) if d == 2 else ((4, 3, 0),)),
+    )
+]
+
+
+@pytest.mark.parametrize("model, s, t, specs", UNION_CASES)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_block_union_masses_are_the_sum_over_carved_blocks(model, s, t, specs, seed):
+    big = sample(model, max((2 * m + 1) * k for k, _, m in specs), seed)
+    s, t = np.array(s), np.array(t)
+    for k, r, m in specs:
+        union = block_union(big, k, r, m)
+        blocks = [restrict_box(big, block_window(k, r, z))
+                  for z in itertools.product(range(-m, m + 1), repeat=model.d)]
+        # the union has as many born cubes as the blocks together
+        assert (union.grid < INF).sum() == sum((b.grid < INF).sum() for b in blocks)
+        for q in range(model.d):
+            assert np.array_equal(
+                limits._quadrant_masses(union, q, s, t),
+                sum(limits._quadrant_masses(b, q, s, t) for b in blocks))
 
 
 # --- csv output --------------------------------------------------------------------------------

@@ -208,6 +208,9 @@ def test_diagram_field_independence():
     for seed in range(5):
         f = random_filtration(2, 2, 6000 + seed)
         assert compute_diagram(f) == compute_diagram(f, field=RationalField())
+    for seed in range(3):
+        f = random_filtration(3, 2, 6050 + seed)
+        assert compute_diagram(f) == compute_diagram(f, field=RationalField())
 
 
 def test_total_mass_bound():
@@ -523,6 +526,23 @@ def test_array_rank_route_matches_per_corner_reference(case, s_list, t_list):
     for i, x in enumerate(s_list):
         for j, y in enumerate(np.maximum(x, t).tolist()):
             assert table[i, j] == pb_reference(f, q, x, y)
+
+
+def test_rank_route_carries_reduced_cycles_over_ragged_corners():
+    """The lifted cycles reduced at one t are carried to the next.  Here the
+    largest s per distinct t (0.3, 0.5, 0.6, 0.65, 0.7, 0.9, 1.2) is
+    0.0, 0.5, 0.2, 0.05, 0.45, 0.8, 1.0: the lifted prefix is empty below
+    every birth, shrinks, is empty again, then grows; the corners come
+    unsorted and with repeated t."""
+    s = np.array([0.8, 0.0, 0.5, 0.2, 1.0, 0.3, 0.8, 0.1, 0.45, 0.05, 0.4])
+    t = np.array([0.9, 0.3, 0.5, 0.6, 1.2, 0.5, 0.9, 0.6, 0.7, 0.65, 1.2])
+    for d, n in ((1, 3), (2, 2), (3, 2), (4, 1)):
+        for seed in range(4):
+            f = random_filtration(d, n, 8100 + seed)
+            diagram = compute_diagram(f)
+            for q in range(d):
+                assert np.array_equal(persistent_betti_direct(f, q, s, t),
+                                      quadrant_mass(diagram, q, s, t))
 
 
 # --- the component route in degree 0 against both diagram routes ------------------------
