@@ -160,11 +160,11 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config needs 'n' (window radius) or 'n_list'")
     n_list = ([_integer(v, "n_list entry") for v in raw.get("n_list", [])]
               or [_integer(raw["n"], "n")])
-    if any(v < 1 for v in n_list):
+    n = _integer(raw.get("n", n_list[-1]), "n")
+    if n < 1 or any(v < 1 for v in n_list):
         raise ConfigError("window radii must be >= 1")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-    n = _integer(raw.get("n", n_list[-1]), "n")
 
     trials = _integer(raw.get("trials", 1), "trials")
     if trials < 1:
@@ -193,9 +193,12 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     if "x_grid" in raw:
         x_axis = _parse_axis(raw["x_grid"], "x_grid")
 
+    out_dir = raw.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+
     return ExperimentConfig(model, q_list, n, n_list, trials, seed, tuple(pairs),
-                            fineness, lambda_axis, x_axis,
-                            raw.get("out_dir"))
+                            fineness, lambda_axis, x_axis, out_dir)
 
 
 def load_config(path: str) -> ExperimentConfig:

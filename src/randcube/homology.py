@@ -19,9 +19,10 @@ per degree, and the rank-based persistent Betti route feeds the engine the
 same columns.  ``boundary_matrix`` stores a boundary matrix as the integer
 array it is, a ``scipy.sparse.csc_array`` of its signed coefficients (+-1)
 with rows and columns in the order given, for exact integer products
-(criterion 2); ``SparseMatrix.columns`` reads it back as dict columns for
-``rank`` and ``kernel_basis``.  The persistence diagram reduction has its
-own loop, so the two routes stay independent oracles.
+(criterion 2; scipy.sparse is imported by the first ``boundary_matrix``
+call, not with this module); ``SparseMatrix.columns`` reads it back as dict
+columns for ``rank`` and ``kernel_basis``.  The persistence diagram
+reduction has its own loop, so the two routes stay independent oracles.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .cubes import Box, cell_dims, cell_faces, cells_to_cubes, grid_shape
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 DEFAULT_PRIME = 2147483647
 
@@ -231,6 +234,8 @@ def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMa
     Raises ValueError("not face-closed ...") if some face of a q-cell is
     missing from the set.
     """
+    from scipy import sparse
+
     if q < 1:
         raise ValueError("boundary matrix requires q >= 1")
     cells = np.asarray(cells, dtype=np.int64)

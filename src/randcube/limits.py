@@ -32,10 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cubes import Window
 from .models import ModelSpec, block_union, restrict_box, sample, truncate
@@ -174,6 +172,12 @@ def ordered_map(fn, tasks, jobs: int) -> list:
     ``jobs`` > 1; the results keep the task order for any worker count."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from multiprocessing import Pool
+
+    # The scipy modules the library imports inside functions, imported once
+    # here so the forked workers inherit them instead of each importing them
+    # again.  tests/test_imports.py keeps this list equal to those imports.
+    import scipy.ndimage, scipy.sparse, scipy.spatial, scipy.special  # noqa: E401, F401
     with Pool(jobs) as pool:
         # tasks are coarse and uneven (window sizes differ a lot)
         return pool.map(fn, tasks, chunksize=1)
@@ -401,8 +405,11 @@ def log_mgf(pb: PBDensity, lambda_axes) -> GridFunction:
 
     One common set of trials serves every lambda, which makes the estimate
     exactly convex (up to float error) and ties its value at 0 to exactly 0;
-    each value is a stable log-sum-exp, so overflow cannot occur.
+    each value is a stable log-sum-exp (``scipy.special.logsumexp``, imported
+    on the first call, not with this module), so overflow cannot occur.
     """
+    from scipy.special import logsumexp
+
     if pb.trials < 2:
         raise ValueError("log-MGF estimation needs trials >= 2")
     axes = tuple(np.asarray(a, dtype=np.float64) for a in lambda_axes)

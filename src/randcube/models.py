@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
 from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
                     cell_coordinates, cell_texts, grid_shape)
@@ -247,7 +246,10 @@ def _cover_radii(
 ) -> np.ndarray:
     """Grid of grid-approximate covering radii: per cube, the max distance to
     the nearest perturbed lattice point over its m_grid^dim sample points
-    (corners included)."""
+    (corners included), found by a ``scipy.spatial.cKDTree`` query (imported
+    on the first call, not with this module)."""
+    from scipy.spatial import cKDTree
+
     d = box.ambient_dim
     halo = math.ceil(law.coordinate_radius()) + 1
     centers = _perturbed_points(box.grow(halo), law, "ball_cover", seed, trial)

@@ -36,7 +36,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
                     cells_to_cubes, grid_shape)
@@ -368,12 +367,15 @@ def persistent_betti_0(filtration: Filtration, s: Corner, t: Corner) -> int | np
     contain a cube of X_s: the rank of H_0(X_s) -> H_0(X_t).
 
     The corners broadcast as in ``persistent_betti_direct`` and must satisfy
-    0 <= s <= t < inf.  Per distinct t, one ``ndimage.label`` of the cells
-    born by t (the default cross structure is the codimension-1 face
-    relation, see the module docstring) and the smallest birth in each
-    component; a component meets X_s exactly when that birth is <= s.  The
-    counts are exact integers, with no field arithmetic.
+    0 <= s <= t < inf.  Per distinct t, one ``ndimage.label`` (scipy.ndimage,
+    imported on the first call, not with this module) of the cells born by
+    t (the default cross structure is the codimension-1 face relation, see
+    the module docstring) and the smallest birth in each component; a
+    component meets X_s exactly when that birth is <= s.  The counts are
+    exact integers, with no field arithmetic.
     """
+    from scipy import ndimage
+
     s, t = _pb_corners(s, t)
     _require_valid(filtration)
     grid = filtration.grid

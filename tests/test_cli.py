@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from randcube import limits
+from randcube import cli, limits
 from randcube.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DATA_VIOLATION,
@@ -344,3 +344,35 @@ def test_non_number_config_field_exits_2_before_sampling(
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    (["estimate", "--which", "diagram"], {"n": 0, "n_list": [1, 2]}),
+    (["sample"], {"n": -3, "n_list": [1, 2]}),
+], ids=["estimate-n-zero", "sample-n-negative"])
+def test_window_radius_n_below_1_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, command, overrides):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    monkeypatch.setattr(cli, "sample", refuse)
+    cfg, _ = write_config(tmp_path, overrides=overrides)
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "window radii must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_string_out_dir_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    monkeypatch.chdir(tmp_path)
+    cfg, _ = write_config(tmp_path, overrides={"out_dir": 5})
+    assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error: out_dir must be a string, got 5" in err
+    assert "Traceback" not in err
