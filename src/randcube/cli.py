@@ -110,6 +110,8 @@ def _parse_axis(grid: dict, name: str) -> np.ndarray:
                                _integer(grid["points"], f"{name} points"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name} needs 'axis' or min/max/points") from exc
+    if axis.size == 0:
+        raise ConfigError(f"{name} must be nonempty")
     if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
         raise ConfigError(f"{name} must be finite and strictly increasing")
     return axis
@@ -152,12 +154,16 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     q_raw = raw.get("q", 0)
     q_list = [_integer(q, "q")
               for q in (q_raw if isinstance(q_raw, list) else [q_raw])]
+    if not q_list:
+        raise ConfigError("q must be nonempty")
     for q in q_list:
         if not 0 <= q < model.d:
             raise ConfigError(f"q={q} out of range for d={model.d}")
 
     if "n" not in raw and "n_list" not in raw:
         raise ConfigError("config needs 'n' (window radius) or 'n_list'")
+    if raw.get("n_list") == []:
+        raise ConfigError("n_list must be nonempty")
     n_list = ([_integer(v, "n_list entry") for v in raw.get("n_list", [])]
               or [_integer(raw["n"], "n")])
     n = _integer(raw.get("n", n_list[-1]), "n")
@@ -170,6 +176,8 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     seed = _integer(raw.get("seed", 0), "seed")
+    if not 0 <= seed < 2**64:  # the streams read a seed's low 64 bits
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
 
     pairs = []
     for p in raw.get("pairs", []):
@@ -317,6 +325,14 @@ def _version_string() -> str:
             f"diagram format {DIAGRAM_FORMAT_VERSION})")
 
 
+def nonnegative_int(text: str) -> int:
+    """A --jobs value: an integer >= 0 (argparse exits 2 on anything else)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randcube",
@@ -341,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--which", required=True,
                        choices=["pb", "diagram", "mgf", "rate"])
     p_est.add_argument("--config", required=True)
-    p_est.add_argument("--jobs", type=int, default=1)
+    p_est.add_argument("--jobs", type=nonnegative_int, default=1)
     p_est.add_argument("--out", default=None)
 
     p_ver = sub.add_parser("verify", help="run the exact-property suite")
     p_ver.add_argument("--scale", default="default",
                        choices=["smoke", "default", "deep"])
-    p_ver.add_argument("--jobs", type=int, default=0,
+    p_ver.add_argument("--jobs", type=nonnegative_int, default=0,
                        help="worker count; 0 = up to 4 cores (the budgeted "
                             "configuration)")
     p_ver.add_argument("--out", default=".")

@@ -40,6 +40,7 @@ from .models import ModelSpec, block_union, restrict_box, sample, truncate
 from .persistence import (
     Filtration,
     PersistenceDiagram,
+    _pb_corners,
     compute_diagram,
     persistent_betti_0,
     quadrant_mass,
@@ -187,6 +188,16 @@ def ordered_map(fn, tasks, jobs: int) -> list:
 # LLN estimators
 # ---------------------------------------------------------------------------
 
+def _check_estimator_args(model: ModelSpec, q: int, n: int, trials: int) -> None:
+    """The degree, window radius and trial count of an estimator call."""
+    if not 0 <= q < model.d:
+        raise ValueError(f"q={q} out of range for d={model.d}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if n < 1:
+        raise ValueError("window radius must be >= 1 (volume normalization)")
+
+
 @dataclass
 class PBDensity:
     """Per-trial persistent-Betti quadrant masses and their volume-scaled
@@ -231,16 +242,8 @@ def estimate_pb_density(
     """Sample `trials` filtrations and record the quadrant masses at each
     (s, t) pair, normalized by window volume in the summary."""
     pairs = tuple((float(s), float(t)) for s, t in pairs)
-    for s, t in pairs:
-        if not 0 <= s <= t < INF:
-            raise ValueError(f"invalid pair (s, t) = ({s}, {t})")
-    if not 0 <= q < model.d:
-        raise ValueError(f"q={q} out of range for d={model.d}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("window radius must be >= 1 (volume normalization)")
-    s, t = np.array(pairs).reshape(len(pairs), 2).T
+    s, t = _pb_corners(*np.array(pairs).reshape(len(pairs), 2).T)
+    _check_estimator_args(model, q, n, trials)
     args = [(model, n, q, s, t, seed, trial) for trial in range(trials)]
     rows = ordered_map(_pb_trial, args, jobs)
     return PBDensity(model, q, pairs, n, trials, seed, np.array(rows, dtype=np.int64))
@@ -288,12 +291,7 @@ def estimate_mean_diagram(
     """Average the fineness-l histogram over trials; the per-trial quadrant
     field on the dyadic grid is reported alongside, and every rectangle count
     is re-checked per trial against its alternating quadrant sum."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        raise ValueError("window radius must be >= 1 (volume normalization)")
-    if not 0 <= q < model.d:
-        raise ValueError(f"q={q} out of range for d={model.d}")
+    _check_estimator_args(model, q, n, trials)
     if l < 1:
         raise ValueError("fineness l must be >= 1")
     grid_pairs = dyadic_grid_pairs(l)
@@ -367,6 +365,13 @@ def lln_sweep(
 # LDP estimators: empirical log-MGF and its convex conjugate
 # ---------------------------------------------------------------------------
 
+def _grid_points(axes) -> np.ndarray:
+    """(P, h) array of the points of the grid with these axes, in row-major
+    order; with no axes, the one empty point."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1) if grids else np.empty((1, 0))
+
+
 @dataclass
 class GridFunction:
     """Values of a function on a finite axis-aligned grid in R^h."""
@@ -391,9 +396,7 @@ class GridFunction:
         return len(self.axes)
 
     def points(self) -> np.ndarray:
-        """(P, h) array of grid points in row-major order."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
+        return _grid_points(self.axes)
 
     def flat_values(self) -> np.ndarray:
         return self.values.reshape(-1)
@@ -416,13 +419,12 @@ def log_mgf(pb: PBDensity, lambda_axes) -> GridFunction:
     if len(axes) != len(pb.pairs):
         raise ValueError("need one lambda axis per (s, t) pair")
     betas = pb.masses.astype(np.float64)  # (T, h)
-    grid = GridFunction(axes, np.zeros(tuple(len(a) for a in axes)))
-    lam = grid.points()  # (P, h)
+    lam = _grid_points(axes)  # (P, h)
     dots = betas @ lam.T  # (T, P)
     phi = (logsumexp(dots, axis=0) - math.log(pb.trials)) / pb.volume
     meta = {"model": pb.model.kind, "n": pb.n, "trials": pb.trials,
             "seed": pb.seed, "q": pb.q, "pairs": pb.pairs, "kind": "log_mgf"}
-    return GridFunction(axes, phi.reshape(grid.values.shape), meta)
+    return GridFunction(axes, phi, meta)
 
 
 def estimate_log_mgf(
@@ -453,12 +455,11 @@ def legendre_transform(phi: GridFunction, x_axes) -> GridFunction:
         raise ValueError("x grid dimension must match the lambda grid")
     lam = phi.points()  # (P, h)
     vals = phi.flat_values()  # (P,)
-    out = GridFunction(x_axes, np.zeros(tuple(len(a) for a in x_axes)))
-    x = out.points()  # (Q, h)
+    x = _grid_points(x_axes)  # (Q, h)
     conj = np.max(x @ lam.T - vals[None, :], axis=1)
     meta = dict(phi.meta)
     meta["kind"] = "rate_function"
-    return GridFunction(x_axes, conj.reshape(out.values.shape), meta)
+    return GridFunction(x_axes, conj, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +517,7 @@ def gap_reports(
     homology is the direct sum at every level, so every beta_q^{s,t} of it
     is the sum over the blocks.  For m = 0 there is one block.
     """
-    s, t = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T
+    s, t = _pb_corners(*np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T)
     if not 0 <= q < model.d:
         raise ValueError(f"q={q} out of range for d={model.d}")
     for k, r, m in near:

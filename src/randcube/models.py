@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
                     cell_coordinates, cell_texts, grid_shape)
-from .persistence import Filtration
+from .persistence import Filtration, _read_dump
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
 INF = math.inf
@@ -370,9 +370,6 @@ def block_union(filtration: Filtration, k: int, r: int, m: int) -> Filtration:
     return Filtration(window.region, grid, filtration.meta)
 
 
-FILTRATION_HEADER = "#"
-
-
 def format_filtration(filtration: Filtration) -> str:
     """Dump format: header "# d n seed model", then "<canonical cube> <birth>"
     per finite-birth cube in canonical order."""
@@ -403,14 +400,7 @@ def parse_filtration(text: str) -> Filtration:
     ambient dimension).  The first faulty line in file order is reported; a
     nan or negative birth is reported afterwards, by ``Filtration``.
     """
-    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    header = lines[0][1] if lines else ""
-    if not header.startswith(FILTRATION_HEADER):
-        raise ValueError("filtration file must start with a '# d n seed model' header")
-    tokens = header[1:].split()
-    if len(tokens) != 4:
-        raise ValueError(f"malformed filtration header: {header!r}")
+    tokens, lines = _read_dump(text, "filtration", "d n seed model")
     d, n = int(tokens[0]), int(tokens[1])
     meta: dict = {"n": n}
     if tokens[2] != "-":
@@ -422,7 +412,7 @@ def parse_filtration(text: str) -> Filtration:
     index = dict(zip(cell_texts(box, cells), cells.tolist()))
     grid = np.full(cells.size, INF)
     seen = np.zeros(cells.size, dtype=bool)
-    for number, ln in lines[1:]:
+    for number, ln in lines:
         tokens = ln.split()
         if len(tokens) != 2:
             raise ValueError(f"malformed filtration line {number}: {ln!r}")

@@ -234,17 +234,28 @@ def compute_diagram(
     return PersistenceDiagram(d, pairs, meta)
 
 
+def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:
+    """The broadcast corner arrays of a persistent Betti query; the one check
+    that every corner satisfies 0 <= s <= t < inf, naming the first that does not."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
+                               np.asarray(t, dtype=np.float64))
+    bad = ~((0 <= s) & (s <= t) & (t < INF))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"corner (s, t) = ({float(s.flat[i])}, {float(t.flat[i])}) "
+                         "violates 0 <= s <= t < inf")
+    return s, t
+
+
 def quadrant_mass(diagram: PersistenceDiagram, q: int,
                   s: Corner, t: Corner) -> int | np.ndarray:
     """Number of degree-q pairs with birth <= s and death > t (inf included).
 
     The corners s and t broadcast as arrays: scalar corners give an int,
     array corners an int64 array of the broadcast shape.  Every corner must
-    satisfy 0 <= s <= t < inf.
+    satisfy 0 <= s <= t < inf (``_pb_corners``).
     """
-    s, t = (np.asarray(x, dtype=np.float64)[..., None] for x in (s, t))
-    if not np.all((0 <= s) & (s <= t) & (t < INF)):
-        raise ValueError("quadrant requires 0 <= s <= t < inf")
+    s, t = (x[..., None] for x in _pb_corners(s, t))
     b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
     mass = ((b <= s) & (dth > t)).sum(-1, dtype=np.int64)
     return mass if mass.ndim else int(mass)
@@ -265,16 +276,6 @@ def rectangle_mass(diagram: PersistenceDiagram, q: int, s1: Corner, s2: Corner,
     b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
     mass = ((s1 < b) & (b <= s2) & (t1 < dth) & (dth <= t2)).sum(-1, dtype=np.int64)
     return mass if mass.ndim else int(mass)
-
-
-def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:
-    """The broadcast corner arrays of a persistent Betti query; every corner
-    must satisfy 0 <= s <= t < inf."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
-                               np.asarray(t, dtype=np.float64))
-    if not np.all((0 <= s) & (s <= t) & (t < INF)):
-        raise ValueError("persistent Betti requires 0 <= s <= t < inf")
-    return s, t
 
 
 def persistent_betti_direct(
@@ -389,9 +390,6 @@ def persistent_betti_0(filtration: Filtration, s: Corner, t: Corner) -> int | np
     return out if out.ndim else int(out)
 
 
-HEADER_PREFIX = "#"
-
-
 def _fmt_time(t: float) -> str:
     return "inf" if t == INF else repr(t)
 
@@ -410,15 +408,22 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_diagram(text: str) -> PersistenceDiagram:
+def _read_dump(text: str, kind: str, layout: str) -> tuple[list[str], list]:
+    """The "# <layout>" header tokens of a ``kind`` dump (a diagram or a
+    filtration) and its later non-blank lines as (line number, line) pairs."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     header = lines[0][1] if lines else ""
-    if not header.startswith(HEADER_PREFIX):
-        raise ValueError("diagram file must start with a '# d q_max n seed' header")
+    if not header.startswith("#"):
+        raise ValueError(f"{kind} file must start with a '# {layout}' header")
     tokens = header[1:].split()
-    if len(tokens) != 4:
-        raise ValueError(f"malformed diagram header: {header!r}")
+    if len(tokens) != len(layout.split()):
+        raise ValueError(f"malformed {kind} header: {header!r}")
+    return tokens, lines[1:]
+
+
+def parse_diagram(text: str) -> PersistenceDiagram:
+    tokens, lines = _read_dump(text, "diagram", "d q_max n seed")
     d = int(tokens[0])
     meta: dict = {"d": d}
     meta["q_max"] = int(tokens[1]) if tokens[1] != "-" else d - 1
@@ -427,7 +432,7 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     if tokens[3] != "-":
         meta["seed"] = int(tokens[3])
     pairs: dict[int, list[tuple[float, float]]] = {}
-    for number, ln in lines[1:]:
+    for number, ln in lines:
         tokens = ln.split()
         if len(tokens) != 3:
             raise ValueError(f"malformed diagram line {number}: {ln!r}")

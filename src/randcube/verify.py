@@ -3,8 +3,10 @@ run over seeded corpora and reported check by check.
 
 Each check returns a CheckResult with the number of comparisons made and the
 worst margin encountered (slack of the tightest inequality, or the largest
-deviation for equality checks; pass requires margin >= 0).  The suite backs
-both the `verify` CLI command and the acceptance test module.
+deviation for equality checks; pass requires margin >= 0).  ``run_suite``
+times each check and sets its ``seconds``; a check called directly reports
+0.0.  The suite backs both the `verify` CLI command and the acceptance test
+module.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class CheckResult:
     checks: int
     worst_margin: float
     detail: str
-    seconds: float
+    seconds: float = 0.0  # set by run_suite, which times each check
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -67,12 +69,10 @@ class CheckResult:
                 f"{self.seconds:.1f}s ({self.detail})")
 
 
-def _counted(name: str, bad: int, comparisons: int, detail: str,
-             t0: float) -> CheckResult:
+def _counted(name: str, bad: int, comparisons: int, detail: str) -> CheckResult:
     """The result of a check that counts its failed comparisons: the margin is
     minus that count, so 0.0 (never -0.0) when all of them hold."""
-    return CheckResult(name, bad == 0, comparisons, float(-bad), detail,
-                       time.time() - t0)
+    return CheckResult(name, bad == 0, comparisons, float(-bad), detail)
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,6 @@ T_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
 # ---------------------------------------------------------------------------
 
 def check_boundary_examples(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     failures = []
     box = Box((0, 0), (1, 1))
     cells = canonical_cells(box)
@@ -194,12 +193,8 @@ def check_boundary_examples(scale: Scale, jobs: int = 1) -> CheckResult:
     if signs != expect_col:
         failures.append(f"square matrix column {signs}")
 
-    return CheckResult(
-        "boundary_examples", not failures, 4,
-        0.0 if not failures else -1.0,
-        "; ".join(failures) if failures else "worked 2d examples, signs exact",
-        time.time() - t0,
-    )
+    return _counted("boundary_examples", len(failures), 4,
+                    "; ".join(failures) or "worked 2d examples, signs exact")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +221,6 @@ def _chain_complex_one(params) -> tuple[int, int]:
 
 
 def check_chain_complex(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     rng = np.random.default_rng(CORPUS_SEED + 2)
     params = [
         (d, int(rng.integers(1, 3)), int(rng.integers(0, 2**62)))
@@ -237,7 +231,7 @@ def check_chain_complex(scale: Scale, jobs: int = 1) -> CheckResult:
     return _counted(
         "chain_complex_law", sum(r[0] for r in rows), sum(r[1] for r in rows),
         f"boundary-of-boundary columns over d in (2,3,4), "
-        f"{3 * scale.chain_sets_per_d} random face-closed sets", t0)
+        f"{3 * scale.chain_sets_per_d} random face-closed sets")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,6 @@ def check_chain_complex(scale: Scale, jobs: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_cube_counting(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     bad = 0
     comparisons = 0
     for d in (1, 2, 3, 4):
@@ -259,7 +252,7 @@ def check_cube_counting(scale: Scale, jobs: int = 1) -> CheckResult:
             comparisons += d + 1
             bad += int((counts != expect).sum())
     return _counted("cube_counting", bad, comparisons,
-                    "per-d-cube and window counts vs enumeration, d <= 4, n <= 3", t0)
+                    "per-d-cube and window counts vs enumeration, d <= 4, n <= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +278,11 @@ def _k_triangle_one(params) -> tuple[int, int]:
 
 
 def check_k_triangle(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     params = _corpus_params(scale.k_triangle_filtrations, CORPUS_SEED + 4)
     rows = ordered_map(_k_triangle_one, params, jobs)
     return _counted(
         "k_triangle_lemma", sum(r[0] for r in rows), sum(r[1] for r in rows),
-        f"{len(params)} random filtrations x 25 grid points x all q < d", t0)
+        f"{len(params)} random filtrations x 25 grid points x all q < d")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +351,6 @@ def _inequality_one(params) -> tuple[int, int, float]:
 
 
 def check_inequalities(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     params = _corpus_params(scale.nested_pairs, CORPUS_SEED + 4)
     rows = ordered_map(_inequality_one, params, jobs)
     bad = sum(r[0] for r in rows)
@@ -368,9 +359,7 @@ def check_inequalities(scale: Scale, jobs: int = 1) -> CheckResult:
     return CheckResult(
         "inequality_suite", bad == 0, comparisons, float(worst),
         "trivial bound, nested difference bound, rectangle identity and "
-        "nonnegativity, total mass",
-        time.time() - t0,
-    )
+        "nonnegativity, total mass")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +389,6 @@ def _gap_one(params) -> list[float]:
 
 
 def check_gap_bounds(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     tasks = [(kind, CORPUS_SEED + 6000 + seed_idx)
              for seed_idx in range(scale.gap_seeds)
              for kind in ("upper", "lower", "perturbed_lattice")]
@@ -409,9 +397,7 @@ def check_gap_bounds(scale: Scale, jobs: int = 1) -> CheckResult:
     return CheckResult(
         "gap_bounds", worst >= 0, len(margins), float(worst),
         f"near-additivity and regularity, {scale.gap_seeds} seeds x "
-        "{upper, lower, perturbed_lattice} x parameter grid",
-        time.time() - t0,
-    )
+        "{upper, lower, perturbed_lattice} x parameter grid")
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +405,6 @@ def check_gap_bounds(scale: Scale, jobs: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_mgf_structure(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     model = _uniform_model("lower", 2)
     lam = np.linspace(-40.0, 40.0, 161)
     phi = estimate_log_mgf(model, 0, [(0.5, 0.5)], [lam], n=4,
@@ -454,9 +439,7 @@ def check_mgf_structure(scale: Scale, jobs: int = 1) -> CheckResult:
     return CheckResult(
         "log_mgf_structure", passed, comparisons, float(worst),
         f"phi(0)={float(vals[zero_idx])!r}, convexity violation "
-        f"{conv_viol:.2e}, rate min {float(rv.min()):.2e}",
-        time.time() - t0,
-    )
+        f"{conv_viol:.2e}, rate min {float(rv.min()):.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +447,6 @@ def check_mgf_structure(scale: Scale, jobs: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_rate_zero(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     model = _uniform_model("lower", 2)
     pairs = [(0.5, 0.5)]
     n = 8
@@ -484,9 +466,7 @@ def check_rate_zero(scale: Scale, jobs: int = 1) -> CheckResult:
     return CheckResult(
         "rate_function_zero", passed, len(rv), worst,
         f"min {minimum:.4f} at distance {dist:.4f} from mean {xbar:.4f} "
-        f"(cell {cell})",
-        time.time() - t0,
-    )
+        f"(cell {cell})")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +474,6 @@ def check_rate_zero(scale: Scale, jobs: int = 1) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def check_lln_drift(scale: Scale, jobs: int = 1) -> CheckResult:
-    t0 = time.time()
     model = _uniform_model("lower", 2)
     rows = lln_sweep(model, 0, [(0.5, 0.5)], [4, 8, 12], scale.lln_trials,
                      LLN_SEED, jobs=jobs)
@@ -508,9 +487,7 @@ def check_lln_drift(scale: Scale, jobs: int = 1) -> CheckResult:
     return CheckResult(
         "lln_drift", monotone and drift_ok, 3, float(worst),
         f"std ladder {stds[0]:.4f} > {stds[1]:.4f} > {stds[2]:.4f}, "
-        f"|mean(12)-mean(8)| = {drift:.4f} vs {0.05 * means[12]:.4f}",
-        time.time() - t0,
-    )
+        f"|mean(12)-mean(8)| = {drift:.4f} vs {0.05 * means[12]:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +500,6 @@ def check_determinism(scale: Scale, jobs: int = 1) -> CheckResult:
 
     from .cli import parse_config, run_estimate
 
-    t0 = time.time()
     config = parse_config({
         "schema_version": 1,
         "model": {
@@ -553,12 +529,9 @@ def check_determinism(scale: Scale, jobs: int = 1) -> CheckResult:
             }
     same = outputs[1] == outputs[many]
     n_files = len(outputs[1])
-    return CheckResult(
-        "determinism_across_jobs", same, n_files,
-        0.0 if same else -1.0,
-        f"{n_files} estimate output files byte-compared for --jobs 1 vs {many}",
-        time.time() - t0,
-    )
+    return _counted("determinism_across_jobs", int(not same), n_files,
+                    f"{n_files} estimate output files byte-compared for "
+                    f"--jobs 1 vs {many}")
 
 
 ALL_CHECKS = [
@@ -582,7 +555,9 @@ def run_suite(scale_name: str = "default", jobs: int = 1,
     scale = SCALES[scale_name]
     results = []
     for check in ALL_CHECKS:
+        start = time.time()
         result = check(scale, jobs)
+        result.seconds = time.time() - start
         results.append(result)
         echo(result.line())
     if report_fp is not None:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -253,6 +254,23 @@ def test_smoke_verify_report_has_no_negative_zero(tmp_path, capsys):
     assert "-0.0" not in (tmp_path / "verify_report.json").read_text()
 
 
+def test_verify_durations_come_from_run_suite(tmp_path, capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from randcube import verify
+
+    assert verify.check_cube_counting(verify.SCALES["smoke"]).seconds == 0.0
+    clock = iter(range(0, 1000, 2))  # each check spans one 2 s step of this clock
+    monkeypatch.setattr(verify, "time", SimpleNamespace(time=lambda: float(next(clock))))
+    assert main(["verify", "--scale", "smoke", "--jobs", "1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert len(lines) == len(report["checks"]) == len(verify.ALL_CHECKS)
+    assert all(", 2.0s (" in line for line in lines)
+    assert [c["seconds"] for c in report["checks"]] == [2.0] * len(verify.ALL_CHECKS)
+
+
 @pytest.mark.parametrize("which, overrides, drop, message", [
     ("mgf", {"trials": 1}, None, "needs trials >= 2"),
     ("rate", {"trials": 1}, None, "needs trials >= 2"),
@@ -376,3 +394,69 @@ def test_non_string_out_dir_exits_2_before_sampling(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert "config error: out_dir must be a string, got 5" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which, overrides, field", [
+    ("rate", {"x_grid": {"min": 0.0, "max": 0.6, "points": 0}}, "x_grid"),
+    ("rate", {"x_grid": {"axis": []}}, "x_grid"),
+    ("mgf", {"lambda_grid": {"axis": []}}, "lambda_grid"),
+    ("pb", {"n_list": []}, "n_list"),
+    ("pb", {"n": 2, "n_list": []}, "n_list"),
+    ("pb", {"q": []}, "q"),
+], ids=["x-points-zero", "x-axis-empty", "lambda-axis-empty", "n_list-alone",
+        "n_list-beside-n", "q-list"])
+def test_empty_config_field_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, which, overrides, field):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    if "n_list" in overrides and "n" not in overrides:
+        del raw["n"]
+    raw.update(overrides)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", which, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"config error: {field} must be nonempty" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_seed_must_fit_in_64_bits(tmp_path, capsys):
+    for seed, code in ((2**64, EXIT_CONFIG_ERROR), (-1, EXIT_CONFIG_ERROR),
+                       (2**64 - 1, EXIT_OK)):
+        cfg, _ = write_config(tmp_path, overrides={"seed": seed, "n": 1, "trials": 1})
+        out = tmp_path / f"dumps{seed}"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert f"# 2 1 {seed} lower" in (out / "filtration_trial0000.txt").read_text()
+        else:
+            assert f"seed must lie in [0, 2**64), got {seed}" in err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command, zero_means", [
+    (["estimate", "--which", "pb"], 0),  # ordered_map runs jobs <= 1 in this process
+    (["verify", "--scale", "smoke"], min(4, os.cpu_count() or 1)),  # up to 4 cores
+], ids=["estimate", "verify"])
+def test_jobs_rejects_negatives_and_keeps_zero(tmp_path, capsys, monkeypatch,
+                                               command, zero_means):
+    seen = []
+    monkeypatch.setattr(limits, "ordered_map",
+                        lambda fn, tasks, jobs: seen.append(jobs) or [fn(t) for t in tasks])
+    monkeypatch.setattr("randcube.verify.run_suite",
+                        lambda scale, jobs, report_fp: seen.append(jobs) or [])
+    cfg, _ = write_config(tmp_path)
+    if command[0] == "estimate":
+        command = [*command, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--jobs", "-3", "--out", str(tmp_path / "negative")])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "argument --jobs: must be >= 0, got -3" in capsys.readouterr().err
+    assert seen == [] and not (tmp_path / "negative").exists()
+    assert main([*command, "--jobs", "0", "--out", str(tmp_path / "zero")]) == EXIT_OK
+    assert seen == [zero_means]

@@ -281,6 +281,12 @@ def test_log_mgf_of_a_given_pb_pass():
                         "pairs": ((0.5, 0.5),), "kind": "log_mgf"}
     with pytest.raises(ValueError, match="one lambda axis per"):
         log_mgf(est, [lam, lam])
+    for axes in ([[]], [[0.0, 0.0]]):  # an empty or unsorted lambda axis
+        with pytest.raises(ValueError, match="^grid"):
+            log_mgf(est, axes)
+    no_pairs = limits.PBDensity(LOWER2, 0, (), 1, 2, 0, np.zeros((2, 0), dtype=np.int64))
+    with pytest.raises(ValueError, match="^grid must be nonempty$"):
+        log_mgf(no_pairs, [])
 
 
 def test_legendre_of_grid_linear_function():
@@ -436,6 +442,8 @@ def test_gap_reports_check_every_spec_before_sampling(monkeypatch):
                     regular=((4, 3),))
     with pytest.raises(ValueError, match="q=2 out of range for d=2"):
         gap_reports(UPPER2, 2, [(0.3, 0.6)], 0, regular=((3, 7),))
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.6, 0\.4\) violates"):
+        gap_reports(UPPER2, 0, [(0.3, 0.6), (0.6, 0.4)], 0, regular=((3, 7),))
 
 
 def test_gap_task_masses_each_window_and_union_once(monkeypatch):

@@ -472,6 +472,26 @@ def test_bad_corners_raise_on_both_routes(s, t):
         assert str(labelled.value) == str(rank.value)
 
 
+def test_corner_error_names_the_first_bad_corner():
+    from randcube.limits import estimate_pb_density
+
+    f = random_filtration(2, 2, 5)
+    diagram = compute_diagram(f)
+    s, t = [0.1, 0.6, 0.7], [0.5, 0.4, 0.2]  # the 2nd and 3rd corners are bad
+    model = ModelSpec("lower", 2, marks=(DistributionSpec("uniform", (0.0, 1.0)),) * 3)
+    calls = [lambda: quadrant_mass(diagram, 0, s, t),
+             lambda: persistent_betti_direct(f, 0, s, t),
+             lambda: persistent_betti_0(f, s, t),
+             lambda: estimate_pb_density(model, 0, list(zip(s, t)), 1, 1, 0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.6, 0\.4\) "
+                                             r"violates 0 <= s <= t < inf$"):
+            call()
+    # corners broadcast before the first bad one is found, in row-major order
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.7, 0\.5\)"):
+        quadrant_mass(diagram, 0, [[0.1], [0.7]], [0.5, 0.8])
+
+
 # --- the array rank route against a per-corner cube-list reference --------------------
 
 def pb_reference(f, q, s, t):
