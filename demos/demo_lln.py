@@ -13,7 +13,7 @@ import sys
 from randcube import DistributionSpec, ModelSpec
 from randcube.limits import (
     estimate_mean_diagram,
-    lln_sweep,
+    estimate_pb_density,
     rectangle_bounds,
     write_histogram_csv,
 )
@@ -23,12 +23,12 @@ uniform = DistributionSpec("uniform", (0.0, 1.0))
 model = ModelSpec("lower", 2, marks=(uniform,) * 3)
 
 # Density of connected components alive at time 0.5, per unit volume.
-rows = lln_sweep(model, 0, [(0.5, 0.5)], n_list=[4, 8, 12], trials=30,
-                 seed=819, jobs=jobs)
 print("window ladder for the component density at (s, t) = (0.5, 0.5):")
 print(f"{'n':>4} {'mean':>10} {'sample std':>12}")
-for r in rows:
-    print(f"{r['n']:>4} {r['mean']:>10.5f} {r['std']:>12.5f}")
+for n in (4, 8, 12):
+    est = estimate_pb_density(model, 0, [(0.5, 0.5)], n, trials=30, seed=819,
+                              jobs=jobs)
+    print(f"{n:>4} {est.mean[0]:>10.5f} {est.std[0]:>12.5f}")
 
 # Mean diagram, discretized: counts per dyadic rectangle, volume-normalized.
 result = estimate_mean_diagram(model, 1, n=8, trials=30, l=2, seed=819,

@@ -20,6 +20,8 @@ import numpy as np
 from . import __version__
 from .cubes import cell_dims
 from .limits import (
+    _check_estimator_args,
+    _check_fineness,
     estimate_log_mgf,
     estimate_mean_diagram,
     estimate_pb_density,
@@ -36,7 +38,7 @@ from .models import (
     parse_filtration,
     sample,
 )
-from .persistence import compute_diagram, format_diagram
+from .persistence import _pb_corners, compute_diagram, format_diagram
 
 CONFIG_SCHEMA_VERSION = 1
 FILTRATION_FORMAT_VERSION = 1
@@ -46,6 +48,13 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_VIOLATION = 3
+
+CONFIG_KEYS = ("schema_version", "model", "q", "n", "n_list", "trials", "seed",
+               "pairs", "fineness", "lambda_grid", "x_grid", "out_dir")
+# the model fields each kind reads, beside its kind and d
+MODEL_FIELDS = {"upper": ("mark", "marks"), "lower": ("mark", "marks"),
+                "perturbed_lattice": ("perturbation",),
+                "ball_cover": ("perturbation", "m_grid")}
 
 
 class ConfigError(Exception):
@@ -67,9 +76,17 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _check_keys(spec: dict, reads, where: str) -> None:
+    """Reject a key of a parsed config object that nothing reads, so that a
+    misspelt or misplaced key is never silently ignored."""
+    for key in spec:
+        if key not in reads:
+            raise ConfigError(f"{where} does not read {key!r}")
+
+
 def _parse_distribution(spec: dict) -> DistributionSpec:
     try:
-        return DistributionSpec(
+        law = DistributionSpec(
             spec["family"],
             tuple(_number(p, "distribution params entry")
                   for p in spec.get("params", ())),
@@ -77,26 +94,30 @@ def _parse_distribution(spec: dict) -> DistributionSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad distribution spec {spec!r}: {exc}") from exc
+    _check_keys(spec, ("family", "params", "p_inf"), "distribution")
+    return law
 
 
 def _parse_model(spec: dict) -> ModelSpec:
+    """Every present field is parsed, and so type-checked, before the check
+    that the model's kind reads it."""
     if not isinstance(spec, dict) or "kind" not in spec or "d" not in spec:
         raise ConfigError("model must be an object with 'kind' and 'd'")
     kind, d = spec["kind"], _integer(spec["d"], "model d")
-    marks: tuple[DistributionSpec, ...] = ()
-    perturbation = None
-    if kind in ("upper", "lower"):
-        if "marks" in spec:
-            marks = tuple(_parse_distribution(m) for m in spec["marks"])
-        elif "mark" in spec:
-            marks = (_parse_distribution(spec["mark"]),) * (d + 1)
-        else:
-            raise ConfigError(f"{kind} model needs 'marks' (per dimension) or "
-                              "'mark' (broadcast)")
-    elif "perturbation" in spec:
-        perturbation = _parse_distribution(spec["perturbation"])
-    return ModelSpec(kind, d, marks=marks, perturbation=perturbation,
-                     m_grid=_integer(spec.get("m_grid", 4), "model m_grid"))
+    if kind in ("upper", "lower") and "marks" not in spec and "mark" not in spec:
+        raise ConfigError(f"{kind} model needs 'marks' (per dimension) or "
+                          "'mark' (broadcast)")
+    marks = tuple(_parse_distribution(m) for m in spec.get("marks", ()))
+    if "mark" in spec:
+        marks = (_parse_distribution(spec["mark"]),) * (d + 1)
+    perturbation = (_parse_distribution(spec["perturbation"])
+                    if "perturbation" in spec else None)
+    model = ModelSpec(kind, d, marks=marks, perturbation=perturbation,
+                      m_grid=_integer(spec.get("m_grid", 4), "model m_grid"))
+    if "mark" in spec and "marks" in spec:
+        raise ConfigError("model takes 'mark' or 'marks', not both")
+    _check_keys(spec, ("kind", "d", *MODEL_FIELDS[kind]), f"{kind} model")
+    return model
 
 
 def _parse_axis(grid: dict, name: str) -> np.ndarray:
@@ -110,6 +131,9 @@ def _parse_axis(grid: dict, name: str) -> np.ndarray:
                                _integer(grid["points"], f"{name} points"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{name} needs 'axis' or min/max/points") from exc
+    if "axis" in grid and grid.keys() & {"min", "max", "points"}:
+        raise ConfigError(f"{name} takes 'axis' or min/max/points, not both")
+    _check_keys(grid, ("axis", "min", "max", "points"), name)
     if axis.size == 0:
         raise ConfigError(f"{name} must be nonempty")
     if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
@@ -149,6 +173,7 @@ def _parse_config(raw: dict) -> ExperimentConfig:
             f"schema_version must be {CONFIG_SCHEMA_VERSION}, "
             f"got {raw.get('schema_version')!r}"
         )
+    _check_keys(raw, CONFIG_KEYS, "config")
     model = _parse_model(raw.get("model", {}))
 
     q_raw = raw.get("q", 0)
@@ -156,9 +181,6 @@ def _parse_config(raw: dict) -> ExperimentConfig:
               for q in (q_raw if isinstance(q_raw, list) else [q_raw])]
     if not q_list:
         raise ConfigError("q must be nonempty")
-    for q in q_list:
-        if not 0 <= q < model.d:
-            raise ConfigError(f"q={q} out of range for d={model.d}")
 
     if "n" not in raw and "n_list" not in raw:
         raise ConfigError("config needs 'n' (window radius) or 'n_list'")
@@ -167,14 +189,12 @@ def _parse_config(raw: dict) -> ExperimentConfig:
     n_list = ([_integer(v, "n_list entry") for v in raw.get("n_list", [])]
               or [_integer(raw["n"], "n")])
     n = _integer(raw.get("n", n_list[-1]), "n")
-    if n < 1 or any(v < 1 for v in n_list):
-        raise ConfigError("window radii must be >= 1")
+    trials = _integer(raw.get("trials", 1), "trials")
+    for q in q_list:  # the estimators' own checks, before any sampling
+        for radius in (n, *n_list):
+            _check_estimator_args(model, q, radius, trials)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("n_list must be strictly increasing")
-
-    trials = _integer(raw.get("trials", 1), "trials")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     seed = _integer(raw.get("seed", 0), "seed")
     if not 0 <= seed < 2**64:  # the streams read a seed's low 64 bits
         raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
@@ -184,13 +204,10 @@ def _parse_config(raw: dict) -> ExperimentConfig:
         if not isinstance(p, list) or len(p) != 2:
             raise ConfigError(f"pairs entry must be a list [s, t], got {p!r}")
         pairs.append((_number(p[0], "pairs entry"), _number(p[1], "pairs entry")))
-    for s, t in pairs:
-        if not 0 <= s <= t < np.inf:
-            raise ConfigError(f"pair ({s}, {t}) violates 0 <= s <= t < inf")
+    _pb_corners(*np.reshape(pairs, (-1, 2)).T)
 
     fineness = _integer(raw.get("fineness", 2), "fineness")
-    if fineness < 1:
-        raise ConfigError("fineness must be >= 1")
+    _check_fineness(fineness)
 
     lambda_axis = x_axis = None
     if "lambda_grid" in raw:

@@ -40,6 +40,7 @@ from .models import ModelSpec, block_union, restrict_box, sample, truncate
 from .persistence import (
     Filtration,
     PersistenceDiagram,
+    _check_degree,
     _pb_corners,
     compute_diagram,
     persistent_betti_0,
@@ -105,10 +106,15 @@ def bin_pair(l: int, birth: float, death: float) -> tuple[int, int] | None:
     return None
 
 
-def histogram(diagram: PersistenceDiagram, q: int, l: int) -> Histogram:
-    """Bin the degree-q pairs of a diagram at fineness l."""
+def _check_fineness(l: int) -> None:
+    """The one check of a histogram fineness."""
     if l < 1:
         raise ValueError("fineness l must be >= 1")
+
+
+def histogram(diagram: PersistenceDiagram, q: int, l: int) -> Histogram:
+    """Bin the degree-q pairs of a diagram at fineness l."""
+    _check_fineness(l)
     hist = Histogram(l)
     counts = hist.counts
     for b, dth in diagram.degree(q):
@@ -169,9 +175,11 @@ def _hist_trial(args):
 
 
 def ordered_map(fn, tasks, jobs: int) -> list:
-    """``[fn(t) for t in tasks]``, spread over ``jobs`` worker processes when
-    ``jobs`` > 1; the results keep the task order for any worker count."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """``[fn(t) for t in tasks]``, spread over ``min(jobs, len(tasks))``
+    worker processes when that is > 1; the results keep the task order for
+    any worker count."""
+    jobs = min(jobs, len(tasks))
+    if jobs <= 1:
         return [fn(t) for t in tasks]
     from multiprocessing import Pool
 
@@ -190,8 +198,7 @@ def ordered_map(fn, tasks, jobs: int) -> list:
 
 def _check_estimator_args(model: ModelSpec, q: int, n: int, trials: int) -> None:
     """The degree, window radius and trial count of an estimator call."""
-    if not 0 <= q < model.d:
-        raise ValueError(f"q={q} out of range for d={model.d}")
+    _check_degree(q, model.d)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n < 1:
@@ -292,8 +299,7 @@ def estimate_mean_diagram(
     field on the dyadic grid is reported alongside, and every rectangle count
     is re-checked per trial against its alternating quadrant sum."""
     _check_estimator_args(model, q, n, trials)
-    if l < 1:
-        raise ValueError("fineness l must be >= 1")
+    _check_fineness(l)
     grid_pairs = dyadic_grid_pairs(l)
     s, t = np.array(grid_pairs).T
     args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
@@ -331,34 +337,6 @@ def estimate_mean_diagram(
     return MeanDiagram(model, q, n, trials, l, seed, mean_counts,
                        sum(overflows) / trials, sum(infinites) / trials,
                        grid_pairs, masses)
-
-
-def lln_sweep(
-    model: ModelSpec,
-    q: int,
-    pairs,
-    n_list,
-    trials: int = 1,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[dict]:
-    """Convergence table across a window ladder: per (n, pair) the mean and
-    sample standard deviation of the volume-scaled quadrant mass."""
-    n_list = list(n_list)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    rows = []
-    for n in n_list:
-        est = estimate_pb_density(model, q, pairs, n, trials, seed, jobs)
-        for idx, (s, t) in enumerate(est.pairs):
-            rows.append({
-                "n": n,
-                "s": s,
-                "t": t,
-                "mean": float(est.mean[idx]),
-                "std": float(est.std[idx]),
-            })
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +496,7 @@ def gap_reports(
     is the sum over the blocks.  For m = 0 there is one block.
     """
     s, t = _pb_corners(*np.array(pairs, dtype=np.float64).reshape(len(pairs), 2).T)
-    if not 0 <= q < model.d:
-        raise ValueError(f"q={q} out of range for d={model.d}")
+    _check_degree(q, model.d)
     for k, r, m in near:
         if k <= r or r < 0:
             raise ValueError("block construction requires 0 <= r < k")

@@ -400,13 +400,12 @@ def parse_filtration(text: str) -> Filtration:
     ambient dimension).  The first faulty line in file order is reported; a
     nan or negative birth is reported afterwards, by ``Filtration``.
     """
-    tokens, lines = _read_dump(text, "filtration", "d n seed model")
-    d, n = int(tokens[0]), int(tokens[1])
+    (d, n, seed, model), lines = _read_dump(text, "filtration", "d n seed model", 2)
     meta: dict = {"n": n}
-    if tokens[2] != "-":
-        meta["seed"] = int(tokens[2])
-    if tokens[3] != "-":
-        meta["model"] = tokens[3]
+    if seed != "-":
+        meta["seed"] = seed
+    if model != "-":
+        meta["model"] = model
     box = Window(n, d).box
     cells = canonical_cells(box)
     index = dict(zip(cell_texts(box, cells), cells.tolist()))

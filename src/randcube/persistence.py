@@ -140,8 +140,7 @@ class PersistenceDiagram:
 
     def degree(self, q: int) -> list[tuple[float, float]]:
         """The degree-q pairs; q must lie in 0..d-1."""
-        if not 0 <= q < self.d:
-            raise ValueError(f"q={q} out of range for d={self.d}")
+        _check_degree(q, self.d)
         return self.pairs.get(q, [])
 
     def total_count(self, q: int) -> int:
@@ -153,6 +152,12 @@ class PersistenceDiagram:
     def __repr__(self) -> str:
         counts = {q: len(ps) for q, ps in sorted(self.pairs.items())}
         return f"PersistenceDiagram(d={self.d}, counts={counts})"
+
+
+def _check_degree(q: int, d: int) -> None:
+    """The one check that a homological degree q lies in 0..d-1."""
+    if not 0 <= q < d:
+        raise ValueError(f"q={q} out of range for d={d}")
 
 
 def _require_valid(filtration: Filtration) -> None:
@@ -267,12 +272,13 @@ def rectangle_mass(diagram: PersistenceDiagram, q: int, s1: Corner, s2: Corner,
 
     Equals the alternating quadrant sum
     beta(s2,t1) - beta(s2,t2) + beta(s1,t2) - beta(s1,t1).  The corners
-    broadcast as in ``quadrant_mass``; any misordered rectangle raises.
+    broadcast as in ``quadrant_mass``; the rectangle is checked as the
+    corner chain (s1, s2), (s2, t1), (t1, t2) by ``_pb_corners``.
     """
+    for lo, hi in ((s1, s2), (s2, t1), (t1, t2)):
+        _pb_corners(lo, hi)
     s1, s2, t1, t2 = (np.asarray(x, dtype=np.float64)[..., None]
                       for x in (s1, s2, t1, t2))
-    if not np.all((0 <= s1) & (s1 <= s2) & (s2 <= t1) & (t1 <= t2) & (t2 < INF)):
-        raise ValueError("rectangle requires 0 <= s1 <= s2 <= t1 <= t2 < inf")
     b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
     mass = ((s1 < b) & (b <= s2) & (t1 < dth) & (dth <= t2)).sum(-1, dtype=np.int64)
     return mass if mass.ndim else int(mass)
@@ -314,8 +320,7 @@ def persistent_betti_direct(
     touches the diagram reduction, so the two can cross-check each other.
     """
     s, t = _pb_corners(s, t)
-    if not 0 <= q < filtration.d:
-        raise ValueError(f"q={q} out of range for d={filtration.d}")
+    _check_degree(q, filtration.d)
     _require_valid(filtration)
 
     region, flat = filtration.region, filtration.grid.ravel()
@@ -408,29 +413,33 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_dump(text: str, kind: str, layout: str) -> tuple[list[str], list]:
-    """The "# <layout>" header tokens of a ``kind`` dump (a diagram or a
-    filtration) and its later non-blank lines as (line number, line) pairs."""
+def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[list, list]:
+    """The "# <layout>" header fields of a ``kind`` dump (a diagram or a
+    filtration) and its later non-blank lines as (line number, line) pairs.
+
+    The first ``required`` fields are integers; a later field is an integer
+    or "-" (absent), and a ``model`` field is kept as its text."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     header = lines[0][1] if lines else ""
     if not header.startswith("#"):
         raise ValueError(f"{kind} file must start with a '# {layout}' header")
-    tokens = header[1:].split()
-    if len(tokens) != len(layout.split()):
-        raise ValueError(f"malformed {kind} header: {header!r}")
-    return tokens, lines[1:]
+    named = zip(layout.split(), header[1:].split(), strict=True)
+    try:  # a wrong token count (the strict zip) or a bad integer
+        fields = [tok if name == "model" or (tok == "-" and i >= required) else int(tok)
+                  for i, (name, tok) in enumerate(named)]
+    except ValueError:
+        raise ValueError(f"malformed {kind} header: {header!r}") from None
+    return fields, lines[1:]
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:
-    tokens, lines = _read_dump(text, "diagram", "d q_max n seed")
-    d = int(tokens[0])
-    meta: dict = {"d": d}
-    meta["q_max"] = int(tokens[1]) if tokens[1] != "-" else d - 1
-    if tokens[2] != "-":
-        meta["n"] = int(tokens[2])
-    if tokens[3] != "-":
-        meta["seed"] = int(tokens[3])
+    (d, q_max, n, seed), lines = _read_dump(text, "diagram", "d q_max n seed", 1)
+    meta: dict = {"d": d, "q_max": d - 1 if q_max == "-" else q_max}
+    if n != "-":
+        meta["n"] = n
+    if seed != "-":
+        meta["seed"] = seed
     pairs: dict[int, list[tuple[float, float]]] = {}
     for number, ln in lines:
         tokens = ln.split()

@@ -35,7 +35,6 @@ from .limits import (
     estimate_pb_density,
     gap_reports,
     legendre_transform,
-    lln_sweep,
     log_mgf,
     ordered_map,
 )
@@ -475,10 +474,10 @@ def check_rate_zero(scale: Scale, jobs: int = 1) -> CheckResult:
 
 def check_lln_drift(scale: Scale, jobs: int = 1) -> CheckResult:
     model = _uniform_model("lower", 2)
-    rows = lln_sweep(model, 0, [(0.5, 0.5)], [4, 8, 12], scale.lln_trials,
-                     LLN_SEED, jobs=jobs)
-    stds = [r["std"] for r in rows]
-    means = {r["n"]: r["mean"] for r in rows}
+    ladder = [estimate_pb_density(model, 0, [(0.5, 0.5)], n, scale.lln_trials,
+                                  LLN_SEED, jobs) for n in (4, 8, 12)]
+    stds = [float(est.std[0]) for est in ladder]
+    means = {est.n: float(est.mean[0]) for est in ladder}
     monotone = stds[0] > stds[1] > stds[2]
     drift = abs(means[12] - means[8])
     drift_ok = drift <= 0.05 * means[12]

@@ -155,6 +155,17 @@ def test_diagram_names_malformed_dump_line_exits_3(tmp_path, capsys, line):
     assert f"malformed filtration line 4: '{line}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 x lower"])
+def test_diagram_names_malformed_dump_header_exits_3(tmp_path, capsys, header):
+    filt_path = tmp_path / "faulty.txt"
+    filt_path.write_text(f"{header}\n2;0,0;00 0.5\n")
+    assert main(["diagram", "--filtration", str(filt_path),
+                 "--out", str(tmp_path)]) == EXIT_DATA_VIOLATION
+    err = capsys.readouterr().err
+    assert f"cannot read filtration: malformed filtration header: '{header}'" in err
+    assert not (tmp_path / "faulty.diagram.txt").exists()
+
+
 def test_nonfinite_mark_parameter_exits_2(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, mark={"family": "uniform",
                                           "params": [float("nan"), 1.0]})
@@ -379,7 +390,8 @@ def test_window_radius_n_below_1_exits_2_before_sampling(
     out = tmp_path / "out"
     assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert "window radii must be >= 1" in err and "Traceback" not in err
+    assert ("config error: bad config value: window radius must be >= 1 "
+            "(volume normalization)") in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -460,3 +472,82 @@ def test_jobs_rejects_negatives_and_keeps_zero(tmp_path, capsys, monkeypatch,
     assert seen == [] and not (tmp_path / "negative").exists()
     assert main([*command, "--jobs", "0", "--out", str(tmp_path / "zero")]) == EXIT_OK
     assert seen == [zero_means]
+
+
+@pytest.mark.parametrize("message, overrides", [
+    ("bad config value: corner (s, t) = (0.6, 0.4) violates 0 <= s <= t < inf",
+     {"pairs": [[0.3, 0.5], [0.6, 0.4], [0.9, 0.1]]}),
+    ("bad config value: q=2 out of range for d=2", {"q": [0, 2]}),
+    ("bad config value: trials must be >= 1", {"trials": 0}),
+    ("bad config value: window radius must be >= 1 (volume normalization)",
+     {"n_list": [0, 2]}),
+    ("bad config value: fineness l must be >= 1", {"fineness": 0}),
+    ("n_list must be strictly increasing", {"n_list": [4, 4]}),
+], ids=["corner", "degree", "trials", "radius", "fineness", "n_list-increasing"])
+def test_config_value_fault_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                     message, overrides):
+    """The library's own checks (every case but the n_list rule, which is
+    the config's alone) reject a config value before any sampling."""
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    cfg, _ = write_config(tmp_path, overrides=overrides)
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", "pb", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+PERTURBATION = {"family": "uniform", "params": [-0.25, 0.25]}
+
+
+@pytest.mark.parametrize("message, overrides, model", [
+    ("config does not read 'trails'", {"trails": 7}, {}),
+    ("lower model does not read 'colour'", {}, {"colour": "red"}),
+    ("lower model does not read 'perturbation'", {}, {"perturbation": PERTURBATION}),
+    ("lower model does not read 'm_grid'", {}, {"m_grid": 1}),
+    ("perturbed_lattice model does not read 'mark'", {},
+     {"kind": "perturbed_lattice", "perturbation": PERTURBATION}),
+    ("ball_cover model does not read 'marks'", {},
+     {"kind": "ball_cover", "perturbation": PERTURBATION, "mark": None,
+      "marks": [BASE_CONFIG["model"]["mark"]] * 3}),
+    ("model takes 'mark' or 'marks', not both", {},
+     {"marks": [BASE_CONFIG["model"]["mark"]] * 3}),
+    ("distribution does not read 'parms'", {},
+     {"mark": {"family": "uniform", "params": [0.0, 1.0], "parms": [0.0, 2.0]}}),
+    ("lambda_grid does not read 'step'",
+     {"lambda_grid": {"min": -1.0, "max": 1.0, "points": 3, "step": 1.0}}, {}),
+    ("x_grid takes 'axis' or min/max/points, not both",
+     {"x_grid": {"axis": [0.0, 0.5], "min": 0.0, "max": 0.6, "points": 31}}, {}),
+], ids=["top-level", "model-unknown", "lower-perturbation", "lower-m_grid",
+        "lattice-mark", "ball_cover-marks", "mark-and-marks", "distribution",
+        "grid", "axis-and-points"])
+def test_unread_config_key_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, message, overrides, model):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw["model"].update(model)
+    raw["model"] = {key: v for key, v in raw["model"].items() if v is not None}
+    raw.update(overrides)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", "rate", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_config_example_parses():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+    config = parse_config(json.loads(re.sub(r"//.*", "", block)))
+    assert config.model.kind == "lower" and config.trials == 100

@@ -19,7 +19,6 @@ from randcube.limits import (
     gap_reports,
     histogram,
     legendre_transform,
-    lln_sweep,
     log_mgf,
     piecewise_constant_integral,
     rectangle_bounds,
@@ -212,27 +211,48 @@ def test_mean_diagram_checks_degree_and_fineness_before_sampling(monkeypatch):
         estimate_mean_diagram(LOWER2, 0, n=2, trials=2, l=0, seed=0)
 
 
-# --- lln sweep ----------------------------------------------------------------------------
+# --- window ladder -------------------------------------------------------------------------
 
-def test_lln_sweep_deterministic_model_zero_std():
+def test_window_ladder_deterministic_model_zero_std():
     model = ModelSpec("lower", 2, marks=point_masses(0.1, 0.5, 0.9))
-    rows = lln_sweep(model, 0, [(0.3, 0.3)], [1, 2, 4], trials=3, seed=4)
-    assert all(r["std"] == 0.0 for r in rows)
+    for n in (1, 2, 4):
+        est = estimate_pb_density(model, 0, [(0.3, 0.3)], n, trials=3, seed=4)
+        assert est.std[0] == 0.0
 
 
-def test_lln_sweep_vertex_density_drift_bound():
+def test_window_ladder_vertex_density_drift_bound():
     # deterministic vertex-count density differs between n and 2n by <= 1/n
     model = ModelSpec("lower", 2, marks=point_masses(0.1, 0.5, 0.9))
-    rows = lln_sweep(model, 0, [(0.3, 0.3)], [2, 4, 8], trials=1, seed=4)
-    means = {r["n"]: r["mean"] for r in rows}
+    means = {n: estimate_pb_density(model, 0, [(0.3, 0.3)], n, trials=1, seed=4).mean[0]
+             for n in (2, 4, 8)}
     for n in (2, 4):
         assert abs(means[n] - means[2 * n]) <= 1.0 / n
         assert means[n] == (2 * n + 1) ** 2 / (2 * n) ** 2
 
 
-def test_lln_sweep_requires_increasing_windows():
-    with pytest.raises(ValueError):
-        lln_sweep(LOWER2, 0, [(0.5, 0.5)], [4, 4], 2, 1)
+def test_ordered_map_starts_no_more_workers_than_tasks(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class SerialPool:  # records its size and maps in this process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert limits.ordered_map(abs, [-1, -2], 64) == [1, 2]
+    assert limits.ordered_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert limits.ordered_map(abs, [-1], 64) == [1]  # one task: no pool
+    assert started == [2, 2]
 
 
 # --- log-MGF and conjugate -------------------------------------------------------------------

@@ -364,6 +364,15 @@ def test_parse_diagram_rejects_garbage():
             parse_diagram(f"# 2 1 - -\n\n{line}\n0 1.0 inf\n")
 
 
+@pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 3.5 -",
+                                    "# 2 1 - seed", "# 2 1 -", "# 2 1 - - 5"])
+def test_parse_diagram_names_malformed_header(header):
+    """A header field that is not an integer (d, or a q_max, n or seed that is
+    not "-"), or a wrong field count, names the header."""
+    with pytest.raises(ValueError, match=f"^malformed diagram header: '{header}'$"):
+        parse_diagram(f"{header}\n0 0.1 inf\n")
+
+
 def test_parse_diagram_rejects_impossible_pairs():
     # a degree outside 0..d-1 or a negative birth, named by its line number
     for line, message in (("5 0.1 0.2", "degree 5 out of range for d=2"),
@@ -451,8 +460,13 @@ def test_array_corners_raise_on_one_bad_corner():
     diagram = compute_diagram(hollow_square_then_fill())
     with pytest.raises(ValueError, match="s <= t"):
         quadrant_mass(diagram, 1, [0.5, 1.0, 2.0], 1.5)
-    with pytest.raises(ValueError, match="rectangle requires"):
+    # the rectangle is the corner chain (s1, s2), (s2, t1), (t1, t2)
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(1\.0, 0\.9\) "
+                                         r"violates 0 <= s <= t < inf$"):
         rectangle_mass(diagram, 1, 0.0, [0.5, 1.0], 1.0, [2.0, 0.9])
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.6, 0\.4\) "
+                                         r"violates 0 <= s <= t < inf$"):
+        rectangle_mass(diagram, 1, 0.2, 0.6, [0.8, 0.4], 0.9)
 
 
 @pytest.mark.parametrize("s, t", [(math.nan, 1.0), (0.5, math.nan), (0.3, INF),
