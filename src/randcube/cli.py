@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .cubes import cell_dims
 from .limits import (
+    _check_axis,
     _check_estimator_args,
     _check_fineness,
     estimate_log_mgf,
@@ -69,11 +70,14 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A JSON number as a float; a string or a bool is rejected, never
-    coerced."""
+    """A JSON number as a float; a string, a bool or an integer beyond the
+    float range is rejected, never coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} lies beyond the float range") from None
 
 
 def _check_keys(spec: dict, reads, where: str) -> None:
@@ -122,8 +126,7 @@ def _parse_model(spec: dict) -> ModelSpec:
 
 def _parse_axis(grid: dict, name: str) -> np.ndarray:
     if "axis" in grid:
-        axis = np.asarray([_number(v, f"{name} axis entry") for v in grid["axis"]],
-                          dtype=np.float64)
+        axis = [_number(v, f"{name} axis entry") for v in grid["axis"]]
     else:
         try:
             axis = np.linspace(_number(grid["min"], f"{name} min"),
@@ -134,11 +137,7 @@ def _parse_axis(grid: dict, name: str) -> np.ndarray:
     if "axis" in grid and grid.keys() & {"min", "max", "points"}:
         raise ConfigError(f"{name} takes 'axis' or min/max/points, not both")
     _check_keys(grid, ("axis", "min", "max", "points"), name)
-    if axis.size == 0:
-        raise ConfigError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
-        raise ConfigError(f"{name} must be finite and strictly increasing")
-    return axis
+    return _check_axis(axis, name)
 
 
 @dataclass
@@ -232,7 +231,7 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fp)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

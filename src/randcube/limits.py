@@ -58,12 +58,11 @@ INF = math.inf
 class Histogram:
     """Counts of diagram points over the fineness-l dyadic rectangle family.
 
-    Rectangles are keyed by (i, j): the birth interval is [0, 1/2^(l+1)]
-    (closed) for i = 1 and ((i-1)/2^(l+1), i/2^(l+1)] for i >= 2; the death
-    interval is ((j-1)/2^(l+1), j/2^(l+1)].  Valid keys have
-    2 <= i <= j <= l*2^(l+1) with j - i >= 2, or i = 1 with 3 <= j.
-    Pairs outside every rectangle land in ``overflow``; infinite-death pairs
-    are never binned and land in ``infinite``.
+    With den = 2^(l+1), the keys are the (i, j) with 1 <= i and
+    i + 2 <= j <= l*den; rectangle (i, j) is the birth interval
+    ((i-1)/den, i/den], closed at 0 for i = 1, times the death interval
+    ((j-1)/den, j/den].  Pairs outside every rectangle land in ``overflow``;
+    infinite-death pairs are never binned and land in ``infinite``.
     """
 
     l: int
@@ -73,37 +72,24 @@ class Histogram:
 
 
 def rectangle_keys(l: int) -> list[tuple[int, int]]:
-    """All rectangle keys of fineness l in deterministic (i, j) order."""
+    """All rectangle keys of fineness l in (i, j) order."""
     jmax = l * 2 ** (l + 1)
-    keys = [(1, j) for j in range(3, jmax + 1)]
-    for i in range(2, jmax + 1):
-        for j in range(i + 2, jmax + 1):
-            keys.append((i, j))
-    keys.sort()
-    return keys
+    return [(i, j) for i in range(1, jmax - 1) for j in range(i + 2, jmax + 1)]
 
 
 def rectangle_bounds(l: int, i: int, j: int) -> tuple[float, float, float, float]:
     """(s_lo, s_hi, t_lo, t_hi) of rectangle (i, j); the birth interval is
-    closed at s_lo only when i = 1."""
+    closed at s_lo only when i = 1 (s_lo = 0)."""
     den = 2 ** (l + 1)
-    s_lo = 0.0 if i == 1 else (i - 1) / den
-    return s_lo, i / den, (j - 1) / den, j / den
+    return (i - 1) / den, i / den, (j - 1) / den, j / den
 
 
 def bin_pair(l: int, birth: float, death: float) -> tuple[int, int] | None:
-    """Rectangle key containing a finite pair, or None (overflow)."""
+    """Rectangle key containing a finite pair, or None (overflow).  Scaling by
+    den = 2^(l+1) is exact, so ceil(birth * den) <= 1 iff birth <= 1/den."""
     den = 2 ** (l + 1)
-    jmax = l * den
-    j = math.ceil(death * den)  # death in ((j-1)/den, j/den]
-    if j > jmax:
-        return None
-    if birth <= 1.0 / den:
-        return (1, j) if j >= 3 else None
-    i = math.ceil(birth * den)
-    if 2 <= i <= j <= jmax and j - i >= 2:
-        return (i, j)
-    return None
+    i, j = max(1, math.ceil(birth * den)), math.ceil(death * den)
+    return (i, j) if i + 2 <= j <= l * den else None
 
 
 def _check_fineness(l: int) -> None:
@@ -350,6 +336,19 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=-1) if grids else np.empty((1, 0))
 
 
+def _check_axis(axis, name: str) -> np.ndarray:
+    """The one check of a lambda or x grid axis: a 1-D float array, nonempty,
+    finite and strictly increasing."""
+    axis = np.asarray(axis, dtype=np.float64)
+    if axis.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if axis.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(axis)) or np.any(np.diff(axis) <= 0):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+    return axis
+
+
 @dataclass
 class GridFunction:
     """Values of a function on a finite axis-aligned grid in R^h."""
@@ -359,12 +358,9 @@ class GridFunction:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.axes = tuple(np.asarray(a, dtype=np.float64) for a in self.axes)
-        if not self.axes or any(len(a) == 0 for a in self.axes):
+        self.axes = tuple(_check_axis(a, "grid axis") for a in self.axes)
+        if not self.axes:
             raise ValueError("grid must be nonempty")
-        for a in self.axes:
-            if np.any(np.diff(a) <= 0):
-                raise ValueError("grid axes must be strictly increasing")
         self.values = np.asarray(self.values, dtype=np.float64).reshape(
             tuple(len(a) for a in self.axes)
         )
@@ -393,7 +389,7 @@ def log_mgf(pb: PBDensity, lambda_axes) -> GridFunction:
 
     if pb.trials < 2:
         raise ValueError("log-MGF estimation needs trials >= 2")
-    axes = tuple(np.asarray(a, dtype=np.float64) for a in lambda_axes)
+    axes = tuple(_check_axis(a, "lambda axis") for a in lambda_axes)
     if len(axes) != len(pb.pairs):
         raise ValueError("need one lambda axis per (s, t) pair")
     betas = pb.masses.astype(np.float64)  # (T, h)
@@ -428,7 +424,7 @@ def legendre_transform(phi: GridFunction, x_axes) -> GridFunction:
     the lambda grid contains 0 and phi(0) = 0, the output is nonnegative by
     construction.
     """
-    x_axes = tuple(np.asarray(a, dtype=np.float64) for a in x_axes)
+    x_axes = tuple(_check_axis(a, "x axis") for a in x_axes)
     if len(x_axes) != phi.h:
         raise ValueError("x grid dimension must match the lambda grid")
     lam = phi.points()  # (P, h)
@@ -585,24 +581,22 @@ def write_histogram_csv(fp, result: MeanDiagram) -> None:
     _write_csv(fp, header, rows)
 
 
-def write_mgf_csv(fp, phi: GridFunction) -> None:
-    header = [f"lambda_{i + 1}" for i in range(phi.h)] + ["phi_hat", "n", "trials"]
-    n = phi.meta.get("n", "-")
-    trials = phi.meta.get("trials", "-")
-    rows = [
-        tuple(pt) + (val, n, trials)
-        for pt, val in zip(phi.points(), phi.flat_values())
-    ]
+def _write_grid_csv(fp, g: GridFunction, axis_prefix: str, value_name: str,
+                    **extra) -> None:
+    """One row per grid point, in row-major order: its coordinates
+    ``<axis_prefix>_1, ...``, its value, then the constant ``extra`` columns."""
+    header = [f"{axis_prefix}_{i + 1}" for i in range(g.h)] + [value_name, *extra]
+    rows = [(*pt, val, *extra.values()) for pt, val in zip(g.points(), g.flat_values())]
     _write_csv(fp, header, rows)
+
+
+def write_mgf_csv(fp, phi: GridFunction) -> None:
+    _write_grid_csv(fp, phi, "lambda", "phi_hat", n=phi.meta.get("n", "-"),
+                    trials=phi.meta.get("trials", "-"))
 
 
 def write_rate_csv(fp, rate: GridFunction) -> None:
-    header = [f"x_{i + 1}" for i in range(rate.h)] + ["phi_star"]
-    rows = [
-        tuple(pt) + (val,)
-        for pt, val in zip(rate.points(), rate.flat_values())
-    ]
-    _write_csv(fp, header, rows)
+    _write_grid_csv(fp, rate, "x", "phi_star")
 
 
 def write_gap_csv(fp, reports: list[GapReport]) -> None:

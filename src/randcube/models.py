@@ -21,7 +21,7 @@ Model kinds and their dependence ranges R:
   adjacent lattice points in Q (vertices are born at 0)
 * ball_cover (R from the perturbation support): birth of Q = grid-approximate
   covering radius of Q by balls around perturbed lattice points; this model
-  is approximate and flagged as such in its output metadata
+  is approximate, which only ``Filtration.meta["approximate"]`` records
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtrat
     ball cover reduces one nearest-centre query over all sample points.  The
     ball-cover births are grid approximations, a lower bound of the true
     covering radius with one-sided error at most the sample-grid cell
-    diameter; its outputs carry an "approximate" flag.
+    diameter; only the filtration's ``meta["approximate"]`` records this.
     """
     if box.ambient_dim != model.d:
         raise ValueError(f"box has dimension {box.ambient_dim}, model has d = {model.d}")

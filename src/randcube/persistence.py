@@ -395,10 +395,6 @@ def persistent_betti_0(filtration: Filtration, s: Corner, t: Corner) -> int | np
     return out if out.ndim else int(out)
 
 
-def _fmt_time(t: float) -> str:
-    return "inf" if t == INF else repr(t)
-
-
 def format_diagram(diagram: PersistenceDiagram) -> str:
     """Line-oriented text form: header "# d q_max n seed", then one
     "q birth death" line per pair, sorted by (q, birth, death)."""
@@ -409,7 +405,7 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
     lines = [f"# {diagram.d} {q_max} {n} {seed}"]
     for q in sorted(diagram.pairs):
         for b, dth in diagram.pairs[q]:
-            lines.append(f"{q} {_fmt_time(b)} {_fmt_time(dth)}")
+            lines.append(f"{q} {b!r} {dth!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -418,19 +414,22 @@ def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[list, 
     filtration) and its later non-blank lines as (line number, line) pairs.
 
     The first ``required`` fields are integers; a later field is an integer
-    or "-" (absent), and a ``model`` field is kept as its text."""
+    or "-" (absent), and a ``model`` field is kept as its text.  As for a
+    ``Window``, d must be >= 1 and an integer n >= 0."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     header = lines[0][1] if lines else ""
     if not header.startswith("#"):
         raise ValueError(f"{kind} file must start with a '# {layout}' header")
     named = zip(layout.split(), header[1:].split(), strict=True)
-    try:  # a wrong token count (the strict zip) or a bad integer
-        fields = [tok if name == "model" or (tok == "-" and i >= required) else int(tok)
-                  for i, (name, tok) in enumerate(named)]
+    try:  # a wrong token count (the strict zip), a bad integer, d < 1 or n < 0
+        fields = {name: tok if name == "model" or (tok == "-" and i >= required)
+                  else int(tok) for i, (name, tok) in enumerate(named)}
+        if fields["d"] < 1 or fields["n"] != "-" and fields["n"] < 0:
+            raise ValueError
     except ValueError:
         raise ValueError(f"malformed {kind} header: {header!r}") from None
-    return fields, lines[1:]
+    return list(fields.values()), lines[1:]
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:

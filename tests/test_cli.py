@@ -155,7 +155,8 @@ def test_diagram_names_malformed_dump_line_exits_3(tmp_path, capsys, line):
     assert f"malformed filtration line 4: '{line}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 x lower"])
+@pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 x lower",
+                                    "# 0 1 - -", "# 2 -1 - -"])
 def test_diagram_names_malformed_dump_header_exits_3(tmp_path, capsys, header):
     filt_path = tmp_path / "faulty.txt"
     filt_path.write_text(f"{header}\n2;0,0;00 0.5\n")
@@ -408,17 +409,20 @@ def test_non_string_out_dir_exits_2_before_sampling(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("which, overrides, field", [
-    ("rate", {"x_grid": {"min": 0.0, "max": 0.6, "points": 0}}, "x_grid"),
-    ("rate", {"x_grid": {"axis": []}}, "x_grid"),
-    ("mgf", {"lambda_grid": {"axis": []}}, "lambda_grid"),
-    ("pb", {"n_list": []}, "n_list"),
-    ("pb", {"n": 2, "n_list": []}, "n_list"),
-    ("pb", {"q": []}, "q"),
+@pytest.mark.parametrize("which, overrides, message", [
+    # a grid axis is checked by the library's own axis check
+    ("rate", {"x_grid": {"min": 0.0, "max": 0.6, "points": 0}},
+     "bad config value: x_grid must be nonempty"),
+    ("rate", {"x_grid": {"axis": []}}, "bad config value: x_grid must be nonempty"),
+    ("mgf", {"lambda_grid": {"axis": []}},
+     "bad config value: lambda_grid must be nonempty"),
+    ("pb", {"n_list": []}, "n_list must be nonempty"),
+    ("pb", {"n": 2, "n_list": []}, "n_list must be nonempty"),
+    ("pb", {"q": []}, "q must be nonempty"),
 ], ids=["x-points-zero", "x-axis-empty", "lambda-axis-empty", "n_list-alone",
         "n_list-beside-n", "q-list"])
 def test_empty_config_field_exits_2_before_sampling(
-        tmp_path, capsys, monkeypatch, which, overrides, field):
+        tmp_path, capsys, monkeypatch, which, overrides, message):
     def refuse(*args):
         raise AssertionError("sampled")
 
@@ -433,7 +437,39 @@ def test_empty_config_field_exits_2_before_sampling(
     assert main(["estimate", "--which", which, "--config", str(cfg),
                  "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert f"config error: {field} must be nonempty" in err and "Traceback" not in err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, overrides, model", [
+    ("distribution params entry", {},
+     {"mark": {"family": "uniform", "params": [0, 10**400]}}),
+    ("pairs entry", {"pairs": [[0.5, 10**400]]}, {}),
+    ("x_grid axis entry", {"x_grid": {"axis": [0, -10**400]}}, {}),
+], ids=["distribution-param", "pairs-entry", "axis-entry"])
+def test_float_field_beyond_float_range_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, field, overrides, model):
+    """A JSON integer too large for a float, in a float field, is named."""
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    cfg, _ = write_config(tmp_path, overrides=overrides, **model)
+    out = tmp_path / "dumps"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {field} lies beyond the float range\n"
+    assert not out.exists()
+
+
+def test_integer_too_long_to_read_exits_2(tmp_path, capsys):
+    """json refuses an integer of more than 4300 digits with a plain
+    ValueError, which is a config error too."""
+    cfg, _ = write_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace('"seed": 5', '"seed": 5' + "0" * 5000))
+    out = tmp_path / "dumps"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config {cfg} is not valid JSON: Exceeds the limit")
     assert not out.exists()
 
 

@@ -75,8 +75,13 @@ def test_rectangles_are_disjoint_and_binning_is_membership():
     l = 2
     keys = rectangle_keys(l)
     rng = np.random.default_rng(3)
-    births = rng.uniform(0, 2.5, 400)
-    deaths = births + rng.uniform(1e-6, 2.5, 400)
+    # random pairs, then births and deaths on every fineness-2 boundary up to
+    # 2.5 (exact in binary64), then births at 0
+    dyadic = np.arange(21) / 8
+    births = np.concatenate([rng.uniform(0, 2.5, 400), np.repeat(dyadic, 4), np.zeros(20)])
+    deaths = births + np.concatenate([rng.uniform(1e-6, 2.5, 400),
+                                      np.tile([1, 2, 3, 5], 21) / 8,
+                                      rng.uniform(1e-6, 2.5, 20)])
     for b, dth in zip(births, deaths):
         containing = []
         for i, j in keys:
@@ -98,6 +103,30 @@ def test_rectangle_keys_valid():
                 assert 3 <= j <= jmax
             else:
                 assert 2 <= i and j - i >= 2 and j <= jmax
+
+
+def test_dyadic_counts_are_projectively_consistent():
+    """Each fineness-l count is the sum of the counts of its four
+    fineness-(l+1) children (2i-1 | 2i, 2j-1 | 2j), exactly: the finite form
+    of lifting rectangle counts across fineness."""
+    rng = np.random.default_rng(20)
+    keys = {l: set(rectangle_keys(l)) for l in (1, 2, 3)}
+
+    def times(size):  # half uniform, half dyadic (0 and exact boundaries included)
+        dyadic = rng.integers(0, 40, size) / 2.0 ** rng.integers(1, 6, size)
+        return np.where(rng.random(size) < 0.5, dyadic, rng.uniform(0, 3, size))
+
+    for _ in range(300):
+        births = times(30)
+        deaths = births + np.maximum(times(30), 2.0**-7)
+        diagram = diagram_of({0: list(zip(births.tolist(), deaths.tolist()))})
+        for l in (1, 2, 3):
+            lifted: dict[tuple[int, int], float] = {}
+            for (i, j), c in histogram(diagram, 0, l + 1).counts.items():
+                parent = ((i + 1) // 2, (j + 1) // 2)
+                if parent in keys[l]:
+                    lifted[parent] = lifted.get(parent, 0) + c
+            assert lifted == histogram(diagram, 0, l).counts
 
 
 # --- piecewise-constant integral ---------------------------------------------------
@@ -301,8 +330,9 @@ def test_log_mgf_of_a_given_pb_pass():
                         "pairs": ((0.5, 0.5),), "kind": "log_mgf"}
     with pytest.raises(ValueError, match="one lambda axis per"):
         log_mgf(est, [lam, lam])
-    for axes in ([[]], [[0.0, 0.0]]):  # an empty or unsorted lambda axis
-        with pytest.raises(ValueError, match="^grid"):
+    for axes, message in (([[]], "nonempty"),  # an empty or unsorted lambda axis
+                          ([[0.0, 0.0]], "finite and strictly increasing")):
+        with pytest.raises(ValueError, match=f"^lambda axis must be {message}$"):
             log_mgf(est, axes)
     no_pairs = limits.PBDensity(LOWER2, 0, (), 1, 2, 0, np.zeros((2, 0), dtype=np.int64))
     with pytest.raises(ValueError, match="^grid must be nonempty$"):
@@ -335,6 +365,18 @@ def test_legendre_two_dimensional():
     rate = legendre_transform(phi, [np.linspace(0.0, 0.5, 11)] * 2)
     assert rate.values.shape == (11, 11)
     assert np.all(rate.values >= 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_axes_reject_non_finite_entries(bad):
+    est = limits.PBDensity(LOWER2, 0, ((0.5, 0.5),), 1, 2, 0, np.array([[0], [1]]))
+    with pytest.raises(ValueError, match="^lambda axis must be finite and strictly"):
+        log_mgf(est, [[0.0, 1.0, bad]])
+    phi = GridFunction((np.array([-1.0, 0.0, 1.0]),), np.zeros(3))
+    with pytest.raises(ValueError, match="^x axis must be finite and strictly"):
+        legendre_transform(phi, [[bad, 0.1]])
+    with pytest.raises(ValueError, match="^grid axis must be finite and strictly"):
+        GridFunction((np.array([0.0, bad]),), np.zeros(2))
 
 
 def test_grid_function_validation():

@@ -365,12 +365,19 @@ def test_parse_diagram_rejects_garbage():
 
 
 @pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 3.5 -",
-                                    "# 2 1 - seed", "# 2 1 -", "# 2 1 - - 5"])
+                                    "# 2 1 - seed", "# 2 1 -", "# 2 1 - - 5",
+                                    "# -2 5 -3 -", "# 0 - - -", "# 2 1 -1 -"])
 def test_parse_diagram_names_malformed_header(header):
     """A header field that is not an integer (d, or a q_max, n or seed that is
-    not "-"), or a wrong field count, names the header."""
+    not "-"), a wrong field count, or d < 1 or n < 0 (as in a filtration
+    header) names the header."""
     with pytest.raises(ValueError, match=f"^malformed diagram header: '{header}'$"):
         parse_diagram(f"{header}\n0 0.1 inf\n")
+
+
+def test_parse_diagram_reads_absent_header_fields():
+    assert parse_diagram("# 2 - - -\n0 0.1 inf\n").meta == {"d": 2, "q_max": 1}
+    assert parse_diagram("# 1 0 0 -\n").meta == {"d": 1, "q_max": 0, "n": 0}
 
 
 def test_parse_diagram_rejects_impossible_pairs():
