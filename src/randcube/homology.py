@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cubes import Box, cell_dims, cell_faces, cells_to_cubes, grid_shape
+from .cubes import Box, cell_dims, cell_faces, cell_texts, grid_shape
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -202,11 +202,8 @@ def _require_faces(region: Box, cells: np.ndarray, faces: np.ndarray,
     then ``cell_faces`` order) that ``present`` marks as missing."""
     if not present.all():
         j, k = np.argwhere(~present)[0]
-        face, cube = cells_to_cubes(region, np.array([faces[j, k], cells[j]]))
-        raise ValueError(
-            f"not face-closed: {face.canonical()} missing "
-            f"(face of {cube.canonical()})"
-        )
+        face, cube = cell_texts(region, np.array([faces[j, k], cells[j]]))
+        raise ValueError(f"not face-closed: {face} missing (face of {cube})")
 
 
 def boundary_columns(region: Box, cells, q: int, field=DEFAULT_FIELD,

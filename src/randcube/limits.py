@@ -61,14 +61,17 @@ class Histogram:
     With den = 2^(l+1), the keys are the (i, j) with 1 <= i and
     i + 2 <= j <= l*den; rectangle (i, j) is the birth interval
     ((i-1)/den, i/den], closed at 0 for i = 1, times the death interval
-    ((j-1)/den, j/den].  Pairs outside every rectangle land in ``overflow``;
-    infinite-death pairs are never binned and land in ``infinite``.
+    ((j-1)/den, j/den].  ``counts`` is one int64 table of shape
+    (l*den + 1, l*den + 1): rectangle (i, j) holds ``counts[i, j]`` pairs,
+    and the table is zero off the keys.  Finite pairs outside every
+    rectangle are counted in ``overflow``, infinite-death pairs in
+    ``infinite``.
     """
 
     l: int
-    counts: dict[tuple[int, int], float] = field(default_factory=dict)
-    overflow: float = 0.0
-    infinite: float = 0.0
+    counts: np.ndarray
+    overflow: int
+    infinite: int
 
 
 def rectangle_keys(l: int) -> list[tuple[int, int]]:
@@ -84,14 +87,6 @@ def rectangle_bounds(l: int, i: int, j: int) -> tuple[float, float, float, float
     return (i - 1) / den, i / den, (j - 1) / den, j / den
 
 
-def bin_pair(l: int, birth: float, death: float) -> tuple[int, int] | None:
-    """Rectangle key containing a finite pair, or None (overflow).  Scaling by
-    den = 2^(l+1) is exact, so ceil(birth * den) <= 1 iff birth <= 1/den."""
-    den = 2 ** (l + 1)
-    i, j = max(1, math.ceil(birth * den)), math.ceil(death * den)
-    return (i, j) if i + 2 <= j <= l * den else None
-
-
 def _check_fineness(l: int) -> None:
     """The one check of a histogram fineness."""
     if l < 1:
@@ -99,38 +94,21 @@ def _check_fineness(l: int) -> None:
 
 
 def histogram(diagram: PersistenceDiagram, q: int, l: int) -> Histogram:
-    """Bin the degree-q pairs of a diagram at fineness l."""
+    """Bin the degree-q pairs of a diagram at fineness l, all at once: (b, d)
+    lies in rectangle (i, j) = (max(1, ceil(b*den)), ceil(d*den)) iff
+    i + 2 <= j <= l*den.  Only pairs with d <= l (exactly j <= l*den, as den
+    is a power of two) are scaled, so each scaled time (b <= d) is exact."""
     _check_fineness(l)
-    hist = Histogram(l)
-    counts = hist.counts
-    for b, dth in diagram.degree(q):
-        if dth == INF:
-            hist.infinite += 1
-            continue
-        key = bin_pair(l, b, dth)
-        if key is None:
-            hist.overflow += 1
-        else:
-            counts[key] = counts.get(key, 0) + 1
-    return hist
-
-
-def piecewise_constant_integral(
-    diagram: PersistenceDiagram, q: int, f, l: int
-) -> tuple[float, float]:
-    """Integral of f against the degree-q diagram, twice: the fineness-l
-    piecewise-constant approximation sum_I f(UR(I)) * count(I), and the exact
-    sum of f over the finite pairs.
-
-    f is a function of (birth, death) with compact support away from the
-    diagonal; infinite-death pairs contribute to neither value.
-    """
-    hist = histogram(diagram, q, l)
-    approx = sum(
-        f(*rectangle_bounds(l, i, j)[1::2]) * c for (i, j), c in sorted(hist.counts.items())
-    )
-    exact = sum(f(b, dth) for b, dth in diagram.degree(q) if dth < INF)
-    return approx, exact
+    den = 2 ** (l + 1)
+    size = l * den + 1
+    pairs = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2)
+    i, j = np.ceil(pairs[pairs[:, 1] <= l] * den).astype(np.int64).T
+    i = np.maximum(i, 1)
+    key = i + 2 <= j
+    counts = np.bincount(i[key] * size + j[key], minlength=size * size)
+    infinite = int(np.count_nonzero(pairs[:, 1] == INF))
+    return Histogram(l, counts.reshape(size, size).astype(np.int64),
+                     len(pairs) - infinite - int(np.count_nonzero(key)), infinite)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +134,7 @@ def _pb_trial(args) -> np.ndarray:
 def _hist_trial(args):
     model, n, q, l, s, t, seed, trial = args
     diagram = compute_diagram(sample(model, n, seed, trial))
-    hist = histogram(diagram, q, l)
-    return hist.counts, hist.overflow, hist.infinite, quadrant_mass(diagram, q, s, t)
+    return histogram(diagram, q, l), quadrant_mass(diagram, q, s, t)
 
 
 def ordered_map(fn, tasks, jobs: int) -> list:
@@ -242,13 +219,6 @@ def estimate_pb_density(
     return PBDensity(model, q, pairs, n, trials, seed, np.array(rows, dtype=np.int64))
 
 
-def dyadic_grid_pairs(l: int) -> tuple[tuple[float, float], ...]:
-    """All (s, t) with s <= t on the fineness-l dyadic corner grid."""
-    den = 2 ** (l + 1)
-    values = [k / den for k in range(l * den + 1)]
-    return tuple((s, t) for s in values for t in values if s <= t)
-
-
 @dataclass
 class MeanDiagram:
     """Trial-averaged histogram of the diagram plus the per-trial quadrant
@@ -286,43 +256,34 @@ def estimate_mean_diagram(
     is re-checked per trial against its alternating quadrant sum."""
     _check_estimator_args(model, q, n, trials)
     _check_fineness(l)
-    grid_pairs = dyadic_grid_pairs(l)
-    s, t = np.array(grid_pairs).T
+    den = 2 ** (l + 1)
+    s_k, t_k = np.triu_indices(l * den + 1)  # the corners s <= t, in (s, t) order
+    s, t = s_k / den, t_k / den
     args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
-    rows = ordered_map(_hist_trial, args, jobs)
+    hists, mass_rows = zip(*ordered_map(_hist_trial, args, jobs))
 
-    keys = rectangle_keys(l)
-    key_index = {key: k for k, key in enumerate(keys)}
-    hist_counts, overflows, infinites, mass_rows = zip(*rows)
-    counts = np.zeros((trials, len(keys)), dtype=np.int64)
-    for trial, trial_counts in enumerate(hist_counts):
-        for key, c in trial_counts.items():
-            counts[trial, key_index[key]] = c
     masses = np.array(mass_rows, dtype=np.int64)
-    # inclusion-exclusion identity, exact per trial, for every rectangle
-    # (zero counts included): count = m(s_hi, t_lo) - m(s_hi, t_hi)
-    # + m(s_lo, t_hi) - m(s_lo, t_lo), the last two terms only when i > 1
-    pair_index = {p: k for k, p in enumerate(grid_pairs)}
-    corners = np.array([
-        [pair_index[p] for p in ((s_hi, t_lo), (s_hi, t_hi), (s_lo, t_hi), (s_lo, t_lo))]
-        for s_lo, s_hi, t_lo, t_hi in (rectangle_bounds(l, i, j) for i, j in keys)
-    ])
-    inner = np.array([i > 1 for i, _ in keys])
-    m = masses[:, corners]  # (trials, keys, 4)
-    expect = m[..., 0] - m[..., 1] + (m[..., 2] - m[..., 3]) * inner
+    m = np.zeros((trials, l * den + 1, l * den + 1), dtype=np.int64)
+    m[:, s_k, t_k] = masses  # m[:, a, b] = quadrant mass at (a/den, b/den)
+    # exact per trial and rectangle (zero counts included): count = m(s_hi, t_lo)
+    # - m(s_hi, t_hi) + m(s_lo, t_hi) - m(s_lo, t_lo), the last two only if i > 1
+    i, j = np.array(rectangle_keys(l)).T
+    counts = np.array([h.counts[i, j] for h in hists])  # (trials, keys)
+    expect = m[:, i, j - 1] - m[:, i, j] + (m[:, i - 1, j] - m[:, i - 1, j - 1]) * (i > 1)
     bad = np.argwhere(expect != counts)
     if len(bad):
         trial, k = bad[0]
         raise AssertionError(
             f"histogram/quadrant identity failed at trial {trial}, "
-            f"rectangle {keys[k]}: count {counts[trial, k]} vs alternating sum "
+            f"rectangle ({i[k]}, {j[k]}): count {counts[trial, k]} vs alternating sum "
             f"{expect[trial, k]}"
         )
-    mean_counts = {key: c / trials
-                   for key, c in zip(keys, counts.sum(axis=0).tolist()) if c}
+    mean_counts = {(a, b): c / trials for a, b, c in
+                   zip(i.tolist(), j.tolist(), counts.sum(axis=0).tolist()) if c}
     return MeanDiagram(model, q, n, trials, l, seed, mean_counts,
-                       sum(overflows) / trials, sum(infinites) / trials,
-                       grid_pairs, masses)
+                       sum(h.overflow for h in hists) / trials,
+                       sum(h.infinite for h in hists) / trials,
+                       tuple(zip(s.tolist(), t.tolist())), masses)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
-                    cells_to_cubes, grid_shape)
+                    cell_texts, cells_to_cubes, grid_shape)
 from .homology import DEFAULT_FIELD, Column, boundary_columns, reduce_columns
 
 INF = math.inf
@@ -66,7 +66,7 @@ class Filtration:
             cell = cells[np.argmax(bad.ravel()[cells])]
             raise ValueError("birth times must be nonnegative, got "
                              f"{float(grid.flat[cell])!r} at "
-                             f"{cells_to_cubes(region, [cell])[0].canonical()}")
+                             f"{cell_texts(region, [cell])[0]}")
         self.grid = grid
         self._births: dict[ElementaryCube, float] | None = None
 

@@ -249,6 +249,23 @@ def test_estimate_pb_deterministic_model_zero_std(tmp_path, capsys):
     assert len(set(values)) == 1  # zero spread across trials
 
 
+def test_estimate_diagram_bins_times_beyond_the_float_range(tmp_path, capsys):
+    """Marks up to 1e308 give finite pairs whose scaled times overflow the
+    float range; they lie beyond every rectangle and count as overflow."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "model": {"kind": "lower", "d": 2,
+                  "mark": {"family": "uniform", "params": [0.0, 1e308]}},
+        "q": 0, "n": 2, "trials": 2, "seed": 1, "fineness": 2}))
+    out = tmp_path / "est"
+    assert main(["estimate", "--which", "diagram", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / "histogram_q0.csv").read_text().splitlines()[0] == \
+        "l,i,j,count,normalized"
+
+
 def test_run_estimate_matches_across_jobs(tmp_path):
     config = parse_config(json.loads(json.dumps(BASE_CONFIG)))
     out1, out2 = tmp_path / "j1", tmp_path / "j2"

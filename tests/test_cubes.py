@@ -330,13 +330,15 @@ def test_cell_faces_match_boundary_faces_property(boxes, seed):
 def test_core_builds_no_cube(monkeypatch):
     """Cubes are built only for text I/O and messages: with ``cells_to_cubes``
     refusing, the diagram, the rank route, validation, the homology layer and
-    the cube-counting check all still run."""
+    the cube-counting check all still run.  The homology layer names cells
+    by their texts and does not import it."""
     from randcube import cubes, homology, persistence, verify
 
     def refuse(*args):
         raise AssertionError("cells_to_cubes called")
 
-    for module in (cubes, persistence, homology):
+    assert "cells_to_cubes" not in vars(homology)
+    for module in (cubes, persistence):
         monkeypatch.setattr(module, "cells_to_cubes", refuse)
     f = verify.random_filtration(2, 2, 1)
     assert persistence.validate(f) is None
@@ -353,15 +355,16 @@ def test_core_builds_no_cube(monkeypatch):
 def test_boundary_examples_build_no_cube(monkeypatch):
     """Criterion 1 states its worked examples on cells and canonical texts:
     it passes with ``boundary_faces``, ``cells_to_cubes`` and the cube
-    constructor refusing, and ``verify`` imports none of them."""
+    constructor refusing, and neither ``verify`` nor ``homology`` imports any
+    of them."""
     from randcube import cubes, homology, verify
 
     def refuse(*args, **kwargs):
         raise AssertionError("cube built")
 
-    assert not {"ElementaryCube", "boundary_faces", "cells_to_cubes"} & set(vars(verify))
-    for module in (cubes, homology):
-        monkeypatch.setattr(module, "cells_to_cubes", refuse)
+    for module in (verify, homology):
+        assert not {"ElementaryCube", "boundary_faces", "cells_to_cubes"} & set(vars(module))
+    monkeypatch.setattr(cubes, "cells_to_cubes", refuse)
     monkeypatch.setattr(cubes, "boundary_faces", refuse)
     monkeypatch.setattr(ElementaryCube, "__init__", refuse)
     result = verify.check_boundary_examples(verify.SCALES["smoke"])

@@ -1,6 +1,8 @@
 import io
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,6 @@ from randcube import (DistributionSpec, ModelSpec, Window, block_window, limits,
                       sample, sample_box, verify)
 from randcube.limits import (
     GridFunction,
-    bin_pair,
-    dyadic_grid_pairs,
     estimate_log_mgf,
     estimate_mean_diagram,
     estimate_pb_density,
@@ -20,7 +20,6 @@ from randcube.limits import (
     histogram,
     legendre_transform,
     log_mgf,
-    piecewise_constant_integral,
     rectangle_bounds,
     rectangle_keys,
     write_gap_csv,
@@ -48,27 +47,95 @@ def diagram_of(pairs_by_degree):
 
 # --- histogram binning ----------------------------------------------------------
 
+def bin_pair(l, birth, death):
+    """The per-pair binning rule, the reference for ``histogram``: the key
+    of the rectangle containing a finite pair, or None (overflow).  The
+    scaled times are exact rationals, so no float can overflow here."""
+    den = 2 ** (l + 1)
+    i, j = max(1, math.ceil(Fraction(birth) * den)), math.ceil(Fraction(death) * den)
+    return (i, j) if i + 2 <= j <= l * den else None
+
+
+def reference_histogram(diagram, q, l):
+    """(key counts, overflow, infinite) of the degree-q pairs, binned one by
+    one through ``bin_pair``."""
+    counts, overflow, infinite = {}, 0, 0
+    for b, dth in diagram.degree(q):
+        if dth == INF:
+            infinite += 1
+        elif (key := bin_pair(l, b, dth)) is None:
+            overflow += 1
+        else:
+            counts[key] = counts.get(key, 0) + 1
+    return counts, overflow, infinite
+
+
+def key_counts(counts):
+    """The nonzero entries of a count table, by (i, j) in (i, j) order."""
+    i, j = np.nonzero(counts)
+    return dict(zip(zip(i.tolist(), j.tolist()), counts[i, j].tolist()))
+
+
 def test_bin_pair_worked_example():
     assert bin_pair(2, 1.0, 2.0) == (8, 16)
+    hist = histogram(diagram_of({0: [(1.0, 2.0)]}), 0, 2)
+    assert key_counts(hist.counts) == {(8, 16): 1} and hist.overflow == 0
     s_lo, s_hi, t_lo, t_hi = rectangle_bounds(2, 8, 16)
     assert (s_lo, s_hi, t_lo, t_hi) == (7 / 8, 1.0, 15 / 8, 2.0)
 
 
 def test_bin_pair_overflow_at_coarse_fineness():
     assert bin_pair(1, 1.0, 2.0) is None  # max covered coordinate is 1 < 2
+    hist = histogram(diagram_of({0: [(1.0, 2.0)]}), 0, 1)
+    assert not hist.counts.any() and hist.overflow == 1
 
 
 def test_histogram_of_empty_diagram():
     hist = histogram(diagram_of({}), 0, 2)
-    assert hist.counts == {} and hist.overflow == 0 and hist.infinite == 0
+    assert hist.counts.shape == (17, 17) and hist.counts.dtype == np.int64
+    assert not hist.counts.any() and hist.overflow == 0 and hist.infinite == 0
 
 
 def test_histogram_routes_infinite_and_overflow():
     diagram = diagram_of({0: [(0.0, INF), (1.0, 2.0), (0.05, 0.1)]})
     hist = histogram(diagram, 0, 2)
     assert hist.infinite == 1
-    assert hist.counts.get((8, 16)) == 1
+    assert hist.counts[8, 16] == 1 and hist.counts.sum() == 1
     assert hist.overflow == 1  # (0.05, 0.1) has j = 1 < 3
+
+
+def test_histogram_counts_pairs_beyond_the_float_range_as_overflow():
+    """A finite pair whose scaled times would overflow the float range lies
+    beyond every rectangle: it is overflow, with no warning."""
+    diagram = diagram_of({0: [(1e300, 1.7e308)]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = histogram(diagram, 0, 2)
+    assert not hist.counts.any() and (hist.overflow, hist.infinite) == (1, 0)
+
+
+# times of every kind the binning meets: uniform, exact fineness-1..4
+# boundaries and points between them (k/64), 0, and finite values so large
+# that scaling them would overflow the float range
+BIN_TIMES = st.one_of(
+    st.floats(0.0, 5.0),
+    st.integers(0, 5 * 64).map(lambda k: k / 64),
+    st.just(0.0),
+    st.floats(1e300, 1.7976931348623157e308),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(l=st.integers(1, 4),
+       pairs=st.lists(st.tuples(BIN_TIMES, BIN_TIMES, st.booleans()), max_size=40))
+def test_histogram_equals_the_per_pair_rule(l, pairs):
+    diagram = diagram_of({0: [(min(a, b), INF if forever else max(a, b))
+                              for a, b, forever in pairs]})
+    hist = histogram(diagram, 0, l)
+    size = l * 2 ** (l + 1) + 1
+    assert hist.counts.shape == (size, size) and hist.counts.dtype == np.int64
+    assert (key_counts(hist.counts), hist.overflow, hist.infinite) \
+        == reference_histogram(diagram, 0, l)
 
 
 def test_rectangles_are_disjoint_and_binning_is_membership():
@@ -82,7 +149,7 @@ def test_rectangles_are_disjoint_and_binning_is_membership():
     deaths = births + np.concatenate([rng.uniform(1e-6, 2.5, 400),
                                       np.tile([1, 2, 3, 5], 21) / 8,
                                       rng.uniform(1e-6, 2.5, 20)])
-    for b, dth in zip(births, deaths):
+    for b, dth in zip(births.tolist(), deaths.tolist()):
         containing = []
         for i, j in keys:
             s_lo, s_hi, t_lo, t_hi = rectangle_bounds(l, i, j)
@@ -91,8 +158,10 @@ def test_rectangles_are_disjoint_and_binning_is_membership():
             if in_s and in_t:
                 containing.append((i, j))
         assert len(containing) <= 1
-        assert bin_pair(l, float(b), float(dth)) == (containing[0] if containing
-                                                     else None)
+        assert bin_pair(l, b, dth) == (containing[0] if containing else None)
+        hist = histogram(diagram_of({0: [(b, dth)]}), 0, l)
+        assert key_counts(hist.counts) == {key: 1 for key in containing}
+        assert hist.overflow == 1 - len(containing)
 
 
 def test_rectangle_keys_valid():
@@ -106,11 +175,11 @@ def test_rectangle_keys_valid():
 
 
 def test_dyadic_counts_are_projectively_consistent():
-    """Each fineness-l count is the sum of the counts of its four
-    fineness-(l+1) children (2i-1 | 2i, 2j-1 | 2j), exactly: the finite form
-    of lifting rectangle counts across fineness."""
+    """On the fineness-l keys, the fineness-l table is the 2x2 block sum of
+    the fineness-(l+1) table: rectangle (i, j) is the union of its four
+    children (2i-1 | 2i, 2j-1 | 2j), exactly.  This is the finite form of
+    lifting rectangle counts across fineness."""
     rng = np.random.default_rng(20)
-    keys = {l: set(rectangle_keys(l)) for l in (1, 2, 3)}
 
     def times(size):  # half uniform, half dyadic (0 and exact boundaries included)
         dyadic = rng.integers(0, 40, size) / 2.0 ** rng.integers(1, 6, size)
@@ -121,15 +190,32 @@ def test_dyadic_counts_are_projectively_consistent():
         deaths = births + np.maximum(times(30), 2.0**-7)
         diagram = diagram_of({0: list(zip(births.tolist(), deaths.tolist()))})
         for l in (1, 2, 3):
-            lifted: dict[tuple[int, int], float] = {}
-            for (i, j), c in histogram(diagram, 0, l + 1).counts.items():
-                parent = ((i + 1) // 2, (j + 1) // 2)
-                if parent in keys[l]:
-                    lifted[parent] = lifted.get(parent, 0) + c
-            assert lifted == histogram(diagram, 0, l).counts
+            fine = histogram(diagram, 0, l + 1).counts[1:, 1:]
+            half = len(fine) // 2
+            # blocks[a, b] sums the four children of rectangle (a + 1, b + 1)
+            blocks = fine.reshape(half, 2, half, 2).sum(axis=(1, 3))
+            coarse = histogram(diagram, 0, l).counts
+            i, j = np.array(rectangle_keys(l)).T
+            assert np.array_equal(coarse[i, j], blocks[i - 1, j - 1])
+            assert coarse.sum() == coarse[i, j].sum()  # zero off the keys
 
 
 # --- piecewise-constant integral ---------------------------------------------------
+
+def piecewise_constant_integral(diagram, q, f, l):
+    """Integral of f against the degree-q diagram, twice: the fineness-l
+    piecewise-constant approximation sum_I f(UR(I)) * count(I), read off the
+    histogram table, and the exact sum of f over the finite pairs.
+
+    f is a function of (birth, death) with compact support away from the
+    diagonal; infinite-death pairs contribute to neither value.
+    """
+    den = 2 ** (l + 1)
+    approx = sum(f(i / den, j / den) * c
+                 for (i, j), c in key_counts(histogram(diagram, q, l).counts).items())
+    exact = sum(f(b, dth) for b, dth in diagram.degree(q) if dth < INF)
+    return approx, exact
+
 
 def test_piecewise_integral_constant_one():
     diagram = diagram_of({0: [(0.9, 1.9), (0.3, 1.2)]})
@@ -197,19 +283,23 @@ def test_pb_density_rejects_bad_pairs():
 # --- mean diagram -----------------------------------------------------------------------
 
 def test_mean_diagram_point_mass_model_hits_single_rectangle():
-    model = ModelSpec("lower", 2, marks=point_masses(0.2, 0.2, 0.8))
-    result = estimate_mean_diagram(model, 1, n=2, trials=3, l=2, seed=5)
-    # loops are born at 0.2 and filled at 0.8: one rectangle carries all mass
-    key = bin_pair(2, 0.2, 0.8)
-    assert key is not None
-    assert set(result.mean_counts) == {key}
-    assert result.mean_infinite == 0.0
+    # loops are born at 0.2 and filled at 0.8, and components are born at 0
+    # (in the i = 1 rectangles, closed at 0) and merged at 0.5, all but one:
+    # one rectangle carries all mass, and its count passes the quadrant check
+    for marks, q, pair, infinite in (((0.2, 0.2, 0.8), 1, (0.2, 0.8), 0.0),
+                                     ((0.0, 0.5, 0.9), 0, (0.0, 0.5), 1.0)):
+        model = ModelSpec("lower", 2, marks=point_masses(*marks))
+        result = estimate_mean_diagram(model, q, n=2, trials=3, l=2, seed=5)
+        key = bin_pair(2, *pair)
+        assert key is not None
+        assert set(result.mean_counts) == {key}
+        assert result.mean_infinite == infinite
 
 
 def test_mean_diagram_quadrant_field_matches_pb_estimator():
     l, n, trials, seed = 2, 2, 4, 6
     md = estimate_mean_diagram(LOWER2, 0, n, trials, l, seed)
-    grid = dyadic_grid_pairs(l)
+    grid = md.grid_pairs
     sample_pairs = [grid[0], grid[5], grid[len(grid) // 2], grid[-1]]
     pb = estimate_pb_density(LOWER2, 0, sample_pairs, n, trials, seed)
     for col, pair in enumerate(sample_pairs):
@@ -218,13 +308,17 @@ def test_mean_diagram_quadrant_field_matches_pb_estimator():
 
 
 def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
-    # a binning fault that drops every pair of one rectangle into overflow
+    # a binning fault that moves every pair of one rectangle into overflow
     # leaves that rectangle's count at 0; its quadrant sum still sees them
-    def lossy_bin_pair(l, birth, death):
-        key = bin_pair(l, birth, death)
-        return None if key == (3, 7) else key
+    real_histogram = limits.histogram
 
-    monkeypatch.setattr(limits, "bin_pair", lossy_bin_pair)
+    def lossy_histogram(diagram, q, l):
+        hist = real_histogram(diagram, q, l)
+        hist.overflow += int(hist.counts[3, 7])
+        hist.counts[3, 7] = 0
+        return hist
+
+    monkeypatch.setattr(limits, "histogram", lossy_histogram)
     with pytest.raises(AssertionError, match=r"rectangle \(3, 7\): count 0 vs"):
         estimate_mean_diagram(LOWER2, 0, n=8, trials=16, l=3, seed=5)
 
@@ -618,8 +712,6 @@ def test_out_of_range_degree_raises_not_passes():
     for q in (-1, 2, 7):
         with pytest.raises(ValueError, match=f"q={q} out of range for d=2"):
             histogram(diagram, q, 2)
-        with pytest.raises(ValueError, match=f"q={q} out of range for d=2"):
-            piecewise_constant_integral(diagram, q, lambda s, t: 1.0, 2)
     with pytest.raises(ValueError, match="q=7 out of range for d=2"):
         gap_reports(LOWER2, 7, [(0.3, 0.5)], 0, regular=((1, 3),))
     with pytest.raises(ValueError, match="q=-1 out of range for d=2"):

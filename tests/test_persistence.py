@@ -71,6 +71,20 @@ def test_validate_builds_no_births_dict():
     assert f._births is None
 
 
+def test_filtration_names_the_first_negative_birth():
+    """The message names the first bad cell in canonical order by its text."""
+    grid = np.zeros(grid_shape(Window(1, 2).box))
+    grid.flat[7], grid.flat[18] = -0.5, np.nan
+    with pytest.raises(ValueError, match=r"^birth times must be nonnegative, "
+                                         r"got -0\.5 at 2;-1,0;10$"):
+        Filtration(Window(1, 2), grid)
+    grid.flat[7] = 0.0
+    grid.flat[18] = -INF
+    with pytest.raises(ValueError, match=r"^birth times must be nonnegative, "
+                                         r"got -inf at 2;0,0;11$"):
+        Filtration(Window(1, 2), grid)
+
+
 def never_born(window: Window) -> Filtration:
     """The filtration of the window in which no cube is ever born."""
     return Filtration(window, np.full(grid_shape(window.box), INF))
