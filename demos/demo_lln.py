@@ -10,6 +10,8 @@ together.  The mean diagram is discretized by the dyadic histogram.
 import os
 import sys
 
+import numpy as np
+
 from randcube import DistributionSpec, ModelSpec
 from randcube.limits import (
     estimate_mean_diagram,
@@ -33,15 +35,17 @@ for n in (4, 8, 12):
 # Mean diagram, discretized: counts per dyadic rectangle, volume-normalized.
 result = estimate_mean_diagram(model, 1, n=8, trials=30, l=2, seed=819,
                                jobs=jobs)
+total, trials = result.total, result.trials
+occupied = list(zip(*np.nonzero(total.counts)))  # in (i, j) order
 print(f"\nmean degree-1 diagram at n=8 (fineness l=2, "
-      f"{len(result.mean_counts)} occupied rectangles):")
-top = sorted(result.mean_counts.items(), key=lambda kv: -kv[1])[:5]
-for (i, j), count in top:
+      f"{len(occupied)} occupied rectangles):")
+for i, j in sorted(occupied, key=lambda key: -total.counts[key])[:5]:
+    count = total.counts[i, j] / trials
     s_lo, s_hi, t_lo, t_hi = rectangle_bounds(2, i, j)
     print(f"  births ({s_lo:.3f},{s_hi:.3f}] x deaths ({t_lo:.3f},{t_hi:.3f}]"
           f": mean count {count:.2f}, density {count / result.volume:.5f}")
-print(f"  mean overflow {result.mean_overflow:.2f}, "
-      f"mean infinite-death {result.mean_infinite:.2f} (never binned)")
+print(f"  mean overflow {total.overflow / trials:.2f}, "
+      f"mean infinite-death {total.infinite / trials:.2f} (never binned)")
 
 out = sys.argv[1] if len(sys.argv) > 1 else "histogram_q1.csv"
 with open(out, "w") as fp:

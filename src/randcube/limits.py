@@ -131,16 +131,33 @@ def _pb_trial(args) -> np.ndarray:
     return _quadrant_masses(sample(model, n, seed, trial), q, s, t)
 
 
-def _hist_trial(args):
-    model, n, q, l, s, t, seed, trial = args
+def _hist_trial(args) -> Histogram:
+    """One trial's histogram, each rectangle count checked (zero counts
+    included) against the alternating sum of its four corner quadrant masses
+    m(s_hi, t_lo) - m(s_hi, t_hi) + m(s_lo, t_hi) - m(s_lo, t_lo), the last
+    two only if i > 1; (s_k, t_k) are the dyadic corners and (i, j) the keys."""
+    model, n, q, l, s_k, t_k, i, j, seed, trial = args
     diagram = compute_diagram(sample(model, n, seed, trial))
-    return histogram(diagram, q, l), quadrant_mass(diagram, q, s, t)
+    hist = histogram(diagram, q, l)
+    den = 2 ** (l + 1)
+    m = np.zeros_like(hist.counts)  # m[a, b] = quadrant mass at (a/den, b/den)
+    m[s_k, t_k] = quadrant_mass(diagram, q, s_k / den, t_k / den)
+    counts = hist.counts[i, j]
+    expect = m[i, j - 1] - m[i, j] + (m[i - 1, j] - m[i - 1, j - 1]) * (i > 1)
+    bad = np.flatnonzero(expect != counts)
+    if len(bad):
+        k = bad[0]
+        raise AssertionError(f"histogram/quadrant identity failed at trial {trial}, "
+                             f"rectangle ({i[k]}, {j[k]}): count {counts[k]} vs "
+                             f"alternating sum {expect[k]}")
+    return hist
 
 
 def ordered_map(fn, tasks, jobs: int) -> list:
     """``[fn(t) for t in tasks]``, spread over ``min(jobs, len(tasks))``
     worker processes when that is > 1; the results keep the task order for
-    any worker count."""
+    any worker count, and so does the error raised: that of the first failing
+    task in task order."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
@@ -151,8 +168,10 @@ def ordered_map(fn, tasks, jobs: int) -> list:
     # again.  tests/test_imports.py keeps this list equal to those imports.
     import scipy.ndimage, scipy.sparse, scipy.spatial, scipy.special  # noqa: E401, F401
     with Pool(jobs) as pool:
-        # tasks are coarse and uneven (window sizes differ a lot)
-        return pool.map(fn, tasks, chunksize=1)
+        # one task per chunk, as tasks are coarse and uneven (window sizes
+        # differ a lot); imap yields, and raises, in task order, where map
+        # would raise the first failure to finish
+        return list(pool.imap(fn, tasks, chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +240,16 @@ def estimate_pb_density(
 
 @dataclass
 class MeanDiagram:
-    """Trial-averaged histogram of the diagram plus the per-trial quadrant
-    field on the dyadic corner grid (for cross-checks against the
-    persistent-Betti estimator)."""
+    """The fineness-l histogram of the diagram summed over trials: ``total``
+    holds the sum of the trials' count tables, overflow and infinite counts,
+    so a mean is a total over ``trials``."""
 
     model: ModelSpec
     q: int
     n: int
     trials: int
-    l: int
     seed: int
-    mean_counts: dict[tuple[int, int], float]
-    mean_overflow: float
-    mean_infinite: float
-    grid_pairs: tuple[tuple[float, float], ...]
-    quadrant_masses: np.ndarray  # (trials, len(grid_pairs)) raw integers
+    total: Histogram
 
     @property
     def volume(self) -> float:
@@ -251,39 +265,18 @@ def estimate_mean_diagram(
     seed: int,
     jobs: int = 1,
 ) -> MeanDiagram:
-    """Average the fineness-l histogram over trials; the per-trial quadrant
-    field on the dyadic grid is reported alongside, and every rectangle count
-    is re-checked per trial against its alternating quadrant sum."""
+    """Sum the fineness-l histogram over trials.  Each trial checks every
+    rectangle count against its alternating quadrant sum (``_hist_trial``),
+    so the first failing (trial, rectangle) is the same for any ``jobs``."""
     _check_estimator_args(model, q, n, trials)
     _check_fineness(l)
-    den = 2 ** (l + 1)
-    s_k, t_k = np.triu_indices(l * den + 1)  # the corners s <= t, in (s, t) order
-    s, t = s_k / den, t_k / den
-    args = [(model, n, q, l, s, t, seed, trial) for trial in range(trials)]
-    hists, mass_rows = zip(*ordered_map(_hist_trial, args, jobs))
-
-    masses = np.array(mass_rows, dtype=np.int64)
-    m = np.zeros((trials, l * den + 1, l * den + 1), dtype=np.int64)
-    m[:, s_k, t_k] = masses  # m[:, a, b] = quadrant mass at (a/den, b/den)
-    # exact per trial and rectangle (zero counts included): count = m(s_hi, t_lo)
-    # - m(s_hi, t_hi) + m(s_lo, t_hi) - m(s_lo, t_lo), the last two only if i > 1
+    s_k, t_k = np.triu_indices(l * 2 ** (l + 1) + 1)  # the corners s <= t, in (s, t) order
     i, j = np.array(rectangle_keys(l)).T
-    counts = np.array([h.counts[i, j] for h in hists])  # (trials, keys)
-    expect = m[:, i, j - 1] - m[:, i, j] + (m[:, i - 1, j] - m[:, i - 1, j - 1]) * (i > 1)
-    bad = np.argwhere(expect != counts)
-    if len(bad):
-        trial, k = bad[0]
-        raise AssertionError(
-            f"histogram/quadrant identity failed at trial {trial}, "
-            f"rectangle ({i[k]}, {j[k]}): count {counts[trial, k]} vs alternating sum "
-            f"{expect[trial, k]}"
-        )
-    mean_counts = {(a, b): c / trials for a, b, c in
-                   zip(i.tolist(), j.tolist(), counts.sum(axis=0).tolist()) if c}
-    return MeanDiagram(model, q, n, trials, l, seed, mean_counts,
-                       sum(h.overflow for h in hists) / trials,
-                       sum(h.infinite for h in hists) / trials,
-                       tuple(zip(s.tolist(), t.tolist())), masses)
+    args = [(model, n, q, l, s_k, t_k, i, j, seed, trial) for trial in range(trials)]
+    hists = ordered_map(_hist_trial, args, jobs)
+    total = Histogram(l, sum(h.counts for h in hists), sum(h.overflow for h in hists),
+                      sum(h.infinite for h in hists))
+    return MeanDiagram(model, q, n, trials, seed, total)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +527,11 @@ def write_pb_csv(fp, *estimates: PBDensity) -> None:
 
 def write_histogram_csv(fp, result: MeanDiagram) -> None:
     header = ["l", "i", "j", "count", "normalized"]
-    vol = result.volume
+    counts, trials, vol = result.total.counts, result.trials, result.volume
+    i, j = np.nonzero(counts)  # row-major, so in (i, j) order
     rows = [
-        (result.l, i, j, c, c / vol)
-        for (i, j), c in sorted(result.mean_counts.items())
+        (result.total.l, a, b, c / trials, c / trials / vol)
+        for a, b, c in zip(i.tolist(), j.tolist(), counts[i, j].tolist())
     ]
     _write_csv(fp, header, rows)
 

@@ -415,17 +415,18 @@ def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[list, 
 
     The first ``required`` fields are integers; a later field is an integer
     or "-" (absent), and a ``model`` field is kept as its text.  As for a
-    ``Window``, d must be >= 1 and an integer n >= 0."""
+    ``Window``, d must be >= 1, an integer n >= 0 and an integer q_max in 0..d-1."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     header = lines[0][1] if lines else ""
     if not header.startswith("#"):
         raise ValueError(f"{kind} file must start with a '# {layout}' header")
     named = zip(layout.split(), header[1:].split(), strict=True)
-    try:  # a wrong token count (the strict zip), a bad integer, d < 1 or n < 0
+    try:  # a wrong token count (the strict zip), a bad integer, d, n or q_max
         fields = {name: tok if name == "model" or (tok == "-" and i >= required)
                   else int(tok) for i, (name, tok) in enumerate(named)}
-        if fields["d"] < 1 or fields["n"] != "-" and fields["n"] < 0:
+        d, n, q_max = fields["d"], fields["n"], fields.get("q_max", "-")
+        if d < 1 or n != "-" and n < 0 or q_max != "-" and not 0 <= q_max < d:
             raise ValueError
     except ValueError:
         raise ValueError(f"malformed {kind} header: {header!r}") from None
@@ -448,8 +449,9 @@ def parse_diagram(text: str) -> PersistenceDiagram:
             q, b, dth = int(tokens[0]), float(tokens[1]), float(tokens[2])
         except ValueError as exc:
             raise ValueError(f"malformed diagram line {number}: {ln!r} ({exc})") from None
-        if not 0 <= q < d:
-            raise ValueError(f"degree {q} out of range for d={d} in diagram line "
+        if not 0 <= q <= meta["q_max"]:
+            limit = f"q_max={meta['q_max']}" if 0 <= q < d else f"d={d}"
+            raise ValueError(f"degree {q} out of range for {limit} in diagram line "
                              f"{number}: {ln!r}")
         if b < 0:
             raise ValueError(f"negative birth in diagram line {number}: {ln!r}")

@@ -1,6 +1,8 @@
 import io
 import itertools
 import math
+import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -292,25 +294,49 @@ def test_mean_diagram_point_mass_model_hits_single_rectangle():
         result = estimate_mean_diagram(model, q, n=2, trials=3, l=2, seed=5)
         key = bin_pair(2, *pair)
         assert key is not None
-        assert set(result.mean_counts) == {key}
-        assert result.mean_infinite == infinite
+        assert np.argwhere(result.total.counts).tolist() == [list(key)]
+        assert result.total.infinite / result.trials == infinite
 
 
-def test_mean_diagram_quadrant_field_matches_pb_estimator():
+def test_mean_diagram_sums_the_trials_histograms():
+    # trial k of the estimate is trial k of the seed: the summed table is the
+    # sum of those trials' histograms, and their quadrant masses at dyadic
+    # corners are the persistent-Betti estimator's masses of the same seed
     l, n, trials, seed = 2, 2, 4, 6
     md = estimate_mean_diagram(LOWER2, 0, n, trials, l, seed)
-    grid = md.grid_pairs
-    sample_pairs = [grid[0], grid[5], grid[len(grid) // 2], grid[-1]]
-    pb = estimate_pb_density(LOWER2, 0, sample_pairs, n, trials, seed)
-    for col, pair in enumerate(sample_pairs):
-        idx = grid.index(pair)
-        assert np.array_equal(md.quadrant_masses[:, idx], pb.masses[:, col])
+    diagrams = [compute_diagram(sample(LOWER2, n, seed, trial)) for trial in range(trials)]
+    hists = [histogram(diagram, 0, l) for diagram in diagrams]
+    assert md.total.l == l
+    assert np.array_equal(md.total.counts, sum(h.counts for h in hists))
+    assert md.total.overflow == sum(h.overflow for h in hists)
+    assert md.total.infinite == sum(h.infinite for h in hists)
+    corners = [(0.0, 0.0), (0.0, 0.625), (0.75, 1.5), (2.0, 2.0)]
+    pb = estimate_pb_density(LOWER2, 0, corners, n, trials, seed)
+    s, t = np.array(corners).T
+    assert np.array_equal([quadrant_mass(diagram, 0, s, t) for diagram in diagrams],
+                          pb.masses)
+
+
+def test_mean_diagram_peak_memory_holds_one_table_per_trial():
+    # each trial checks its counts against its own (L, L) quadrant table and
+    # keeps only its histogram: about 5 MB here, against 24 MB for a
+    # (trials, L, L) table of every trial's quadrant masses
+    tracemalloc.start()
+    try:
+        estimate_mean_diagram(LOWER2, 0, n=2, trials=32, l=4, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
     # a binning fault that moves every pair of one rectangle into overflow
-    # leaves that rectangle's count at 0; its quadrant sum still sees them
+    # leaves that rectangle's count at 0; its quadrant sum still sees them,
+    # first in the first trial with a pair there, for any number of workers
     real_histogram = limits.histogram
+    first = next(trial for trial in range(16) if real_histogram(
+        compute_diagram(sample(LOWER2, 8, 5, trial)), 0, 3).counts[3, 7])
 
     def lossy_histogram(diagram, q, l):
         hist = real_histogram(diagram, q, l)
@@ -319,8 +345,10 @@ def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
         return hist
 
     monkeypatch.setattr(limits, "histogram", lossy_histogram)
-    with pytest.raises(AssertionError, match=r"rectangle \(3, 7\): count 0 vs"):
-        estimate_mean_diagram(LOWER2, 0, n=8, trials=16, l=3, seed=5)
+    for jobs in (1, 2):
+        with pytest.raises(AssertionError, match=rf"at trial {first}, "
+                                                 r"rectangle \(3, 7\): count 0 vs"):
+            estimate_mean_diagram(LOWER2, 0, n=8, trials=16, l=3, seed=5, jobs=jobs)
 
 
 def test_mean_diagram_checks_degree_and_fineness_before_sampling(monkeypatch):
@@ -368,14 +396,28 @@ def test_ordered_map_starts_no_more_workers_than_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            return (fn(t) for t in tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     assert limits.ordered_map(abs, [-1, -2], 64) == [1, 2]
     assert limits.ordered_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
     assert limits.ordered_map(abs, [-1], 64) == [1]  # one task: no pool
     assert started == [2, 2]
+
+
+def _fail_late_or_early(task):
+    if task == 1:
+        time.sleep(0.5)  # task 1 fails after task 3 has failed
+    if task in (1, 3):
+        raise ValueError(f"task {task} failed")
+    return task
+
+
+def test_ordered_map_raises_the_first_failing_task_in_task_order():
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="^task 1 failed$"):
+            limits.ordered_map(_fail_late_or_early, [0, 1, 2, 3], jobs)
 
 
 # --- log-MGF and conjugate -------------------------------------------------------------------
@@ -678,7 +720,12 @@ def test_histogram_csv_schema():
     md = estimate_mean_diagram(LOWER2, 0, 2, 2, 2, seed=15)
     buf = io.StringIO()
     write_histogram_csv(buf, md)
-    assert buf.getvalue().splitlines()[0] == "l,i,j,count,normalized"
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "l,i,j,count,normalized"
+    # one row per occupied rectangle of the summed table, in (i, j) order
+    counts = md.total.counts
+    assert lines[1:] == [f"2,{i},{j},{float(c) / 2!r},{float(c) / 2 / md.volume!r}"
+                         for (i, j), c in np.ndenumerate(counts) if c]
 
 
 def test_mgf_and_rate_csv_schema():

@@ -380,11 +380,12 @@ def test_parse_diagram_rejects_garbage():
 
 @pytest.mark.parametrize("header", ["# 2 x - -", "# - 1 - -", "# 2 1 3.5 -",
                                     "# 2 1 - seed", "# 2 1 -", "# 2 1 - - 5",
-                                    "# -2 5 -3 -", "# 0 - - -", "# 2 1 -1 -"])
+                                    "# -2 5 -3 -", "# 0 - - -", "# 2 1 -1 -",
+                                    "# 2 7 - -", "# 2 -1 - -", "# 2 2 - -"])
 def test_parse_diagram_names_malformed_header(header):
     """A header field that is not an integer (d, or a q_max, n or seed that is
-    not "-"), a wrong field count, or d < 1 or n < 0 (as in a filtration
-    header) names the header."""
+    not "-"), a wrong field count, d < 1 or n < 0 (as in a filtration
+    header), or a q_max outside 0..d-1 names the header."""
     with pytest.raises(ValueError, match=f"^malformed diagram header: '{header}'$"):
         parse_diagram(f"{header}\n0 0.1 inf\n")
 
@@ -403,6 +404,10 @@ def test_parse_diagram_rejects_impossible_pairs():
                           ("0 -inf 0.5", "negative birth")):
         with pytest.raises(ValueError, match=f"^{message} in diagram line 3: '{line}'$"):
             parse_diagram(f"# 2 1 - -\n0 0.1 inf\n{line}\n")
+    # a degree within 0..d-1 but above the header's q_max names q_max
+    with pytest.raises(ValueError, match="^degree 1 out of range for q_max=0 in "
+                                         "diagram line 2: '1 0.1 0.5'$"):
+        parse_diagram("# 2 0 - -\n1 0.1 0.5\n")
 
 
 def test_degree_out_of_range_raises_on_every_diagram_query():
