@@ -21,8 +21,9 @@ array it is, a ``scipy.sparse.csc_array`` of its signed coefficients (+-1)
 with rows and columns in the order given, for exact integer products
 (criterion 2; scipy.sparse is imported by the first ``boundary_matrix``
 call, not with this module); ``SparseMatrix.columns`` reads it back as dict
-columns for ``rank`` and ``kernel_basis``.  The persistence diagram
-reduction has its own loop, so the two routes stay independent oracles.
+columns for ``rank`` and ``kernel_basis``.  The persistence diagram has
+its own union-find pairing of degrees 0 and d-1 and its own reduction loop
+for the degrees in between, so the two routes stay independent oracles.
 """
 
 from __future__ import annotations

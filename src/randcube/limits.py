@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,12 +132,24 @@ def _pb_trial(args) -> np.ndarray:
     return _quadrant_masses(sample(model, n, seed, trial), q, s, t)
 
 
+@lru_cache(maxsize=8)
+def _dyadic_tables(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The dyadic corners (s_k, t_k), s_k <= t_k, in (s, t) order, and the
+    rectangle keys (i, j) of fineness l, as read-only arrays built once per
+    process, so a trial's task carries only l."""
+    tables = (*np.triu_indices(l * 2 ** (l + 1) + 1), *np.array(rectangle_keys(l)).T)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _hist_trial(args) -> Histogram:
     """One trial's histogram, each rectangle count checked (zero counts
     included) against the alternating sum of its four corner quadrant masses
     m(s_hi, t_lo) - m(s_hi, t_hi) + m(s_lo, t_hi) - m(s_lo, t_lo), the last
     two only if i > 1; (s_k, t_k) are the dyadic corners and (i, j) the keys."""
-    model, n, q, l, s_k, t_k, i, j, seed, trial = args
+    model, n, q, l, seed, trial = args
+    s_k, t_k, i, j = _dyadic_tables(l)
     diagram = compute_diagram(sample(model, n, seed, trial))
     hist = histogram(diagram, q, l)
     den = 2 ** (l + 1)
@@ -270,9 +283,7 @@ def estimate_mean_diagram(
     so the first failing (trial, rectangle) is the same for any ``jobs``."""
     _check_estimator_args(model, q, n, trials)
     _check_fineness(l)
-    s_k, t_k = np.triu_indices(l * 2 ** (l + 1) + 1)  # the corners s <= t, in (s, t) order
-    i, j = np.array(rectangle_keys(l)).T
-    args = [(model, n, q, l, s_k, t_k, i, j, seed, trial) for trial in range(trials)]
+    args = [(model, n, q, l, seed, trial) for trial in range(trials)]
     hists = ordered_map(_hist_trial, args, jobs)
     total = Histogram(l, sum(h.counts for h in hists), sum(h.overflow for h in hists),
                       sum(h.infinite for h in hists))

@@ -8,11 +8,15 @@ cells; cubes are built only for the {cube: birth} view ``births`` and to
 name a bad birth or a violating (face, cube) pair.  The text dump
 (``models.format_filtration``/``parse_filtration``) reads and writes the
 grid directly, not through ``births``.
-Diagrams are computed by standard column reduction of the total boundary
-matrix in birth order, on flat grid indices; persistent Betti numbers are
-additionally computed by a fully independent rank-based route on the same
-grid cells, over arrays of (s, t) corners, so the two act as mutual oracles
-(neither calls the other; they share only the face operator ``cell_faces``).
+Diagrams pair degrees 0 and d-1 by union-find, with no field arithmetic:
+degree 0 over the edges in birth order, degree d-1 over the dual graph of
+d-cubes and an outside hub in reverse order (by Alexander duality, the
+components of the complement).  Only the degrees 1..d-2 in between come from
+column reduction of the boundary matrix in birth order, on flat grid
+indices.  Persistent Betti numbers are additionally computed by a fully
+independent rank-based route on the same grid cells, over arrays of (s, t)
+corners, so the two act as mutual oracles (neither calls the other; they
+share only the face operator ``cell_faces``).
 In degree 0 a third route, ``persistent_betti_0``, counts the components of
 X_t that meet X_s by labelling the grid: two cells one step apart along one
 axis differ in one doubled coordinate, one even and one odd, so they are
@@ -173,14 +177,31 @@ def _require_valid(filtration: Filtration) -> None:
 def compute_diagram(
     filtration: Filtration, field=DEFAULT_FIELD, _tie_key=None
 ) -> PersistenceDiagram:
-    """Persistence diagram via column reduction of the total boundary matrix.
+    """Persistence diagram: degrees 0 and d-1 by union-find, the degrees in
+    between by column reduction of the boundary matrix.
 
     Cubes are ordered by (birth, dimension, canonical cube order), which puts
-    every face before its cofaces.  Columns live on flat grid indices, with
-    signed faces from ``cell_faces``.  The reduction runs per dimension from
-    the top down with the clearing shortcut (a column whose cube was already
-    used as a pivot row must reduce to zero and is skipped).  Pairs with
-    equal birth and death are discarded.
+    every face before its cofaces, and are named by their position in that
+    order.  Pairs with equal birth and death are discarded; a creator that
+    nothing kills is an essential pair (birth, inf).
+
+    * Degree 0: the edges in order join the components of their two
+      vertices.  An edge that joins two components kills the younger one,
+      the pair (birth of its root vertex, birth of the edge).
+    * Degree d-1 (d >= 2), by Alexander duality the components of the
+      complement: the dual graph has the region's d-cubes and one outside
+      hub as nodes, and each (d-1)-cube as an edge joining its two d-cofaces
+      (the hub, for a coface outside the window).  It is fed in reverse
+      order, never-born (d-1)-cubes first; the hub is the oldest node, then
+      the never-born d-cubes, then the finite ones latest first.  A finite
+      (d-1)-cube that joins two components creates a class, killed by the
+      younger root when that is a finite d-cube and essential otherwise.
+    * Degrees 1..d-2: the boundary columns of the q-cubes are reduced for
+      q = d-1 down to 2, on flat grid indices with signed faces from
+      ``cell_faces``, with the clearing shortcut (a column whose cube is
+      known to be positive is skipped): at q = d-1 the dual's creators, at
+      lower q the pivot rows of the pass before.  Only these degrees use
+      ``field``.
 
     ``_tie_key`` (a function of the array of finite cells, in canonical
     order, returning one key per cell) overrides the canonical tie-break
@@ -188,27 +209,62 @@ def compute_diagram(
     under this choice, which the test suite asserts by shuffling it.
     """
     _require_valid(filtration)
-    flat, d = filtration.grid.ravel(), filtration.d
-    cells = canonical_cells(filtration.region)
+    region, flat, d = filtration.region, filtration.grid.ravel(), filtration.d
+    cells = canonical_cells(region)
     cells = cells[flat[cells] < INF]  # the finite cubes, in canonical order
     tie = np.arange(len(cells)) if _tie_key is None else np.asarray(_tie_key(cells))
-    dims = cell_dims(filtration.region, cells)
+    dims = cell_dims(region, cells)
     order = np.lexsort((tie, dims, flat[cells]))
     cells, dims = cells[order], dims[order]
-    births = flat[cells].tolist()
+    n = len(cells)
     index = np.empty(flat.size, dtype=np.int64)
-    index[cells] = np.arange(len(cells))
+    index[cells] = np.arange(n)
+    lows, highs = [], []  # creator and killer positions, one array per route
+
+    edges = np.flatnonzero(dims == 1)
+    joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]].tolist(), n)
+    lows.append(np.array(younger, dtype=np.int64))
+    highs.append(edges[joins])
+
+    positive: set[int] = set()
+    if d >= 2:
+        never = np.flatnonzero(flat == INF)
+        never_dims = cell_dims(region, never)
+        # node ids: 0 the outside hub, 1..m the never-born d-cubes, and
+        # m + n - p the finite d-cube at position p
+        top = np.flatnonzero(dims == d)
+        tops = np.concatenate([never[never_dims == d], cells[top]])
+        m = len(tops) - len(top)
+        ids = np.concatenate([np.arange(1, m + 1), m + n - top])[:, None]
+        faces = cell_faces(region, tops, d)[0]
+        below = np.zeros(flat.size, dtype=np.int64)  # a face's coface a stride down
+        above = np.zeros(flat.size, dtype=np.int64)  # and a stride up
+        below[faces[:, 0::2]], above[faces[:, 1::2]] = ids, ids
+        # the (d-1)-cubes in reverse order, never-born first (position -1)
+        never_faces = never[never_dims == d - 1]
+        position = np.concatenate([np.full(len(never_faces), -1),
+                                   np.flatnonzero(dims == d - 1)[::-1]])
+        sigma = np.concatenate([never_faces, cells[position[len(never_faces):]]])
+        joins, younger = _elder_merges(
+            np.stack([below[sigma], above[sigma]], axis=1).tolist(), m + n + 1)
+        joins, younger = position[joins], np.array(younger, dtype=np.int64)
+        born = joins >= 0  # a never-born face joins only never-born nodes
+        joins, younger = joins[born], younger[born]
+        positive = set(joins.tolist())
+        killed = younger > m
+        lows.append(joins[killed])
+        highs.append(m + n - younger[killed])
 
     one = field.from_signed(1)
-    pivot_row_of: dict[int, int] = {}  # pivot row index -> killing column index
-    for q in range(d, 0, -1):
+    pivot_row_of: dict[int, int] = {}  # pivot row -> killing column
+    for q in range(d - 1, 1, -1):
         cols = np.flatnonzero(dims == q)
-        faces, signs = cell_faces(filtration.region, cells[cols], q)
+        faces, signs = cell_faces(region, cells[cols], q)
         faces = index[faces].tolist()
         signs = [field.from_signed(s) for s in signs.tolist()]
         pivots: dict[int, dict] = {}
         for j, rows in zip(cols.tolist(), faces):
-            if j in pivot_row_of:  # cleared
+            if j in pivot_row_of or j in positive:  # cleared
                 continue
             col = dict(zip(rows, signs))
             while col:
@@ -222,21 +278,45 @@ def compute_diagram(
                     field.scale_into(col, field.inv(col[low]))
                 pivots[low] = col
                 pivot_row_of[low] = j
+    lows.append(np.fromiter(pivot_row_of.keys(), dtype=np.int64, count=len(pivot_row_of)))
+    highs.append(np.fromiter(pivot_row_of.values(), dtype=np.int64, count=len(pivot_row_of)))
 
-    dims = dims.tolist()
-    pairs: dict[int, list[tuple[float, float]]] = {}
-    for low, j in pivot_row_of.items():
-        if births[low] < births[j]:
-            pairs.setdefault(dims[low], []).append((births[low], births[j]))
-    # creators are the zero-reduced (or cleared, or dimension-0) columns;
-    # those never hit as a pivot row survive forever
-    killers = set(pivot_row_of.values())
-    for i, (q, b) in enumerate(zip(dims, births)):
-        if i not in killers and i not in pivot_row_of:
-            pairs.setdefault(q, []).append((b, INF))
+    low, high = np.concatenate(lows), np.concatenate(highs)
+    births = flat[cells]
+    essential = np.ones(n, dtype=bool)
+    essential[low] = essential[high] = False
+    finite = births[low] < births[high]
+    low, high = low[finite], high[finite]
+    degree = np.concatenate([dims[low], dims[essential]])
+    birth = np.concatenate([births[low], births[essential]])
+    death = np.concatenate([births[high], np.full(int(essential.sum()), INF)])
+    pairs = {int(q): list(zip(birth[degree == q].tolist(), death[degree == q].tolist()))
+             for q in np.unique(degree)}
     meta = dict(filtration.meta)
     meta.setdefault("d", d)
     return PersistenceDiagram(d, pairs, meta)
+
+
+def _elder_merges(ends: list[list[int]], size: int) -> tuple[list[int], list[int]]:
+    """Union-find over the nodes 0..size-1, a smaller node being older, fed
+    the edges ``ends`` (node pairs) in the order given.  By the elder rule
+    the younger of two joined roots hangs under the older, so every root is
+    its component's oldest node.  Returns the indices of the edges that join
+    two components and, for each, the younger root it joins."""
+    parent = list(range(size))
+    joins, younger = [], []
+    for k, (a, b) in enumerate(ends):
+        while parent[a] != a:  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                a, b = b, a
+            parent[a] = b
+            joins.append(k)
+            younger.append(a)
+    return joins, younger
 
 
 def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:

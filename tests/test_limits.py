@@ -317,6 +317,21 @@ def test_mean_diagram_sums_the_trials_histograms():
                           pb.masses)
 
 
+def test_mean_diagram_tables_match_across_jobs():
+    # each worker process builds the dyadic corner and key tables of l once
+    # and keeps them read-only; a task carries l, not the tables
+    runs = [estimate_mean_diagram(LOWER2, q, n=3, trials=4, l=3, seed=8, jobs=jobs)
+            for q in (0, 1) for jobs in (1, 2)]
+    for one, two in (runs[:2], runs[2:]):
+        assert np.array_equal(one.total.counts, two.total.counts)
+        assert (one.total.overflow, one.total.infinite) == \
+            (two.total.overflow, two.total.infinite)
+        assert one.total.counts.any()
+    tables = limits._dyadic_tables(3)
+    assert tables is limits._dyadic_tables(3)
+    assert not any(table.flags.writeable for table in tables)
+
+
 def test_mean_diagram_peak_memory_holds_one_table_per_trial():
     # each trial checks its counts against its own (L, L) quadrant table and
     # keeps only its histogram: about 5 MB here, against 24 MB for a

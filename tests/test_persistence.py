@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcube import (
+    DEFAULT_FIELD,
+    Box,
     DistributionSpec,
     ElementaryCube,
     Filtration,
     ModelSpec,
     PersistenceDiagram,
+    PrimeField,
     RationalField,
     Window,
     betti,
     boundary_faces,
     boundary_matrix,
+    cli,
     compute_diagram,
     faces_contained_in,
     format_diagram,
@@ -27,9 +32,11 @@ from randcube import (
     rectangle_mass,
     sample,
     sublevel,
+    truncate,
     validate,
 )
-from randcube.cubes import canonical_cells, cell_coordinates, cells_to_cubes, grid_shape
+from randcube.cubes import (canonical_cells, cell_coordinates, cell_dims, cell_faces,
+                            cells_to_cubes, grid_shape)
 from randcube.homology import reduce_columns
 from randcube.verify import BIRTH_GRID, random_filtration
 
@@ -37,6 +44,10 @@ from cube_grids import filtration_from_births
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
+UNIFORM = DistributionSpec("uniform", (0.0, 1.0))
+TIED = DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+DEFECTIVE = DistributionSpec("uniform", (0.25, 0.75), p_inf=0.3)
+LAW = DistributionSpec("uniform", (-0.25, 0.25))
 
 
 def hollow_square_then_fill() -> Filtration:
@@ -235,6 +246,224 @@ def test_total_mass_bound():
         for q in range(d + 1):
             n_q = sum(1 for c in f.births if c.dim == q)
             assert diagram.total_count(q) <= n_q
+
+
+# --- union-find degrees against the full column reduction ------------------------------
+
+def ordered_cells(f):
+    """The finite cells in (birth, dimension, canonical) order, and their
+    dimensions."""
+    flat = f.grid.ravel()
+    cells = canonical_cells(f.region)
+    cells = cells[flat[cells] < INF]
+    dims = cell_dims(f.region, cells)
+    order = np.lexsort((dims, flat[cells]))  # stable, so canonical among ties
+    return cells[order], dims[order]
+
+
+def reference_diagram(f, field=DEFAULT_FIELD):
+    """Column reduction of the total boundary matrix in every degree, from
+    the top dimension down, with the clearing shortcut (a column whose cube
+    was already used as a pivot row is skipped)."""
+    flat, d = f.grid.ravel(), f.d
+    cells, dims = ordered_cells(f)
+    births = flat[cells].tolist()
+    index = np.empty(flat.size, dtype=np.int64)
+    index[cells] = np.arange(len(cells))
+    one = field.from_signed(1)
+    pivot_row_of = {}  # pivot row index -> killing column index
+    for q in range(d, 0, -1):
+        cols = np.flatnonzero(dims == q)
+        faces, signs = cell_faces(f.region, cells[cols], q)
+        faces = index[faces].tolist()
+        signs = [field.from_signed(s) for s in signs.tolist()]
+        pivots = {}
+        for j, rows in zip(cols.tolist(), faces):
+            if j in pivot_row_of:  # cleared
+                continue
+            col = dict(zip(rows, signs))
+            while col:
+                low = max(col)
+                hit = pivots.get(low)
+                if hit is None:
+                    break
+                field.submul_into(col, hit, col[low])
+            if col:
+                if col[low] != one:
+                    field.scale_into(col, field.inv(col[low]))
+                pivots[low] = col
+                pivot_row_of[low] = j
+    dims = dims.tolist()
+    pairs = {}
+    for low, j in pivot_row_of.items():
+        if births[low] < births[j]:
+            pairs.setdefault(dims[low], []).append((births[low], births[j]))
+    killers = set(pivot_row_of.values())
+    for i, (q, b) in enumerate(zip(dims, births)):
+        if i not in killers and i not in pivot_row_of:
+            pairs.setdefault(q, []).append((b, INF))
+    return PersistenceDiagram(d, pairs)
+
+
+SPARSE = DistributionSpec("uniform", (0.0, 1.0), p_inf=0.2)
+
+
+@st.composite
+def diagram_cases(draw):
+    """A random filtration or a sampled window of any of the four models
+    (uniform, tied ``empirical`` and ``p_inf`` 0.2 marks), d = 1..4, uncut
+    or cut at 0.3 or 0.6."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2 if d == 4 else 3))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("random", "lower", "upper", "perturbed_lattice",
+                                 "ball_cover")))
+    if kind == "random":
+        f = random_filtration(d, n, seed)
+    elif kind in ("lower", "upper"):
+        mark = draw(st.sampled_from((UNIFORM, TIED, SPARSE)))
+        f = sample(ModelSpec(kind, d, marks=(mark,) * (d + 1)), n, seed)
+    else:
+        f = sample(ModelSpec(kind, d, perturbation=LAW, m_grid=3), n, seed)
+    cut = draw(st.sampled_from((None, 0.3, 0.6)))
+    return f if cut is None else truncate(f, cut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagram_cases())
+def test_diagram_matches_full_column_reduction(f):
+    assert compute_diagram(f) == reference_diagram(f)
+
+
+def test_permanent_cavity_is_an_essential_top_class():
+    # the boundary of a d-cube born at 1, the d-cube itself never: its
+    # cavity is never filled, one (1, inf) pair in degree d-1
+    for d in (2, 3, 4):
+        cube = ElementaryCube((0,) * d, (1,) * d)
+        f = filtration_from_births(Window(2, d), {c: 1.0 for c in faces_contained_in(cube)
+                                                  if c != cube})
+        assert compute_diagram(f).pairs == {0: [(1.0, INF)], d - 1: [(1.0, INF)]}
+        assert compute_diagram(f) == reference_diagram(f)
+
+
+def test_cavity_at_a_window_corner():
+    # the corner d-cube of [-1, 1]^d has d faces on the window boundary (two
+    # or three here, each an edge to the outside in the dual graph); every
+    # other cube is born at 0, the corner cube at 3 and its boundary faces at
+    # 1, 2 (and 2.5), the lower-dimensional cubes they alone hold at 0: the
+    # last of them closes a cavity that the cube fills
+    for d, outer in ((2, (1.0, 2.0)), (3, (1.0, 2.0, 2.5)), (3, (2.0, 2.0, 1.0))):
+        grid = np.zeros(grid_shape(Window(1, d).box))
+        corner = (1,) * d  # doubled coordinates of [-1, 0]^d
+        grid[corner] = 3.0
+        for axis, birth in enumerate(outer):
+            grid[corner[:axis] + (0,) + corner[axis + 1:]] = birth
+        f = Filtration(Window(1, d), grid)
+        assert validate(f) is None
+        diagram = compute_diagram(f)
+        assert diagram.degree(d - 1) == [(max(outer), 3.0)]
+        assert diagram == reference_diagram(f)
+
+
+def test_union_find_edge_cases():
+    for seed in range(5):  # d = 1: degree 0 is also the top degree
+        f = random_filtration(1, 4, 9000 + seed)
+        assert compute_diagram(f) == reference_diagram(f)
+    for d in (1, 2, 3, 4):
+        assert compute_diagram(never_born(Window(1, d))).pairs == {}
+        one_cell = Filtration(Box((0,) * d, (0,) * d), np.full((1,) * d, 0.5))
+        assert compute_diagram(one_cell).pairs == {0: [(0.5, INF)]}
+    for d in (2, 3, 4):  # a box flat along its last axis holds no d-cube
+        grid = random_filtration(d - 1, 1, d).grid[..., None]
+        f = Filtration(Box((0,) * d, (2,) * (d - 1) + (0,)), grid)
+        assert compute_diagram(f) == reference_diagram(f)
+
+
+def test_degrees_0_and_top_need_no_field_arithmetic(monkeypatch, tmp_path):
+    upper = ModelSpec("upper", 2, marks=(SPARSE,) * 3)
+    filtrations = [random_filtration(1, 3, 1), random_filtration(2, 3, 2),
+                   sample(upper, 3, 3), truncate(sample(upper, 3, 4), 0.6)]
+    expect = [reference_diagram(f) for f in filtrations]
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic")
+
+    for cls in (PrimeField, RationalField):
+        for op in ("submul_into", "scale_into", "inv"):
+            monkeypatch.setattr(cls, op, refuse)
+    for f, diagram in zip(filtrations, expect):
+        assert compute_diagram(f) == compute_diagram(f, field=RationalField()) == diagram
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "q": 1, "n": 4, "trials": 3, "seed": 1, "fineness": 2,
+        "model": {"kind": "lower", "d": 2, "mark": {"family": "uniform", "params": [0, 1]}}}))
+    assert cli.main(["estimate", "--which", "diagram", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    with pytest.raises(AssertionError, match="field arithmetic"):
+        compute_diagram(random_filtration(3, 1, 5))
+
+
+class RowRecordingField(PrimeField):
+    """GF(p) that records the row of every entry its column operations read."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = set()
+        self.additions = 0
+
+    def submul_into(self, dst, src, factor):
+        self.rows.update(dst, src)
+        self.additions += 1
+        super().submul_into(dst, src, factor)
+
+    def scale_into(self, col, factor):
+        self.rows.update(col)
+        super().scale_into(col, factor)
+
+
+def test_d3_reduces_only_the_2_cube_columns():
+    # the rows that the field's column operations read are edges only: the
+    # 2-cube columns are the only ones reduced, while the full reduction
+    # also reduces the edge and 3-cube columns
+    upper = ModelSpec("upper", 3, marks=(UNIFORM,) * 4)
+    for f in (random_filtration(3, 2, 7), truncate(sample(upper, 2, 8), 0.6)):
+        _, dims = ordered_cells(f)
+        fast, full = RowRecordingField(), RowRecordingField()
+        assert compute_diagram(f, field=fast) == reference_diagram(f, field=full)
+        assert set(dims[list(fast.rows)].tolist()) == {1}
+        assert set(dims[list(full.rows)].tolist()) == {0, 1, 2}
+        assert 0 < fast.additions < full.additions
+
+
+def mobius_band() -> Filtration:
+    """A cubical Moebius band in R^3: a ring of 21 squares whose rungs turn
+    from z to y and back to z, swapping top and bottom.  Its boundary circle
+    (the edges in one square, with their vertices) is born at 1, the rest at
+    2."""
+    cube = ElementaryCube
+    squares = ([cube((x, 0, 0), (1, 0, 1)) for x in range(4)]
+               + [cube((4, 0, 0), (0, 1, 1)), cube((4, 0, 0), (1, 1, 0)),
+                  cube((5, 0, 0), (0, 1, 1))]
+               + [cube((5, y, 0), (0, 1, 1)) for y in range(1, 5)]
+               + [cube((x, 5, 0), (1, 0, 1)) for x in range(5)]
+               + [cube((0, y, 0), (0, 1, 1)) for y in range(5)])
+    edges = [c for s in squares for c in faces_contained_in(s) if c.dim == 1]
+    rim = {e for e in edges if edges.count(e) == 1}
+    rim |= {v for e in rim for v in faces_contained_in(e)}
+    band = {c for s in squares for c in faces_contained_in(s)}
+    return filtration_from_births(Box((-1, -1, -1), (6, 6, 2)),
+                                  {c: 1.0 if c in rim else 2.0 for c in band})
+
+
+def test_mobius_band_degree_1_depends_on_the_field():
+    # H_1(M, dM) = Z/2: over GF(p) and Q the rim's class lives on as twice
+    # the core, over GF(2) it dies at 2 and the core is a new class
+    f = mobius_band()
+    for field in (DEFAULT_FIELD, PrimeField(3), RationalField()):
+        assert compute_diagram(f, field=field).pairs == {0: [(1.0, INF)], 1: [(1.0, INF)]}
+    gf2 = compute_diagram(f, field=PrimeField(2))
+    assert gf2.pairs == {0: [(1.0, INF)], 1: [(1.0, 2.0), (2.0, INF)]}
+    assert gf2 == reference_diagram(f, field=PrimeField(2))
 
 
 # --- persistent Betti, direct route ------------------------------------------------
@@ -606,11 +835,6 @@ def test_rank_route_carries_reduced_cycles_over_ragged_corners():
 
 
 # --- the component route in degree 0 against both diagram routes ------------------------
-
-UNIFORM = DistributionSpec("uniform", (0.0, 1.0))
-TIED = DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
-DEFECTIVE = DistributionSpec("uniform", (0.25, 0.75), p_inf=0.3)
-LAW = DistributionSpec("uniform", (-0.25, 0.25))
 
 
 @st.composite
