@@ -143,9 +143,11 @@ def _dyadic_tables(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return tables
 
 
-def _hist_trial(args) -> Histogram:
-    """One trial's histogram, each rectangle count checked (zero counts
-    included) against the alternating sum of its four corner quadrant masses
+def _hist_trial(args) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """One trial's histogram as the flat indices and counts of the nonzero
+    entries of its count table, then its overflow and infinite counts.  Each
+    rectangle count is checked (zero counts included) against the
+    alternating sum of its four corner quadrant masses
     m(s_hi, t_lo) - m(s_hi, t_hi) + m(s_lo, t_hi) - m(s_lo, t_lo), the last
     two only if i > 1; (s_k, t_k) are the dyadic corners and (i, j) the keys."""
     model, n, q, l, seed, trial = args
@@ -163,7 +165,8 @@ def _hist_trial(args) -> Histogram:
         raise AssertionError(f"histogram/quadrant identity failed at trial {trial}, "
                              f"rectangle ({i[k]}, {j[k]}): count {counts[k]} vs "
                              f"alternating sum {expect[k]}")
-    return hist
+    flat = np.flatnonzero(hist.counts)
+    return flat, hist.counts.flat[flat], hist.overflow, hist.infinite
 
 
 def ordered_map(fn, tasks, jobs: int) -> list:
@@ -280,13 +283,17 @@ def estimate_mean_diagram(
 ) -> MeanDiagram:
     """Sum the fineness-l histogram over trials.  Each trial checks every
     rectangle count against its alternating quadrant sum (``_hist_trial``),
-    so the first failing (trial, rectangle) is the same for any ``jobs``."""
+    so the first failing (trial, rectangle) is the same for any ``jobs``.
+    A trial returns only the nonzero entries of its count table, at most one
+    per pair, and one ``np.bincount`` of them builds the summed table."""
     _check_estimator_args(model, q, n, trials)
     _check_fineness(l)
     args = [(model, n, q, l, seed, trial) for trial in range(trials)]
-    hists = ordered_map(_hist_trial, args, jobs)
-    total = Histogram(l, sum(h.counts for h in hists), sum(h.overflow for h in hists),
-                      sum(h.infinite for h in hists))
+    flats, counts, overflow, infinite = zip(*ordered_map(_hist_trial, args, jobs))
+    size = l * 2 ** (l + 1) + 1
+    table = np.bincount(np.repeat(np.concatenate(flats), np.concatenate(counts)),
+                        minlength=size * size)
+    total = Histogram(l, table.reshape(size, size), sum(overflow), sum(infinite))
     return MeanDiagram(model, q, n, trials, seed, total)
 
 
@@ -387,7 +394,9 @@ def legendre_transform(phi: GridFunction, x_axes) -> GridFunction:
 
     A grid supremum is a pointwise lower bound of the true conjugate; when
     the lambda grid contains 0 and phi(0) = 0, the output is nonnegative by
-    construction.
+    construction.  The products x . lambda are made in one (|x grid|,
+    |lambda grid|) array and the values subtracted in place, so no second
+    array of that size is made.
     """
     x_axes = tuple(_check_axis(a, "x axis") for a in x_axes)
     if len(x_axes) != phi.h:
@@ -395,7 +404,9 @@ def legendre_transform(phi: GridFunction, x_axes) -> GridFunction:
     lam = phi.points()  # (P, h)
     vals = phi.flat_values()  # (P,)
     x = _grid_points(x_axes)  # (Q, h)
-    conj = np.max(x @ lam.T - vals[None, :], axis=1)
+    prod = x @ lam.T
+    prod -= vals
+    conj = prod.max(axis=1)
     meta = dict(phi.meta)
     meta["kind"] = "rate_function"
     return GridFunction(x_axes, conj, meta)
@@ -508,20 +519,20 @@ def gap_reports(
 # CSV output (headers mandatory, deterministic row order, repr floats)
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _texts(column) -> list[str]:
+    """The CSV texts of one column, by one rule per column: ``true``/``false``
+    for bools, ``str`` for ints, ``repr`` for floats, ``str`` otherwise."""
+    column = np.asarray(column)
+    kind, values = column.dtype.kind, column.tolist()
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    return list(map(repr if kind == "f" else str, values))
 
 
-def _write_csv(fp, header: list[str], rows) -> None:
+def _write_csv(fp, header: list[str], columns) -> None:
+    """The header, then one row per entry of the equal-length columns."""
     fp.write(",".join(header) + "\n")
-    for row in rows:
-        fp.write(",".join(_fmt(v) for v in row) + "\n")
+    fp.writelines(",".join(row) + "\n" for row in zip(*map(_texts, columns)))
 
 
 def write_pb_csv(fp, *estimates: PBDensity) -> None:
@@ -533,18 +544,15 @@ def write_pb_csv(fp, *estimates: PBDensity) -> None:
         for idx, (s, t) in enumerate(est.pairs)
         for trial in range(est.trials)
     ]
-    _write_csv(fp, header, rows)
+    _write_csv(fp, header, zip(*rows))
 
 
 def write_histogram_csv(fp, result: MeanDiagram) -> None:
     header = ["l", "i", "j", "count", "normalized"]
     counts, trials, vol = result.total.counts, result.trials, result.volume
     i, j = np.nonzero(counts)  # row-major, so in (i, j) order
-    rows = [
-        (result.total.l, a, b, c / trials, c / trials / vol)
-        for a, b, c in zip(i.tolist(), j.tolist(), counts[i, j].tolist())
-    ]
-    _write_csv(fp, header, rows)
+    mean = counts[i, j] / trials
+    _write_csv(fp, header, [np.full(len(i), result.total.l), i, j, mean, mean / vol])
 
 
 def _write_grid_csv(fp, g: GridFunction, axis_prefix: str, value_name: str,
@@ -552,8 +560,9 @@ def _write_grid_csv(fp, g: GridFunction, axis_prefix: str, value_name: str,
     """One row per grid point, in row-major order: its coordinates
     ``<axis_prefix>_1, ...``, its value, then the constant ``extra`` columns."""
     header = [f"{axis_prefix}_{i + 1}" for i in range(g.h)] + [value_name, *extra]
-    rows = [(*pt, val, *extra.values()) for pt, val in zip(g.points(), g.flat_values())]
-    _write_csv(fp, header, rows)
+    values = g.flat_values()
+    _write_csv(fp, header, [*g.points().T, values,
+                            *(np.full(len(values), v) for v in extra.values())])
 
 
 def write_mgf_csv(fp, phi: GridFunction) -> None:
@@ -571,4 +580,4 @@ def write_gap_csv(fp, reports: list[GapReport]) -> None:
         (g.kind, g.k, g.r, g.m, g.n, g.h, g.measured, g.bound, g.passed)
         for g in reports
     ]
-    _write_csv(fp, header, rows)
+    _write_csv(fp, header, zip(*rows))

@@ -339,10 +339,20 @@ def quadrant_mass(diagram: PersistenceDiagram, q: int,
     The corners s and t broadcast as arrays: scalar corners give an int,
     array corners an int64 array of the broadcast shape.  Every corner must
     satisfy 0 <= s <= t < inf (``_pb_corners``).
+
+    The masses are read from one table.  With the P pairs sorted by birth
+    and t_1 < ... < t_m the distinct t values, alive[k, j] is the number of
+    the first k pairs whose death is > t_j, and the mass at (s, t_j) is
+    alive[#(births <= s), j]: about P*m + C*log(P) work for C corners, in
+    place of C*P.
     """
-    s, t = (x[..., None] for x in _pb_corners(s, t))
-    b, dth = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2).T
-    mass = ((b <= s) & (dth > t)).sum(-1, dtype=np.int64)
+    s, t = _pb_corners(s, t)
+    pairs = np.array(diagram.degree(q), dtype=np.float64).reshape(-1, 2)
+    births, deaths = pairs[np.argsort(pairs[:, 0], kind="stable")].T
+    levels = np.unique(t)
+    alive = np.zeros((len(births) + 1, len(levels)), dtype=np.int64)
+    np.cumsum(deaths[:, None] > levels, axis=0, out=alive[1:])
+    mass = alive[np.searchsorted(births, s, side="right"), np.searchsorted(levels, t)]
     return mass if mass.ndim else int(mass)
 
 

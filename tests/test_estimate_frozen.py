@@ -2,18 +2,24 @@
 byte-identical.
 
 ``estimate_hashes.json`` holds, per config and target, the sha256 of every
-file the target writes.  The hashes were computed by the code of the commit
-before the dyadic-rectangle and grid-axis rules were restated, not by the
-code under test; never regenerate them from the code under test.
+file the target writes.  The hashes of ``d2-upper`` and ``d3-lower`` were
+computed by the code of the commit before the dyadic-rectangle and grid-axis
+rules were restated, those of ``d2-lattice-h3`` by the code of the commit
+before ``legendre_transform`` subtracted in place, ``quadrant_mass``
+counted from one birth-sorted table and the CSV writer formatted by column;
+never regenerate them from the code under test.
 
-Two configs, each run for the four targets ``pb``, ``diagram``, ``mgf`` and
+Three configs, each run for the four targets ``pb``, ``diagram``, ``mgf`` and
 ``rate`` (the last two at one q):
 
 - ``d2-upper``: d = 2 ``upper`` with uniform marks, ``q: [0, 1]`` and an
   ``n_list``;
 - ``d3-lower``: d = 3 ``lower`` with an ``empirical`` mark law on dyadic
   values (0 included), so births tie and fall on the fineness-2 rectangle
-  boundaries, and ``q: [0, 1, 2]``.
+  boundaries, and ``q: [0, 1, 2]``;
+- ``d2-lattice-h3``: d = 2 ``perturbed_lattice`` with h = 3 pairs, a
+  fineness-3 histogram (1,225 dyadic corners per trial) and an x grid of
+  11^3 = 1,331 points.
 """
 
 import hashlib
@@ -49,6 +55,17 @@ CONFIGS = {
         "fineness": 2,
         "lambda_grid": {"axis": [-2.0, -0.5, 0.0, 0.5, 2.0]},
         "x_grid": {"axis": [0.0, 0.25, 1.0]},
+    },
+    "d2-lattice-h3": {
+        "schema_version": 1,
+        "model": {"kind": "perturbed_lattice", "d": 2,
+                  "perturbation": {"family": "uniform", "params": [-0.25, 0.25]}},
+        "q": [0, 1], "mgf_q": 0,
+        "n": 3, "trials": 4, "seed": 31,
+        "pairs": [[0.25, 0.5], [0.5, 0.75], [0.75, 1.0]],
+        "fineness": 3,
+        "lambda_grid": {"min": -3.0, "max": 3.0, "points": 7},
+        "x_grid": {"min": 0.0, "max": 1.0, "points": 11},
     },
 }
 TARGETS = ("pb", "diagram", "mgf", "rate")

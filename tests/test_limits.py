@@ -334,15 +334,16 @@ def test_mean_diagram_tables_match_across_jobs():
 
 def test_mean_diagram_peak_memory_holds_one_table_per_trial():
     # each trial checks its counts against its own (L, L) quadrant table and
-    # keeps only its histogram: about 5 MB here, against 24 MB for a
-    # (trials, L, L) table of every trial's quadrant masses
+    # keeps only the nonzero entries of its histogram: about 2 MB here,
+    # against 6 MB when every trial kept its whole (L, L) count table and
+    # 24 MB for a (trials, L, L) table of every trial's quadrant masses
     tracemalloc.start()
     try:
         estimate_mean_diagram(LOWER2, 0, n=2, trials=32, l=4, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert peak < 4e6
 
 
 def test_mean_diagram_check_sees_pairs_lost_to_overflow(monkeypatch):
@@ -516,6 +517,26 @@ def test_legendre_two_dimensional():
     rate = legendre_transform(phi, [np.linspace(0.0, 0.5, 11)] * 2)
     assert rate.values.shape == (11, 11)
     assert np.all(rate.values >= 0.0)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_conjugate_equals_the_whole_product_bit_for_bit(h):
+    # the conjugate is max(x @ lam.T - vals) over the whole (|x|, |lambda|)
+    # product, bit for bit, also on an h = 3 lambda grid of 15^3 points,
+    # where products made 256 x rows at a time differ in the last bit from
+    # those of the whole product.  phi is the whole product's row of the
+    # last x point, so all of that row ties at the maximum 0.0 and a
+    # last-bit difference in any of its products shows.
+    lam_axes = tuple([np.linspace(-10.0, 10.0, 21 if h < 3 else 15)] * h)
+    lam = limits._grid_points(lam_axes)
+    grids = [[np.linspace(-0.5, 0.6, count)] + [np.array([0.37])] * (h - 1)
+             for count in (1, 2, 255, 256, 257)]
+    grids.append([np.linspace(0.0, 0.6, {1: 1500, 2: 41, 3: 7}[h])] * h)
+    for x_axes in grids:
+        whole = limits._grid_points(x_axes) @ lam.T
+        expect = np.max(whole - whole[-1], axis=1)
+        got = legendre_transform(GridFunction(lam_axes, whole[-1]), x_axes).flat_values()
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -765,6 +786,82 @@ def test_gap_csv_schema():
     assert lines[0] == "kind,k,r,m,n,h,measured,bound,pass"
     assert lines[1].startswith("near_additivity,3,1,1,9,1,") \
         and lines[1].endswith(",true")
+
+
+def _fmt_reference(x) -> str:
+    """The per-value CSV rule the column-wise writer replaced."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def _csv_reference(header, rows) -> str:
+    return "".join(",".join(map(_fmt_reference, row)) + "\n" for row in [header, *rows])
+
+
+def test_every_csv_writer_matches_the_per_value_rule():
+    # each writer formats a column by one rule; its bytes are those of the
+    # per-value rule over the rows the writers once built, also for signed
+    # zero, the smallest subnormal, huge floats, a "-" column and bools
+    pb = limits.PBDensity(LOWER2, 1, ((0.0, 5e-324), (-0.0, 1e300)), 3, 2, 0,
+                          np.array([[0, 7], [2**40, 1]]))
+    other = limits.PBDensity(UPPER2, 0, ((0.1, 0.2),), 2, 3, 0, np.array([[1], [0], [5]]))
+    buf = io.StringIO()
+    write_pb_csv(buf, pb, other)
+    assert buf.getvalue() == _csv_reference(
+        ["model", "q", "s", "t", "n", "trial", "value"],
+        [(est.model.kind, est.q, s, t, est.n, trial, float(est.densities[trial, idx]))
+         for est in (pb, other) for idx, (s, t) in enumerate(est.pairs)
+         for trial in range(est.trials)])
+    buf = io.StringIO()
+    write_pb_csv(buf)
+    assert buf.getvalue() == "model,q,s,t,n,trial,value\n"
+
+    counts = np.zeros((17, 17), dtype=np.int64)
+    counts[1, 3], counts[2, 16], counts[5, 9] = 3, 2**53, 1
+    md = limits.MeanDiagram(LOWER2, 0, 3, 7, 0, limits.Histogram(2, counts, 4, 1))
+    buf = io.StringIO()
+    write_histogram_csv(buf, md)
+    i, j = np.nonzero(counts)
+    assert buf.getvalue() == _csv_reference(
+        ["l", "i", "j", "count", "normalized"],
+        [(2, a, b, c / 7, c / 7 / md.volume)
+         for a, b, c in zip(i.tolist(), j.tolist(), counts[i, j].tolist())])
+
+    axes = (np.array([-1e300, -0.0, 5e-324, 1.0]), np.array([-2.0, 0.5, 1e300]))
+    values = np.resize([-0.0, 5e-324, 1e300, -1e-300, 0.1, 2.0], (4, 3))
+    for meta, extra in (({"n": 4, "trials": 9}, (4, 9)), ({}, ("-", "-"))):
+        g = GridFunction(axes, values, meta)
+        rows = [(*pt, val) for pt, val in zip(g.points(), g.flat_values())]
+        buf = io.StringIO()
+        write_mgf_csv(buf, g)
+        assert buf.getvalue() == _csv_reference(
+            ["lambda_1", "lambda_2", "phi_hat", "n", "trials"],
+            [(*row, *extra) for row in rows])
+        buf = io.StringIO()
+        write_rate_csv(buf, g)
+        assert buf.getvalue() == _csv_reference(["x_1", "x_2", "phi_star"], rows)
+
+    reports = [limits.GapReport("near_additivity", 2, 0, 1, 3, 1, 1, 9, 5, -0.0, 5e-324),
+               limits.GapReport("regularity", 2, 1, 2, 2, 0, 0, 7, 5, 1e300, 1e300),
+               limits.GapReport("regularity", 2, 1, 2, 2, 0, 1, 8, 5, 2.0, 0.1)]
+    buf = io.StringIO()
+    write_gap_csv(buf, reports)
+    assert buf.getvalue() == _csv_reference(
+        ["kind", "k", "r", "m", "n", "h", "measured", "bound", "pass"],
+        [(g.kind, g.k, g.r, g.m, g.n, g.h, g.measured, g.bound, g.passed)
+         for g in reports])
+    assert buf.getvalue().splitlines()[1:] == [
+        "near_additivity,3,1,1,9,1,-0.0,5e-324,true",
+        "regularity,2,0,0,7,2,1e+300,1e+300,true",
+        "regularity,2,0,1,8,2,2.0,0.1,false"]
+    buf = io.StringIO()
+    write_gap_csv(buf, [])
+    assert buf.getvalue() == "kind,k,r,m,n,h,measured,bound,pass\n"
 
 
 def test_out_of_range_degree_raises_not_passes():

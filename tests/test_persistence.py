@@ -711,6 +711,38 @@ def test_array_masses_match_per_pair_loop(diagram, q, corner):
             assert boxes[i, j] == rectangle_reference(diagram, q, a, s2, t1, t)
 
 
+def test_quadrant_mass_on_dyadic_grids_matches_per_pair_loop():
+    # the 1,225 fineness-3 dyadic corners (s, t) = (a/16, b/16), a <= b <= 48,
+    # repeat each t value; births and deaths on the same 1/16 grid tie with
+    # the corners, some deaths are inf, and the pairs are assigned unsorted
+    a, b = np.triu_indices(49)
+    s, t = a / 16, b / 16
+    rng = np.random.default_rng(24)
+    sampled = compute_diagram(sample(ModelSpec("lower", 2, marks=(TIED,) * 3), 4, 3))
+    for trial in range(4):
+        births = rng.integers(0, 49, size=60) / 16
+        deaths = births + rng.integers(1, 24, size=60) / 16
+        deaths[rng.random(60) < 0.2] = INF
+        pairs = list(zip(births.tolist(), deaths.tolist()))
+        diagram = PersistenceDiagram(2, {})
+        diagram.pairs = {0: pairs, 1: pairs[::-1][:9]}
+        for q in (0, 1):
+            mass = quadrant_mass(diagram, q, s, t)
+            assert mass.dtype == np.int64 and mass.shape == (1225,)
+            assert mass.tolist() == [quadrant_reference(diagram, q, si, ti)
+                                     for si, ti in zip(s.tolist(), t.tolist())]
+        k = np.flatnonzero(deaths < INF)[0]
+        for corner in ((births[0], births[0]), (births[k], deaths[k])):
+            mass = quadrant_mass(diagram, 0, *corner)  # scalar corners
+            assert type(mass) is int and mass == quadrant_reference(diagram, 0, *corner)
+    for q in (0, 1):
+        assert quadrant_mass(sampled, q, s, t).tolist() == \
+            [quadrant_reference(sampled, q, si, ti) for si, ti in zip(s.tolist(), t.tolist())]
+    empty = PersistenceDiagram(2, {0: [(0.0, INF)]})
+    assert not quadrant_mass(empty, 1, s, t).any()
+    assert quadrant_mass(empty, 1, 0.5, 0.5) == 0
+
+
 def test_array_corners_raise_on_one_bad_corner():
     diagram = compute_diagram(hollow_square_then_fill())
     with pytest.raises(ValueError, match="s <= t"):
