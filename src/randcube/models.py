@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
-                    cell_coordinates, cell_texts, grid_shape)
+                    cell_texts, grid_shape)
 from .persistence import Filtration, _read_dump
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
@@ -87,7 +87,11 @@ class DistributionSpec:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF applied to uniforms in [0, 1); returns inf on the
-        defect mass."""
+        defect mass.
+
+        Elementwise: each output depends only on the uniform at its place, so
+        ``quantile(u)[sel]`` equals ``quantile(u[sel])`` bit for bit.
+        """
         u = np.asarray(u, dtype=np.float64)
         out = np.empty_like(u)
         never = u >= 1.0 - self.p_inf if self.p_inf > 0 else np.zeros(u.shape, bool)
@@ -193,17 +197,32 @@ def _mark_grid(
     marks: tuple[DistributionSpec, ...], box: Box, kind: str, seed: int, trial: int
 ) -> np.ndarray:
     """Independent marks u_Q ~ F_{dim Q}, one per cube of the box, keyed by
-    the cube's [extent mask, base_1, ..., base_d]."""
+    the cube's [extent mask, base_1, ..., base_d] (axis 1's extent the
+    highest bit of the mask).
+
+    The keys come from the grid's index arrays in one pass: along each axis
+    the cube at grid position g has extent g & 1 and base (g >> 1) + lo.
+    ``quantile`` is elementwise, so marks[0] is applied to the whole grid and
+    only the dimensions with another law are drawn again.
+    """
     shape = grid_shape(box)
-    base, extent = cell_coordinates(box, np.arange(math.prod(shape)))
-    mask = extent @ (1 << np.arange(box.ambient_dim)[::-1])
+    d = len(shape)
+    g = np.indices(shape, sparse=True)
+    keys = np.empty((d + 1,) + shape, dtype=np.int64)
+    keys[0] = sum((gi & 1) << (d - 1 - axis) for axis, gi in enumerate(g))
+    for axis, (gi, lo) in enumerate(zip(g, box.lo)):
+        keys[1 + axis] = (gi >> 1) + lo
     u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial),
-                       np.column_stack([mask, base]))
-    dims = extent.sum(axis=1)
-    values = np.empty(u.shape)
-    for q, mark in enumerate(marks):
-        sel = dims == q
-        values[sel] = mark.quantile(u[sel])
+                       keys.reshape(d + 1, -1).T)
+    values = marks[0].quantile(u)
+    # laws equal as values may still differ in the sign of a zero parameter,
+    # which point_mass and empirical quantiles return as is; repr tells them apart
+    redraw = [q for q, mark in enumerate(marks) if repr(mark) != repr(marks[0])]
+    if redraw:
+        dims = sum(gi & 1 for gi in g).ravel()
+        for q in redraw:
+            sel = dims == q
+            values[sel] = marks[q].quantile(u[sel])
     return values.reshape(shape)
 
 

@@ -322,8 +322,9 @@ def _elder_merges(ends: list[list[int]], size: int) -> tuple[list[int], list[int
 def _pb_corners(s: Corner, t: Corner) -> tuple[np.ndarray, np.ndarray]:
     """The broadcast corner arrays of a persistent Betti query; the one check
     that every corner satisfies 0 <= s <= t < inf, naming the first that does not."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64),
-                               np.asarray(t, dtype=np.float64))
+    s, t = np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64)
+    if s.shape != t.shape:
+        s, t = np.broadcast_arrays(s, t)
     bad = ~((0 <= s) & (s <= t) & (t < INF))
     if bad.any():
         i = np.argmax(bad)

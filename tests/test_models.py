@@ -21,9 +21,11 @@ from randcube import (
     sample,
     validate,
 )
-from randcube.cubes import all_cubes_box
-from randcube.models import _perturbed_points, restrict_box, sample_box
+from randcube.cubes import Box, all_cubes_box, cell_coordinates, grid_shape
+from randcube.models import (MODEL_TAGS, _mark_grid, _perturbed_points, restrict_box,
+                             sample_box)
 from randcube.persistence import Filtration
+from randcube.rng import TAG_CUBE_MARK, stream_uniform
 
 from cube_grids import filtration_from_births
 
@@ -72,6 +74,27 @@ def test_atom_at_infinity():
     spec = DistributionSpec("point_mass", (1.0,), p_inf=0.5)
     got = spec.quantile(np.array([0.0, 0.49, 0.5, 0.9]))
     assert list(got) == [1.0, 1.0, INF, INF]
+
+
+FAMILIES = {
+    "point_mass": (0.4,),
+    "uniform": (0.25, 0.75),
+    "exponential": (2.0,),
+    "empirical": (0.2, 0.3, 0.5, 0.7, 0.9, 0.95),  # mass beyond the table too
+}
+
+
+@pytest.mark.parametrize("p_inf", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_quantile_is_elementwise(family, p_inf):
+    # the mark sampler draws one law over the whole grid and overwrites a
+    # selection with another law's quantile of the same uniforms
+    law = DistributionSpec(family, FAMILIES[family], p_inf=p_inf)
+    u = np.random.default_rng(3).random(500)
+    u[:6] = [0.0, 0.3, 0.7, 0.95, 1.0 - 2.0**-53, 0.5]
+    whole = law.quantile(u)
+    for sel in (u < 0.5, np.arange(500) % 3 == 1, np.zeros(500, bool), slice(None)):
+        assert whole[sel].tobytes() == law.quantile(u[sel]).tobytes()
 
 
 def test_distribution_validation():
@@ -396,6 +419,58 @@ def test_upper_blocks_share_no_marks():
                 dom.update(cofaces_containing(cube))
             domains.append(dom)
         assert not (domains[0] & domains[1])
+
+
+def mark_grid_reference(marks, box, kind, seed, trial):
+    """The mark grid as first written: keys from the cell coordinates of
+    every flat cell, then one select-and-assign per cube dimension."""
+    shape = grid_shape(box)
+    base, extent = cell_coordinates(box, np.arange(math.prod(shape)))
+    mask = extent @ (1 << np.arange(box.ambient_dim)[::-1])
+    u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial),
+                       np.column_stack([mask, base]))
+    dims = extent.sum(axis=1)
+    values = np.empty(u.shape)
+    for q, mark in enumerate(marks):
+        sel = dims == q
+        values[sel] = mark.quantile(u[sel])
+    return values.reshape(shape)
+
+
+def per_dimension(d, *laws):
+    """The laws in turn over the cube dimensions 0..d."""
+    return tuple(laws[q % len(laws)] for q in range(d + 1))
+
+
+MARK_SETS = {
+    "equal": lambda d: per_dimension(d, UNI),
+    "equal-values": lambda d: tuple(DistributionSpec("exponential", (2.0,))
+                                    for _ in range(d + 1)),
+    "equal-defective": lambda d: per_dimension(
+        d, DistributionSpec("uniform", (0.2, 0.6), p_inf=0.3)),
+    "mixed": lambda d: per_dimension(
+        d, DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 0.95)),
+        *point_masses(0.4), DistributionSpec("exponential", (2.0,)), UNI),
+    "p_inf": lambda d: per_dimension(
+        d, *(DistributionSpec("uniform", (0.25, 0.75), p_inf=p) for p in (0.0, 0.3, 1.0))),
+    # equal as values, but a point mass at -0.0 draws -0.0
+    "signed-zero": lambda d: per_dimension(d, *point_masses(0.0, -0.0)),
+}
+
+
+@pytest.mark.parametrize("marks", MARK_SETS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_mark_grid_matches_per_dimension_reference(d, marks):
+    laws = MARK_SETS[marks](d)
+    n = (4, 3, 2, 1)[d - 1]
+    lo = (-3, 2, -1, 5)[:d]
+    offset = Box(lo, tuple(v + n + a % 2 for a, v in enumerate(lo)))
+    for box in (Window(n, d).box, offset):
+        for kind, seed, trial in (("lower", 7, 0), ("upper", -3, 2)):
+            got = _mark_grid(laws, box, kind, seed, trial)
+            expected = mark_grid_reference(laws, box, kind, seed, trial)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 # --- dump format ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from randcube import (
 from randcube.cubes import (canonical_cells, cell_coordinates, cell_dims, cell_faces,
                             cells_to_cubes, grid_shape)
 from randcube.homology import reduce_columns
+from randcube.persistence import _pb_corners
 from randcube.verify import BIRTH_GRID, random_filtration
 
 from cube_grids import filtration_from_births
@@ -935,3 +936,26 @@ def test_component_route_rejects_face_violation_like_the_rank_route():
     with pytest.raises(ValueError) as labelled:
         persistent_betti_0(f, 0.5, 1.0)
     assert str(labelled.value) == str(rank.value)
+
+
+def test_corner_check_by_shape_names_the_first_bad_corner_in_row_major_order():
+    good = _pb_corners(0.2, 0.5)  # scalar corners stay 0-d
+    assert [c.shape for c in good] == [(), ()] and [float(c) for c in good] == [0.2, 0.5]
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.7, 0\.5\) violates"):
+        _pb_corners(0.7, 0.5)
+    # same shape, stored column-major: the first bad corner in memory order
+    # is (0.7, 0.5), in row-major order (0.8, 0.6)
+    s = np.asfortranarray([[0.1, 0.8], [0.7, 0.2]])
+    t = np.asfortranarray([[0.5, 0.6], [0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.8, 0\.6\) violates"):
+        _pb_corners(s, t)
+    good = _pb_corners(np.full((2, 2), 0.1), t)
+    assert [c.shape for c in good] == [(2, 2), (2, 2)] and good[1].tolist() == t.tolist()
+    # mixed shapes broadcast first: (2, 1) x (2,) gives (2, 2)
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.7, 0\.5\) violates"):
+        _pb_corners([[0.1], [0.7]], [0.5, 0.8])
+    with pytest.raises(ValueError, match=r"^corner \(s, t\) = \(0\.6, 0\.5\) violates"):
+        _pb_corners(0.6, [0.9, 0.5, 0.1])
+    good = _pb_corners([[0.1], [0.3]], [0.5, 0.8, 0.9])
+    assert [c.shape for c in good] == [(2, 3), (2, 3)]
+    assert good[0].tolist() == [[0.1] * 3, [0.3] * 3]
