@@ -355,8 +355,11 @@ def truncate(filtration: Filtration, t_max: float) -> Filtration:
     Column reduction pairs each column using only the columns before it in
     (birth, dimension, canonical) order, so the cut diagram is exactly
     {(b, d) : d <= t_max} together with {(b, inf) : b <= t_max < d} of the
-    full one: every quadrant mass with t <= t_max is unchanged.
+    full one: every quadrant mass with t <= t_max is unchanged.  A nan
+    t_max is rejected, not read as a cut before every birth.
     """
+    if math.isnan(t_max):
+        raise ValueError(f"truncation level t_max must be a number, got {t_max}")
     grid = filtration.grid
     return Filtration(filtration.region, np.where(grid <= t_max, grid, INF),
                       filtration.meta)
@@ -391,7 +394,11 @@ def block_union(filtration: Filtration, k: int, r: int, m: int) -> Filtration:
 
 def format_filtration(filtration: Filtration) -> str:
     """Dump format: header "# d n seed model", then "<canonical cube> <birth>"
-    per finite-birth cube in canonical order."""
+    per finite-birth cube in canonical order.
+
+    Each distinct birth is written once with ``repr`` and its text reused.
+    Births are told apart by their bits (``np.unique`` of the int64 view), not
+    by value, so 0.0 and -0.0 keep their own texts."""
     region = filtration.region
     lo, hi = region.lo, region.hi
     if any(a != -b for a, b in zip(lo, hi)) or len(set(hi)) > 1:
@@ -402,9 +409,11 @@ def format_filtration(filtration: Filtration) -> str:
     cells = canonical_cells(region)
     births = filtration.grid.ravel()[cells]
     finite = births < INF
+    bits, which = np.unique(births[finite].view(np.int64), return_inverse=True)
+    reprs = [repr(birth) for birth in bits.view(np.float64).tolist()]
     lines = [f"# {filtration.d} {n} {seed} {model}"]
-    lines += [f"{text} {birth!r}" for text, birth in
-              zip(cell_texts(region, cells[finite]), births[finite].tolist())]
+    lines += [f"{text} {reprs[k]}" for text, k in
+              zip(cell_texts(region, cells[finite]), which.tolist())]
     return "\n".join(lines) + "\n"
 
 

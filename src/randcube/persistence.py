@@ -13,7 +13,11 @@ degree 0 over the edges in birth order, degree d-1 over the dual graph of
 d-cubes and an outside hub in reverse order (by Alexander duality, the
 components of the complement).  Only the degrees 1..d-2 in between come from
 column reduction of the boundary matrix in birth order, on flat grid
-indices.  Persistent Betti numbers are additionally computed by a fully
+indices, shortened by two boolean masks over positions.  Clearing skips,
+before any column is built, the cubes known to be positive (the dual's
+creators and each pass's pivot rows); compression drops the rows of the
+negative edges (those that join two components in degree 0) from the 2-cube
+columns.  Persistent Betti numbers are additionally computed by a fully
 independent rank-based route on the same grid cells, over arrays of (s, t)
 corners, so the two act as mutual oracles (neither calls the other; they
 share only the face operator ``cell_faces``).
@@ -129,7 +133,10 @@ def validate(filtration: Filtration) -> Optional[tuple[ElementaryCube, Elementar
 
 def sublevel(filtration: Filtration, t: float) -> np.ndarray:
     """Flat grid cells of the cubes born no later than t, in canonical
-    order; face-closed whenever the filtration is valid."""
+    order; face-closed whenever the filtration is valid.  A nan t is
+    rejected, not read as a level below every birth."""
+    if math.isnan(t):
+        raise ValueError(f"sublevel level t must be a number, got {t}")
     cells = canonical_cells(filtration.region)
     return cells[filtration.grid.ravel()[cells] <= t]
 
@@ -198,9 +205,20 @@ def compute_diagram(
       younger root when that is a finite d-cube and essential otherwise.
     * Degrees 1..d-2: the boundary columns of the q-cubes are reduced for
       q = d-1 down to 2, on flat grid indices with signed faces from
-      ``cell_faces``, with the clearing shortcut (a column whose cube is
-      known to be positive is skipped): at q = d-1 the dual's creators, at
-      lower q the pivot rows of the pass before.  Only these degrees use
+      ``cell_faces``.  Two boolean masks over positions, made only when
+      d >= 3, shorten the passes.  Clearing (Chen and Kerber): the columns
+      of the cubes in ``cleared`` are dropped before any face is looked up;
+      it holds the dual's creators, and after each pass that pass's pivot
+      rows.  Compression (Bauer, Kerber and Reininghaus): the rows in
+      ``negative``, the edges that join two components in degree 0, are
+      dropped from every column as it is built.  A negative edge is never
+      the pivot of a 2-cube column, and each lowest row that a reduction
+      meets is some column's pivot, so a column's lowest row is never such
+      an edge: each column meets the same pivots with the same
+      coefficients, the pairs and the column additions are those of the
+      full columns, and fewer entries are touched.  (At d = 4 the
+      q = 3 pass runs first, before the signs of the 2-cube rows are known,
+      so only the q = 2 pass is compressed.)  Only these degrees use
       ``field``.
 
     ``_tie_key`` (a function of the array of finite cells, in canonical
@@ -223,10 +241,10 @@ def compute_diagram(
 
     edges = np.flatnonzero(dims == 1)
     joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]].tolist(), n)
+    merges = edges[joins]  # the negative edges, each joining two components
     lows.append(np.array(younger, dtype=np.int64))
-    highs.append(edges[joins])
+    highs.append(merges)
 
-    positive: set[int] = set()
     if d >= 2:
         never = np.flatnonzero(flat == INF)
         never_dims = cell_dims(region, never)
@@ -250,23 +268,28 @@ def compute_diagram(
         joins, younger = position[joins], np.array(younger, dtype=np.int64)
         born = joins >= 0  # a never-born face joins only never-born nodes
         joins, younger = joins[born], younger[born]
-        positive = set(joins.tolist())
         killed = younger > m
         lows.append(joins[killed])
         highs.append(m + n - younger[killed])
 
     one = field.from_signed(1)
     pivot_row_of: dict[int, int] = {}  # pivot row -> killing column
+    if d >= 3:  # masks over positions, for the middle passes only
+        cleared = np.zeros(n, dtype=bool)  # cubes known to be positive
+        cleared[joins] = True  # the dual's creators
+        negative = np.zeros(n, dtype=bool)  # rows that are never a pivot
+        negative[merges] = True
     for q in range(d - 1, 1, -1):
         cols = np.flatnonzero(dims == q)
+        cols = cols[~cleared[cols]]
         faces, signs = cell_faces(region, cells[cols], q)
-        faces = index[faces].tolist()
+        faces = index[faces]
+        faces = np.where(negative[faces], -1, faces).tolist()  # -1: a dropped row
         signs = [field.from_signed(s) for s in signs.tolist()]
         pivots: dict[int, dict] = {}
         for j, rows in zip(cols.tolist(), faces):
-            if j in pivot_row_of or j in positive:  # cleared
-                continue
             col = dict(zip(rows, signs))
+            col.pop(-1, None)  # compression
             while col:
                 low = max(col)
                 hit = pivots.get(low)
@@ -278,6 +301,7 @@ def compute_diagram(
                     field.scale_into(col, field.inv(col[low]))
                 pivots[low] = col
                 pivot_row_of[low] = j
+        cleared[list(pivots)] = True  # clearing for the next pass
     lows.append(np.fromiter(pivot_row_of.keys(), dtype=np.int64, count=len(pivot_row_of)))
     highs.append(np.fromiter(pivot_row_of.values(), dtype=np.int64, count=len(pivot_row_of)))
 

@@ -483,6 +483,45 @@ def test_filtration_dump_round_trip():
     assert format_filtration(g) == text
 
 
+def reference_format_filtration(f):
+    """The dump written cube by cube: one ``repr`` per finite birth."""
+    meta = f.meta
+    header = f"# {f.d} {f.region.hi[0]} {meta.get('seed', '-')} {meta.get('model', '-')}"
+    return "\n".join([header] + [f"{cube.canonical()} {birth!r}"
+                                  for cube, birth in f.births.items()]) + "\n"
+
+
+TIED = DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0))
+DEFECTIVE = DistributionSpec("uniform", (0.0, 1.0), p_inf=0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["upper", "lower", "perturbed_lattice", "ball_cover"]),
+       d=st.integers(1, 4), mark=st.sampled_from([UNI, TIED, DEFECTIVE]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_filtration_dump_writes_each_birth_as_its_repr(kind, d, mark, seed, data):
+    n = data.draw(st.integers(1, 3 if d <= 2 else 1))
+    if kind in ("upper", "lower"):
+        f = sample_marks(kind, n, (mark,) * (d + 1), seed)
+    else:
+        f = sample_law(kind, n, DistributionSpec("uniform", (-0.25, 0.25)), seed, d, 2)
+    assert format_filtration(f) == reference_format_filtration(f)
+
+
+def test_filtration_dump_keeps_the_sign_of_zero():
+    # 0.0 and -0.0 are equal values but distinct births with distinct texts
+    vertices = [ElementaryCube((x, y), (0, 0)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    births = dict(zip(vertices, [0.0, -0.0, 0.5, -0.0, 0.0, 0.5, 0.25, 0.25, -0.0]))
+    f = filtration_from_births(Window(1, 2), births, {"seed": 3})
+    text = format_filtration(f)
+    assert text == reference_format_filtration(f)
+    assert {line.split()[1] for line in text.splitlines()[1:]} == {"0.0", "-0.0", "0.5", "0.25"}
+    back = parse_filtration(text)
+    assert back.grid.tobytes() == f.grid.tobytes()
+    assert np.array_equal(np.signbit(back.grid), np.signbit(f.grid))
+    assert format_filtration(back) == text
+
+
 def test_filtration_dump_header():
     f = sample_marks("lower", 1, (UNI, UNI, UNI), seed=2)
     first = format_filtration(f).splitlines()[0]

@@ -436,6 +436,41 @@ def test_d3_reduces_only_the_2_cube_columns():
         assert 0 < fast.additions < full.additions
 
 
+def negative_edges(f):
+    """Positions in ``ordered_cells`` order of the edges that join two
+    components of the edges before them (a union-find of this test's own)."""
+    cells, dims = ordered_cells(f)
+    position = {cell: i for i, cell in enumerate(cells.tolist())}
+    root = list(range(len(cells)))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    negative = set()
+    for j in np.flatnonzero(dims == 1).tolist():
+        a, b = (find(position[v]) for v in cell_faces(f.region, cells[[j]], 1)[0][0].tolist())
+        if a != b:
+            root[a] = b
+            negative.add(j)
+    return negative
+
+
+def test_middle_passes_never_read_a_negative_edge_row():
+    # compression: a negative edge is never the pivot of a 2-cube column, so
+    # its row is dropped before the q = 2 pass and the field never reads it;
+    # at d = 4 a q = 3 pass runs first, on 2-cube rows
+    upper = ModelSpec("upper", 3, marks=(UNIFORM,) * 4)
+    for f in (random_filtration(3, 2, 24), random_filtration(4, 2, 23), sample(upper, 2, 23)):
+        for g in (f, truncate(f, 0.6)):
+            negative = negative_edges(g)
+            field = RowRecordingField()
+            assert compute_diagram(g, field=field) == reference_diagram(g)
+            assert negative and field.rows
+            assert not field.rows & negative
+
+
 def mobius_band() -> Filtration:
     """A cubical Moebius band in R^3: a ring of 21 squares whose rungs turn
     from z to y and back to z, swapping top and bottom.  Its boundary circle

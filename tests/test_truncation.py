@@ -21,6 +21,7 @@ from randcube import (
     persistent_betti_direct,
     quadrant_mass,
     sample,
+    sublevel,
     truncate,
     validate,
     verify,
@@ -108,6 +109,23 @@ def test_truncate_keeps_births_up_to_t_max_only():
     cut = truncate(filt, 0.5)
     assert np.array_equal(cut.grid, np.where(filt.grid <= 0.5, filt.grid, INF))
     assert truncate(filt, INF) == filt
+
+
+def test_a_nan_level_is_rejected():
+    filt = random_filtration(2, 2, 7)
+    with pytest.raises(ValueError, match="level t_max must be a number, got nan"):
+        truncate(filt, math.nan)
+    with pytest.raises(ValueError, match="level t must be a number, got nan"):
+        sublevel(filt, np.float64(math.nan))
+
+
+def test_infinite_and_negative_levels_keep_working():
+    filt = random_filtration(2, 2, 7)
+    assert truncate(filt, INF) == filt
+    assert sublevel(filt, INF).size == int((filt.grid < INF).sum())
+    empty = truncate(filt, -1.0)
+    assert not (empty.grid < INF).any() and compute_diagram(empty).pairs == {}
+    assert sublevel(filt, -1.0).size == 0
 
 
 def test_full_diagram_paths_never_truncate(monkeypatch, tmp_path, capsys):
