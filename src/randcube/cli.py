@@ -241,7 +241,6 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     for trial in range(config.trials):
         filt = sample(config.model, config.n, config.seed, trial)
         path = out_dir / f"filtration_trial{trial:04d}.txt"
@@ -255,7 +254,6 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_diagram(config: ExperimentConfig | None, filtration_path: str | None,
                 out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     if filtration_path is not None:
         try:  # a face-condition violation is a ValueError of compute_diagram
             diagram = compute_diagram(parse_filtration(Path(filtration_path).read_text()))
@@ -329,7 +327,6 @@ def cmd_verify(scale: str, jobs: int, out_dir: Path) -> int:
 
     if jobs < 1:
         jobs = min(4, os.cpu_count() or 1)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "verify_report.json", "w") as fp:
         results = run_suite(scale, jobs, report_fp=fp)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAILURE
@@ -398,21 +395,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # diagram --filtration and verify read no config
+        config = load_config(args.config) if getattr(args, "config", None) else None
+        out_dir = _resolve_out(args.out, config)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         if args.command == "sample":
-            config = load_config(args.config)
-            return cmd_sample(config, _resolve_out(args.out, config))
+            return cmd_sample(config, out_dir)
         if args.command == "diagram":
-            config = load_config(args.config) if args.config else None
-            return cmd_diagram(config, args.filtration,
-                               _resolve_out(args.out, config))
+            return cmd_diagram(config, args.filtration, out_dir)
         if args.command == "estimate":
-            config = load_config(args.config)
-            out_dir = _resolve_out(args.out, config)
             run_estimate(config, args.which, out_dir, args.jobs)
             print(f"wrote {args.which} estimate to {out_dir}")
             return EXIT_OK
         if args.command == "verify":
-            return cmd_verify(args.scale, args.jobs, Path(args.out))
+            return cmd_verify(args.scale, args.jobs, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -10,14 +10,14 @@ name a bad birth or a violating (face, cube) pair.  The text dump
 grid directly, not through ``births``.
 Diagrams pair degrees 0 and d-1 by union-find, with no field arithmetic:
 degree 0 over the edges in birth order, degree d-1 over the dual graph of
-d-cubes and an outside hub in reverse order (by Alexander duality, the
-components of the complement).  Only the degrees 1..d-2 in between come from
-column reduction of the boundary matrix in birth order, on flat grid
-indices, shortened by two boolean masks over positions.  Clearing skips,
-before any column is built, the cubes known to be positive (the dual's
-creators and each pass's pivot rows); compression drops the rows of the
-negative edges (those that join two components in degree 0) from the 2-cube
-columns.  Persistent Betti numbers are additionally computed by a fully
+d-cubes and an outside hub in reverse order, a never-born cube being born at
+inf (by Alexander duality, the components of the complement).  Only the
+degrees 1..d-2 in between come from column reduction in birth order, on
+flat grid indices, shortened by two boolean masks over positions.  Clearing
+skips, before any column is built, the cubes known to be positive (the
+dual's creators and each pass's pivot rows); compression drops the rows of
+the negative edges (those that join two components in degree 0) from the
+2-cube columns.  Persistent Betti numbers are additionally computed by a fully
 independent rank-based route on the same grid cells, over arrays of (s, t)
 corners, so the two act as mutual oracles (neither calls the other; they
 share only the face operator ``cell_faces``).
@@ -187,10 +187,12 @@ def compute_diagram(
     """Persistence diagram: degrees 0 and d-1 by union-find, the degrees in
     between by column reduction of the boundary matrix.
 
-    Cubes are ordered by (birth, dimension, canonical cube order), which puts
-    every face before its cofaces, and are named by their position in that
-    order.  Pairs with equal birth and death are discarded; a creator that
-    nothing kills is an essential pair (birth, inf).
+    The finite cubes are ordered by (birth, dimension, canonical cube order),
+    which puts every face before its cofaces, and the never-born ones follow
+    in canonical order, as cubes born at inf; each cube is named by its
+    position.  Pairs with equal birth and death are discarded (so is every
+    pair a never-born cube creates); a finite creator that nothing kills, or
+    that a never-born cube kills, is an essential pair (birth, inf).
 
     * Degree 0: the edges in order join the components of their two
       vertices.  An edge that joins two components kills the younger one,
@@ -198,11 +200,11 @@ def compute_diagram(
     * Degree d-1 (d >= 2), by Alexander duality the components of the
       complement: the dual graph has the region's d-cubes and one outside
       hub as nodes, and each (d-1)-cube as an edge joining its two d-cofaces
-      (the hub, for a coface outside the window).  It is fed in reverse
-      order, never-born (d-1)-cubes first; the hub is the oldest node, then
-      the never-born d-cubes, then the finite ones latest first.  A finite
-      (d-1)-cube that joins two components creates a class, killed by the
-      younger root when that is a finite d-cube and essential otherwise.
+      (the hub, for a coface outside the window), fed in reverse order.  The
+      hub is the oldest node, then the d-cubes latest first; as each root is
+      its component's oldest node, the hub is never a younger root and the
+      order among never-born cubes changes no pair.  A (d-1)-cube that joins
+      two components creates a class, killed by the younger root.
     * Degrees 1..d-2: the boundary columns of the q-cubes are reduced for
       q = d-1 down to 2, on flat grid indices with signed faces from
       ``cell_faces``.  Two boolean masks over positions, made only when
@@ -229,48 +231,40 @@ def compute_diagram(
     _require_valid(filtration)
     region, flat, d = filtration.region, filtration.grid.ravel(), filtration.d
     cells = canonical_cells(region)
-    cells = cells[flat[cells] < INF]  # the finite cubes, in canonical order
-    tie = np.arange(len(cells)) if _tie_key is None else np.asarray(_tie_key(cells))
+    born = flat[cells] < INF
+    m = int(born.sum())  # the finite cubes take positions 0..m-1
+    cells = np.concatenate([cells[born], cells[~born]])  # each part in canonical order
     dims = cell_dims(region, cells)
-    order = np.lexsort((tie, dims, flat[cells]))
-    cells, dims = cells[order], dims[order]
+    tie = np.arange(m) if _tie_key is None else np.asarray(_tie_key(cells[:m]))
+    order = np.lexsort((tie, dims[:m], flat[cells[:m]]))
+    cells[:m], dims[:m] = cells[order], dims[order]
     n = len(cells)
     index = np.empty(flat.size, dtype=np.int64)
     index[cells] = np.arange(n)
     lows, highs = [], []  # creator and killer positions, one array per route
 
-    edges = np.flatnonzero(dims == 1)
-    joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]].tolist(), n)
+    edges = np.flatnonzero(dims[:m] == 1)
+    joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]].tolist(), m)
     merges = edges[joins]  # the negative edges, each joining two components
     lows.append(np.array(younger, dtype=np.int64))
     highs.append(merges)
 
     if d >= 2:
-        never = np.flatnonzero(flat == INF)
-        never_dims = cell_dims(region, never)
-        # node ids: 0 the outside hub, 1..m the never-born d-cubes, and
-        # m + n - p the finite d-cube at position p
+        # node ids: 0 the outside hub, then the d-cubes latest first, so the
+        # d-cube at position top[k] is node len(top) - k
         top = np.flatnonzero(dims == d)
-        tops = np.concatenate([never[never_dims == d], cells[top]])
-        m = len(tops) - len(top)
-        ids = np.concatenate([np.arange(1, m + 1), m + n - top])[:, None]
-        faces = cell_faces(region, tops, d)[0]
+        faces = cell_faces(region, cells[top], d)[0]
         below = np.zeros(flat.size, dtype=np.int64)  # a face's coface a stride down
         above = np.zeros(flat.size, dtype=np.int64)  # and a stride up
+        ids = np.arange(len(top), 0, -1)[:, None]
         below[faces[:, 0::2]], above[faces[:, 1::2]] = ids, ids
-        # the (d-1)-cubes in reverse order, never-born first (position -1)
-        never_faces = never[never_dims == d - 1]
-        position = np.concatenate([np.full(len(never_faces), -1),
-                                   np.flatnonzero(dims == d - 1)[::-1]])
-        sigma = np.concatenate([never_faces, cells[position[len(never_faces):]]])
+        position = np.flatnonzero(dims == d - 1)[::-1]  # the (d-1)-cubes, latest first
+        sigma = cells[position]
         joins, younger = _elder_merges(
-            np.stack([below[sigma], above[sigma]], axis=1).tolist(), m + n + 1)
-        joins, younger = position[joins], np.array(younger, dtype=np.int64)
-        born = joins >= 0  # a never-born face joins only never-born nodes
-        joins, younger = joins[born], younger[born]
-        killed = younger > m
-        lows.append(joins[killed])
-        highs.append(m + n - younger[killed])
+            np.stack([below[sigma], above[sigma]], axis=1).tolist(), len(top) + 1)
+        joins = position[joins]
+        lows.append(joins)
+        highs.append(top[len(top) - np.array(younger, dtype=np.int64)])
 
     one = field.from_signed(1)
     pivot_row_of: dict[int, int] = {}  # pivot row -> killing column
@@ -280,7 +274,7 @@ def compute_diagram(
         negative = np.zeros(n, dtype=bool)  # rows that are never a pivot
         negative[merges] = True
     for q in range(d - 1, 1, -1):
-        cols = np.flatnonzero(dims == q)
+        cols = np.flatnonzero(dims[:m] == q)
         cols = cols[~cleared[cols]]
         faces, signs = cell_faces(region, cells[cols], q)
         faces = index[faces]
@@ -307,7 +301,7 @@ def compute_diagram(
 
     low, high = np.concatenate(lows), np.concatenate(highs)
     births = flat[cells]
-    essential = np.ones(n, dtype=bool)
+    essential = births < INF
     essential[low] = essential[high] = False
     finite = births[low] < births[high]
     low, high = low[finite], high[finite]

@@ -556,9 +556,9 @@ ALL_CHECKS = [
 
 
 def run_suite(scale_name: str = "default", jobs: int = 1,
-              report_fp=None, echo=print) -> list[CheckResult]:
-    """Run every check at the given scale; one line per check via ``echo``,
-    JSON report to ``report_fp`` when given."""
+              report_fp=None) -> list[CheckResult]:
+    """Run every check at the given scale; one printed line per check, JSON
+    report to ``report_fp`` when given."""
     scale = SCALES[scale_name]
     results = []
     for check in ALL_CHECKS:
@@ -566,7 +566,7 @@ def run_suite(scale_name: str = "default", jobs: int = 1,
         result = check(scale, jobs)
         result.seconds = time.time() - start
         results.append(result)
-        echo(result.line())
+        print(result.line())
     if report_fp is not None:
         payload = {
             "scale": scale_name,

@@ -426,6 +426,28 @@ def test_non_string_out_dir_exits_2_before_sampling(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["sample"], ["diagram"], ["estimate", "--which", "pb"], ["verify", "--scale", "smoke"],
+], ids=["sample", "diagram", "estimate", "verify"])
+def test_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the output directory")
+
+    monkeypatch.setattr(limits, "sample", refuse)
+    monkeypatch.setattr(cli, "sample", refuse)
+    monkeypatch.setattr("randcube.verify.run_suite", refuse)
+    cfg, _ = write_config(tmp_path)
+    if command[0] != "verify":
+        command = [*command, "--config", str(cfg)]
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot create output directory {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("which, overrides, message", [
     # a grid axis is checked by the library's own axis check
     ("rate", {"x_grid": {"min": 0.0, "max": 0.6, "points": 0}},

@@ -220,11 +220,19 @@ def test_diagram_matches_quadrant_oracle_on_grid():
 
 
 def test_diagram_tie_order_invariance():
+    """Fully born d = 2 filtrations, and d = 3 windows with never-born cubes
+    and a middle pass: a tie-heavy one cut at 0.5 and a ``lower`` one with
+    ``p_inf`` marks."""
     rng = np.random.default_rng(7)
-    for seed in range(20):
-        f = random_filtration(2, 2, 5000 + seed)
+    tied = DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0), p_inf=0.3)
+    windows = [random_filtration(2, 2, 5000 + seed) for seed in range(20)]
+    windows += [truncate(random_filtration(3, 2, 5100 + seed), 0.5) for seed in range(5)]
+    windows += [sample(ModelSpec("lower", 3, marks=(tied,) * 4), 2, 5200, trial)
+                for trial in range(5)]
+    assert any((f.grid == math.inf).any() for f in windows)
+    for f in windows:
         reference = compute_diagram(f)
-        cells = canonical_cells(f.region).tolist()  # every cube is born
+        cells = canonical_cells(f.region).tolist()
         perm = dict(zip(cells, rng.permutation(len(cells)).tolist()))
         shuffled = compute_diagram(f, _tie_key=lambda finite: [perm[c] for c in finite.tolist()])
         assert shuffled == reference
