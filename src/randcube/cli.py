@@ -2,9 +2,9 @@
 deterministic file outputs.
 
 Exit codes are a stable contract: 0 success, 1 property-suite failure,
-2 config error, 3 input-data violation.  All randomness flows from the
-config's master seed; outputs are byte-identical across runs and across
---jobs values.
+2 config error or unwritable output, 3 input-data violation.  All
+randomness flows from the config's master seed; outputs are byte-identical
+across runs and across --jobs values.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,22 @@ MODEL_FIELDS = {"upper": ("mark", "marks"), "lower": ("mark", "marks"),
 
 class ConfigError(Exception):
     pass
+
+
+class OutputError(Exception):
+    """An output directory or file that cannot be written (exit 2)."""
+
+
+@contextmanager
+def _output(path: Path):
+    """``path`` open for writing; an OSError raised in the block (opening,
+    writing or closing the file) becomes an OutputError naming it, so the
+    block should do nothing but write."""
+    try:
+        with open(path, "w") as fp:
+            yield fp
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from None
 
 
 def _integer(value, name: str) -> int:
@@ -244,7 +261,8 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
     for trial in range(config.trials):
         filt = sample(config.model, config.n, config.seed, trial)
         path = out_dir / f"filtration_trial{trial:04d}.txt"
-        path.write_text(format_filtration(filt))
+        with _output(path) as fp:
+            fp.write(format_filtration(filt))
         dims = cell_dims(filt.region, np.flatnonzero(filt.grid < np.inf))
         counts = np.bincount(dims, minlength=filt.d + 1)
         summary = " ".join(f"q{q}={c}" for q, c in enumerate(counts.tolist()))
@@ -261,14 +279,16 @@ def cmd_diagram(config: ExperimentConfig | None, filtration_path: str | None,
             print(f"cannot read filtration: {exc}", file=sys.stderr)
             return EXIT_DATA_VIOLATION
         path = out_dir / (Path(filtration_path).stem + ".diagram.txt")
-        path.write_text(format_diagram(diagram))
+        with _output(path) as fp:
+            fp.write(format_diagram(diagram))
         print(path)
         return EXIT_OK
     for trial in range(config.trials):
         filt = sample(config.model, config.n, config.seed, trial)
         diagram = compute_diagram(filt)
         path = out_dir / f"diagram_trial{trial:04d}.txt"
-        path.write_text(format_diagram(diagram))
+        with _output(path) as fp:
+            fp.write(format_diagram(diagram))
         print(path)
     return EXIT_OK
 
@@ -286,13 +306,13 @@ def run_estimate(config: ExperimentConfig, which: str, out_dir: Path,
             for q in config.q_list
             for n in config.n_list
         ]
-        with open(out_dir / "pb.csv", "w") as fp:
+        with _output(out_dir / "pb.csv") as fp:
             write_pb_csv(fp, *estimates)
     elif which == "diagram":
         for q in config.q_list:
             result = estimate_mean_diagram(model, q, config.n, trials,
                                            config.fineness, seed, jobs)
-            with open(out_dir / f"histogram_q{q}.csv", "w") as fp:
+            with _output(out_dir / f"histogram_q{q}.csv") as fp:
                 write_histogram_csv(fp, result)
     elif which in ("mgf", "rate"):
         if not config.pairs:
@@ -310,25 +330,28 @@ def run_estimate(config: ExperimentConfig, which: str, out_dir: Path,
         phi = estimate_log_mgf(model, config.q_list[0], config.pairs, axes,
                                config.n, trials, seed, jobs)
         if which == "mgf":
-            with open(out_dir / "mgf.csv", "w") as fp:
+            with _output(out_dir / "mgf.csv") as fp:
                 write_mgf_csv(fp, phi)
         else:
             rate = legendre_transform(phi, [config.x_axis] * len(config.pairs))
-            with open(out_dir / "rate.csv", "w") as fp:
+            with _output(out_dir / "rate.csv") as fp:
                 write_rate_csv(fp, rate)
     else:
         raise ConfigError(f"unknown estimate target {which!r}")
 
 
 def cmd_verify(scale: str, jobs: int, out_dir: Path) -> int:
+    import io
     import os
 
     from .verify import run_suite
 
     if jobs < 1:
         jobs = min(4, os.cpu_count() or 1)
-    with open(out_dir / "verify_report.json", "w") as fp:
-        results = run_suite(scale, jobs, report_fp=fp)
+    report = io.StringIO()  # written after the suite, so only writing is guarded
+    results = run_suite(scale, jobs, report_fp=report)
+    with _output(out_dir / "verify_report.json") as fp:
+        fp.write(report.getvalue())
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAILURE
 
 
@@ -401,8 +424,7 @@ def main(argv=None) -> int:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            raise OutputError(f"cannot create output directory {out_dir}: {exc}") from None
         if args.command == "sample":
             return cmd_sample(config, out_dir)
         if args.command == "diagram":
@@ -415,6 +437,9 @@ def main(argv=None) -> int:
             return cmd_verify(args.scale, args.jobs, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OutputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return EXIT_OK
 

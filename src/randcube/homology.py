@@ -12,11 +12,14 @@ its boundary circle gives one bar over Q or GF(p), two bars over GF(2)).
 The elimination engine works on field-valued dict columns {row_index:
 coefficient}; it pivots on the lowest nonzero entry of a column (the
 largest row index), scales a new pivot column to pivot entry 1 unless it
-already is 1, and any ints serve as row indices.  ``boundary_columns``
-builds such columns straight from ``cubes.cell_faces``, keyed by the faces'
-flat grid cells (the layout ``cubes`` owns); ``betti`` eliminates them once
-per degree, and the rank-based persistent Betti route feeds the engine the
-same columns.  ``boundary_matrix`` stores a boundary matrix as the integer
+already is 1, and any ints serve as row indices.  It reduces the columns
+left to right, so the kept columns among the first k give the rank of
+those k.  ``boundary_columns`` builds such columns straight from
+``cubes.cell_faces``, keying each face through a row map over the flat
+grid (the layout ``cubes`` owns): ``betti`` keys faces by their flat grid
+cells and eliminates each degree once, and the rank-based persistent Betti
+route keys them by birth rank and eliminates each of its two boundary maps
+once.  ``boundary_matrix`` stores a boundary matrix as the integer
 array it is, a ``scipy.sparse.csc_array`` of its signed coefficients (+-1)
 with rows and columns in the order given, for exact integer products
 (criterion 2; scipy.sparse is imported by the first ``boundary_matrix``
@@ -118,28 +121,19 @@ class RationalField:
 DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 
-def reduce_columns(
-    columns: Sequence[Column],
-    field=DEFAULT_FIELD,
-    want_kernel: bool = False,
-    pivots: dict[int, Column] | None = None,
-):
+def reduce_columns(columns: Sequence[Column], field=DEFAULT_FIELD,
+                   want_kernel: bool = False):
     """Column elimination with pivot at each column's largest row index.
 
     Returns (rank, pivot_rows, kernel) where rank counts the given columns
     that keep a pivot, pivot_rows maps pivot row -> input column index and
     kernel is a list of coordinate dicts {input column index: coefficient}
-    spanning the kernel (only populated when ``want_kernel``).
-
-    ``pivots`` ({pivot row: reduced column}) holds columns reduced by earlier
-    calls: the given columns are reduced against them as well, and their own
-    reduced columns are added to it, so a run of calls reduces one matrix
-    piece by piece.  It cannot be combined with ``want_kernel``.
+    spanning the kernel (only populated when ``want_kernel``).  The columns
+    are reduced left to right, so a column keeps a pivot exactly when it is
+    independent of the columns before it: the kept columns among the first
+    k give the rank of those k.
     """
-    if pivots is None:
-        pivots = {}
-    elif want_kernel:
-        raise ValueError("want_kernel needs a fresh elimination, not pivots")
+    pivots: dict[int, Column] = {}  # pivot row -> its reduced column
     combos: dict[int, Column] = {}  # pivot row -> its column's coordinates
     pivot_rows: dict[int, int] = {}
     kernel: list[Column] = []
@@ -207,20 +201,21 @@ def _require_faces(region: Box, cells: np.ndarray, faces: np.ndarray,
         raise ValueError(f"not face-closed: {face} missing (face of {cube})")
 
 
-def boundary_columns(region: Box, cells, q: int, field=DEFAULT_FIELD,
-                     member: np.ndarray | None = None) -> list[Column]:
+def boundary_columns(region: Box, cells, q: int, rows: np.ndarray,
+                     field=DEFAULT_FIELD) -> list[Column]:
     """Boundary columns of the region's q-cells given as flat grid cells:
-    {face's flat grid index: signed coefficient}, in ``cell_faces`` order.
+    {rows[face]: signed coefficient}, in ``cell_faces`` order.
 
-    With ``member`` (a boolean mask over the region's flat grid), a face
-    outside it raises ValueError("not face-closed ...").
+    ``rows`` maps the region's flat grid to row indices, -1 for a cell
+    outside the set; a face mapped to -1 raises ValueError("not
+    face-closed ...").
     """
     cells = np.asarray(cells, dtype=np.int64)
     faces, signs = cell_faces(region, cells, q)
-    if member is not None:
-        _require_faces(region, cells, faces, member[faces])
+    index = rows[faces]
+    _require_faces(region, cells, faces, index >= 0)
     signs = [field.from_signed(x) for x in signs.tolist()]
-    return [dict(zip(f, signs)) for f in faces.tolist()]
+    return [dict(zip(f, signs)) for f in index.tolist()]
 
 
 def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
@@ -278,10 +273,10 @@ def betti(region: Box, cells, field=DEFAULT_FIELD) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.int64)
     d = region.ambient_dim
     dims = cell_dims(region, cells)
-    member = np.zeros(prod(grid_shape(region)), dtype=bool)
-    member[cells] = True
+    rows = np.full(prod(grid_shape(region)), -1, dtype=np.int64)  # -1: not in the set
+    rows[cells] = cells
     ranks = np.zeros(d + 2, dtype=np.int64)
     for q in range(1, d + 1):
-        columns = boundary_columns(region, cells[dims == q], q, field, member)
+        columns = boundary_columns(region, cells[dims == q], q, rows, field)
         ranks[q] = reduce_columns(columns, field)[0]
     return np.bincount(dims, minlength=d + 1) - ranks[:-1] - ranks[1:]

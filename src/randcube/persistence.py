@@ -19,8 +19,9 @@ dual's creators and each pass's pivot rows); compression drops the rows of
 the negative edges (those that join two components in degree 0) from the
 2-cube columns.  Persistent Betti numbers are additionally computed by a fully
 independent rank-based route on the same grid cells, over arrays of (s, t)
-corners, so the two act as mutual oracles (neither calls the other; they
-share only the face operator ``cell_faces``).
+corners: two plain column reductions, read through the pairing lemma.  The
+two act as mutual oracles (neither calls the other; they share only the
+face operator ``cell_faces``).
 In degree 0 a third route, ``persistent_betti_0``, counts the components of
 X_t that meet X_s by labelling the grid: two cells one step apart along one
 axis differ in one doubled coordinate, one even and one odd, so they are
@@ -47,7 +48,7 @@ import numpy as np
 
 from .cubes import (Box, ElementaryCube, Window, canonical_cells, cell_dims, cell_faces,
                     cell_texts, cells_to_cubes, grid_shape)
-from .homology import DEFAULT_FIELD, Column, boundary_columns, reduce_columns
+from .homology import DEFAULT_FIELD, boundary_columns, reduce_columns
 
 INF = math.inf
 Corner = float | np.ndarray  # one corner coordinate, or an array of them
@@ -398,35 +399,28 @@ def persistent_betti_direct(
 ) -> int | np.ndarray:
     """Persistent Betti numbers beta_q^{s,t} by pure rank computations.
 
-    beta_q^{s,t} = dim Z_q(s) - dim(Z_q(s) cap B_q(t))
-                 = dim(Z_q(s) + B_q(t)) - rank B_q(t).
+    As B_q(t) lies in Z_q(t) and C_q(s) cap Z_q(t) = Z_q(s),
+        beta_q^{s,t} = dim Z_q(s) - dim(Z_q(s) cap B_q(t))
+                     = dim Z_q(s) - dim(C_q(s) cap B_q(t)).
     The corners broadcast as in ``quadrant_mass``: scalar corners give an
     int, array corners an int64 array of the broadcast shape.  Every corner
     must satisfy 0 <= s <= t < inf.
 
-    The route works on flat grid cells, with faces from ``cell_faces``.  Let
-    s_1 < ... < s_m be the distinct s values.  The q-cells born by s_m are
-    ordered by the first level s_k that holds them (canonical order within a
-    level), and one elimination of their boundary columns gives a nested
-    cycle basis: each kernel combination's largest column lies in the level
-    where its cycle appears, so the combinations up to level k span
-    Z_q(s_k).  The (q+1)-cells are ordered by birth (canonical order among
-    equal births), so the boundary columns that span B_q(t) are a prefix of
-    them, and that prefix is reduced once, growing with the distinct t
-    values in increasing order.  Per distinct t, the prefix of the lifted
-    cycle basis that the corners read is reduced against the boundary
-    pivots fed so far and its own, and the cycle columns that keep a pivot
-    are counted.  A column's pivot does not depend on the columns after it,
-    so the count over levels <= k is beta_q^{s_k,t}.
-
-    Each kept column's reduced form then replaces it, and each column of the
-    prefix that lost its pivot becomes empty, for the next t.  A reduced
-    column is its original plus earlier lifted columns and columns of
-    B_q(t); as B_q only grows with t, every prefix of the lifted basis spans
-    the same space together with B_q(t') at every later t', so the counts do
-    not change, and each t reduces only what the earlier ones left.  Columns
-    past a shorter prefix are still the originals.  This route never
-    touches the diagram reduction, so the two can cross-check each other.
+    The route works on flat grid cells, with faces from ``cell_faces``; the
+    cells born by the largest t are numbered by birth (canonical order among
+    equal births), and the boundary columns are keyed by these numbers, so
+    every C_q(s) is a prefix of the rows.  Both counts come from the pairing
+    lemma (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards by
+    updating persistence in linear time", SoCG 2006): after one left-to-right
+    reduction, the rank of a lower-left block, the columns of a prefix and
+    the rows of a prefix, is the number of pivots inside it.  So one
+    reduction of the q-cells' columns, in birth order, gives rank d_q on
+    every C_q(s), hence dim Z_q(s) (none is needed at q = 0), and one of
+    the (q+1)-cells' columns, in birth order, gives dim(C_q(s) cap B_q(t))
+    as the number of kept columns born by t whose pivot row is born by s.
+    Each C_q(s) and each B_q(t) is a union of whole groups of equal births,
+    so the order among ties changes no count.  This route never touches
+    the diagram reduction, so the two can cross-check each other.
     """
     s, t = _pb_corners(s, t)
     _check_degree(q, filtration.d)
@@ -435,45 +429,27 @@ def persistent_betti_direct(
     region, flat = filtration.region, filtration.grid.ravel()
     cells = canonical_cells(region)
     cells = cells[flat[cells] <= t.max(initial=0.0)]
-    dims = cell_dims(region, cells)
-    levels = np.unique(s)
-    q_cells = cells[(dims == q) & (flat[cells] <= s.max(initial=0.0))]
-    level = np.searchsorted(levels, flat[q_cells])  # the first s_k >= birth
-    order = np.argsort(level, kind="stable")
-    q_cells, level = q_cells[order].tolist(), level[order]
+    cells = cells[np.argsort(flat[cells], kind="stable")]  # birth order
+    rows = np.full(flat.size, -1, dtype=np.int64)
+    rows[cells] = np.arange(len(cells))
+    births, dims = flat[cells], cell_dims(region, cells)
 
-    # 0-cells have empty boundary columns, so each is a cycle of its own
-    kernel = reduce_columns(boundary_columns(region, q_cells, q, field), field,
-                            want_kernel=True)[2]
-    cycle_level = level[np.array([max(c) for c in kernel], dtype=np.int64)]
-    lifted = [{q_cells[j]: v for j, v in c.items()} for c in kernel]
+    def pivots(k: int, top: float) -> tuple[np.ndarray, np.ndarray]:
+        """The births of the kept columns of the k-cells born by ``top``
+        and of their pivot rows."""
+        if k == 0:  # 0-cells have empty boundary columns
+            return births[:0], births[:0]
+        cols = cells[(dims == k) & (births <= top)]
+        kept = reduce_columns(boundary_columns(region, cols, k, rows, field), field)[1]
+        return flat[cols[list(kept.values())]], births[list(kept)]
 
-    up = cells[dims == q + 1]
-    up = up[np.argsort(flat[up], kind="stable")]  # so B_q(t) is a prefix
-    up_births = flat[up]
-    boundary: dict[int, Column] = {}  # the pivots of the boundary columns fed so far
-    fed = 0
-    s_level = np.searchsorted(levels, s)
-    out = np.zeros(s.shape, dtype=np.int64)
+    ranked = np.sort(pivots(q, s.max(initial=0.0))[0])
+    out = np.asarray(np.searchsorted(births[dims == q], s, side="right")  # dim Z_q(s)
+                     - np.searchsorted(ranked, s, side="right"), dtype=np.int64)
+    born, low = pivots(q + 1, t.max(initial=0.0))
     for t_value in np.unique(t):
         at = t == t_value
-        m = np.searchsorted(cycle_level, s_level[at].max(), side="right")
-        if m == 0:
-            continue
-        end = int(np.searchsorted(up_births, t_value, side="right"))
-        reduce_columns(boundary_columns(region, up[fed:end], q + 1, field), field,
-                       pivots=boundary)
-        fed = end
-        reduced = dict(boundary)
-        _, pivot_rows, _ = reduce_columns(lifted[:m], field, pivots=reduced)
-        kept = np.fromiter(pivot_rows.values(), dtype=np.int64, count=len(pivot_rows))
-        # carry the reduced forms to the next t; a column in the span of the
-        # ones before it stays there, as B_q(t) only grows
-        lifted[:m] = [{}] * m
-        for row, j in pivot_rows.items():
-            lifted[j] = reduced[row]
-        per_level = np.bincount(cycle_level[kept], minlength=len(levels))
-        out[at] = per_level.cumsum()[s_level[at]]
+        out[at] -= np.searchsorted(np.sort(low[born <= t_value]), s[at], side="right")
     return out if out.ndim else int(out)
 
 

@@ -448,6 +448,33 @@ def test_out_naming_a_file_exits_2_with_one_line(tmp_path, capsys, monkeypatch, 
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, target", [
+    (["sample"], "filtration_trial0000.txt"),
+    (["diagram", "--filtration"], "hollow.diagram.txt"),
+    (["estimate", "--which", "pb"], "pb.csv"),
+    (["verify", "--scale", "smoke"], "verify_report.json"),
+], ids=["sample", "diagram", "estimate", "verify"])
+def test_unwritable_output_file_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                      command, target):
+    """An output file that cannot be written (here a directory stands in its
+    place) is named in one line on stderr, with exit 2, not a traceback."""
+    monkeypatch.setattr("randcube.verify.run_suite",
+                        lambda scale, jobs, report_fp: report_fp.write("{}\n") and [])
+    cfg, _ = write_config(tmp_path)
+    if command[0] == "diagram":
+        source = tmp_path / "hollow.txt"
+        source.write_text("# 1 1 - -\n1;0;0 0.5\n")
+        command = [*command, str(source)]
+    elif command[0] != "verify":
+        command = [*command, "--config", str(cfg)]
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    assert main([*command, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out / target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("which, overrides, message", [
     # a grid axis is checked by the library's own axis check
     ("rate", {"x_grid": {"min": 0.0, "max": 0.6, "points": 0}},

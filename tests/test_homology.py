@@ -161,17 +161,14 @@ def test_reduce_columns_kernel():
 
 @pytest.mark.parametrize("field", [DEFAULT_FIELD, RationalField()], ids=["gf_p", "rational"])
 def test_reduce_columns_normalises_pivot_entries_other_than_one(field):
-    """Pivot entries 2 and 3 are scaled to 1, entries already 1 are kept,
-    and the kernel combinations still vanish."""
+    """Pivot entries 2 and 3 are scaled to 1, entries already 1 are kept:
+    the rank and the pivot rows are those of the unscaled elimination, and
+    the kernel combinations, built with the same scalings, still vanish."""
     signed = [{0: 1, 2: 2}, {1: 3, 2: 4}, {0: 2, 1: 3, 2: 6}, {1: -1}, {0: 1, 2: 1}]
     columns = [{row: field.from_signed(v) for row, v in c.items()} for c in signed]
-    one = field.from_signed(1)
-    pivots = {}
-    r, pivot_rows, _ = reduce_columns(columns, field, pivots=pivots)
+    r, pivot_rows, kernel = reduce_columns(columns, field, want_kernel=True)
     assert r == 3 and pivot_rows == {2: 0, 1: 1, 0: 2}
-    assert all(col[row] == one for row, col in pivots.items())
-    assert pivots[2] == {0: field.inv(field.from_signed(2)), 2: one}
-    _, _, kernel = reduce_columns(columns, field, want_kernel=True)
+    assert reduce_columns(columns, field) == (r, pivot_rows, [])
     assert len(kernel) == len(columns) - r == 2
     for combo in kernel:
         total: dict = {}
@@ -340,21 +337,6 @@ def test_chain_complex_check_catches_misaligned_cells(monkeypatch):
     result = _patched_chain_complex(monkeypatch, roll_edges)
     assert not result.passed and result.worst_margin <= -1.0
     assert result.checks == 25437
-
-
-def test_reduce_columns_in_pieces():
-    """Feeding a matrix's columns in pieces through ``pivots`` gives the
-    pivots of one elimination of them all."""
-    for seed in range(10):
-        _, box, cells = random_face_closed(3, 1, 5000 + seed)
-        columns = boundary_matrix(box, cells, 2).columns
-        whole, pivot_rows, _ = reduce_columns(columns)
-        pivots, total = {}, 0
-        for start in range(0, len(columns), 7):
-            total += reduce_columns(columns[start:start + 7], pivots=pivots)[0]
-        assert total == whole and sorted(pivots) == sorted(pivot_rows)
-    with pytest.raises(ValueError, match="want_kernel"):
-        reduce_columns([{0: 1}], want_kernel=True, pivots={})
 
 
 @pytest.mark.parametrize("base, extent, named", [

@@ -35,6 +35,7 @@ from randcube import (
     truncate,
     validate,
 )
+from randcube import homology, persistence
 from randcube.cubes import (canonical_cells, cell_coordinates, cell_dims, cell_faces,
                             cells_to_cubes, grid_shape)
 from randcube.homology import reduce_columns
@@ -245,6 +246,17 @@ def test_diagram_field_independence():
     for seed in range(3):
         f = random_filtration(3, 2, 6050 + seed)
         assert compute_diagram(f) == compute_diagram(f, field=RationalField())
+    # cut windows: the rank route over GF(2), GF(3) and Q, each against the
+    # diagram over the same field
+    for seed in range(3):
+        f = truncate(random_filtration(3, 2, 6070 + seed), 0.6)
+        values = corner_candidates(f)
+        s, t = values[:, None], np.maximum(values[:, None], values)
+        for field in (PrimeField(2), PrimeField(3), RationalField()):
+            diagram = compute_diagram(f, field=field)
+            for q in range(3):
+                assert np.array_equal(persistent_betti_direct(f, q, s, t, field=field),
+                                      quadrant_mass(diagram, q, s, t))
 
 
 def test_total_mass_bound():
@@ -893,12 +905,11 @@ def test_array_rank_route_matches_per_corner_reference(case, s_list, t_list):
             assert table[i, j] == pb_reference(f, q, x, y)
 
 
-def test_rank_route_carries_reduced_cycles_over_ragged_corners():
-    """The lifted cycles reduced at one t are carried to the next.  Here the
-    largest s per distinct t (0.3, 0.5, 0.6, 0.65, 0.7, 0.9, 1.2) is
-    0.0, 0.5, 0.2, 0.05, 0.45, 0.8, 1.0: the lifted prefix is empty below
-    every birth, shrinks, is empty again, then grows; the corners come
-    unsorted and with repeated t."""
+def test_rank_route_counts_ragged_corners():
+    """Corners that come unsorted and with repeated t.  The largest s per
+    distinct t (0.3, 0.5, 0.6, 0.65, 0.7, 0.9, 1.2) is 0.0, 0.5, 0.2, 0.05,
+    0.45, 0.8, 1.0: below every birth, then falling, rising and falling
+    again, so the rows a t's count reads do not grow with t."""
     s = np.array([0.8, 0.0, 0.5, 0.2, 1.0, 0.3, 0.8, 0.1, 0.45, 0.05, 0.4])
     t = np.array([0.9, 0.3, 0.5, 0.6, 1.2, 0.5, 0.9, 0.6, 0.7, 0.65, 1.2])
     for d, n in ((1, 3), (2, 2), (3, 2), (4, 1)):
@@ -960,6 +971,48 @@ def test_component_route_matches_both_diagram_routes(f, data):
     below, top = float(values[1]) / 2, float(values[-1])
     scalar = persistent_betti_0(f, below, top)
     assert type(scalar) is int and scalar == quadrant_mass(diagram, 0, below, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(component_cases(), st.data())
+def test_rank_route_matches_the_diagram_in_every_degree(f, data):
+    values = corner_candidates(f)
+    index = st.integers(0, len(values) - 1)
+    s = values[data.draw(st.lists(index, min_size=1, max_size=5))]
+    t = values[data.draw(st.lists(index, min_size=1, max_size=5))]
+    s, t = s[:, None], np.maximum(s[:, None], t)  # 2-D, s <= t, ties with births
+    diagram = compute_diagram(f)
+    for q in range(f.d):
+        assert np.array_equal(persistent_betti_direct(f, q, s, t),
+                              quadrant_mass(diagram, q, s, t))
+
+
+def test_rank_route_and_diagram_reduction_are_independent(monkeypatch):
+    """Each route answers with the other's code patched to raise: the rank
+    route without the diagram or its union-find, the diagram (middle passes
+    included, at d = 3 and d = 4) without ``reduce_columns``."""
+    upper = ModelSpec("upper", 3, marks=(TIED,) * 4)
+    filtrations = [random_filtration(3, 2, 31), truncate(sample(upper, 2, 32), 0.6),
+                   random_filtration(4, 1, 33)]
+    diagrams = [compute_diagram(f) for f in filtrations]
+    s = np.array([0.1, 0.3, 0.5, 0.7])[:, None]
+    t = np.maximum(s, [0.3, 0.6, 0.9])
+    masses = [[quadrant_mass(dg, q, s, t) for q in range(dg.d)] for dg in diagrams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one route called the other's code")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence, "compute_diagram", refuse)
+        patch.setattr(persistence, "_elder_merges", refuse)
+        for f, expect in zip(filtrations, masses):
+            for q, mass in enumerate(expect):
+                assert np.array_equal(persistent_betti_direct(f, q, s, t), mass)
+    with monkeypatch.context() as patch:
+        patch.setattr(persistence, "reduce_columns", refuse)
+        patch.setattr(homology, "reduce_columns", refuse)
+        for f, diagram in zip(filtrations, diagrams):
+            assert compute_diagram(f) == diagram
 
 
 def test_component_route_counts_components_meeting_x_s():
