@@ -9,24 +9,26 @@ numbers may diverge from the real-coefficient ones for d >= 4, and its
 persistence diagrams already at d = 3 (a cubical Moebius band filtered after
 its boundary circle gives one bar over Q or GF(p), two bars over GF(2)).
 
-The elimination engine works on field-valued dict columns {row_index:
-coefficient}; it pivots on the lowest nonzero entry of a column (the
-largest row index), scales a new pivot column to pivot entry 1 unless it
-already is 1, and any ints serve as row indices.  It reduces the columns
-left to right, so the kept columns among the first k give the rank of
-those k.  ``boundary_columns`` builds such columns straight from
-``cubes.cell_faces``, keying each face through a row map over the flat
-grid (the layout ``cubes`` owns): ``betti`` keys faces by their flat grid
-cells and eliminates each degree once, and the rank-based persistent Betti
-route keys them by birth rank and eliminates each of its two boundary maps
-once.  ``boundary_matrix`` stores a boundary matrix as the integer
-array it is, a ``scipy.sparse.csc_array`` of its signed coefficients (+-1)
-with rows and columns in the order given, for exact integer products
-(criterion 2; scipy.sparse is imported by the first ``boundary_matrix``
-call, not with this module); ``SparseMatrix.columns`` reads it back as dict
-columns for ``rank`` and ``kernel_basis``.  The persistence diagram has
-its own union-find pairing of degrees 0 and d-1 and its own reduction loop
-for the degrees in between, so the two routes stay independent oracles.
+The elimination engine, ``reduce_columns``, has one mode: it works on
+field-valued dict columns {row_index: coefficient} (any ints serve as row
+indices), pivots on the largest row index of a column, scales a new pivot
+column to pivot entry 1 unless it already is 1, and reduces the columns
+left to right, so the kept columns among the first k give the rank of those
+k.  ``kernel_basis`` reads the kernel from the same elimination of the
+identity-augmented matrix (R = DV).  ``boundary_columns`` builds such
+columns straight from ``cubes.cell_faces``, keying each face through a row
+map over the flat grid (the layout ``cubes`` owns): ``betti`` keys faces by
+their flat grid cells and eliminates each degree once, and the rank-based
+persistent Betti route keys them by birth rank and eliminates each of its
+two boundary maps once.  ``boundary_matrix`` stores a boundary matrix as the
+integer array it is, a ``scipy.sparse.csc_array`` of its signed
+coefficients (+-1) with rows and columns in the order given, for exact
+integer products (criterion 2; scipy.sparse is imported by the first
+``boundary_matrix`` call, not with this module); ``SparseMatrix.columns``
+reads it back as dict columns for ``rank`` and ``kernel_basis``.  The
+persistence diagram has its own union-find pairing of degrees 0 and d-1 and
+its own reduction loop for the degrees in between, so the two routes stay
+independent oracles.
 """
 
 from __future__ import annotations
@@ -121,48 +123,33 @@ class RationalField:
 DEFAULT_FIELD = PrimeField(DEFAULT_PRIME)
 
 
-def reduce_columns(columns: Sequence[Column], field=DEFAULT_FIELD,
-                   want_kernel: bool = False):
+def reduce_columns(columns: Sequence[Column], field=DEFAULT_FIELD):
     """Column elimination with pivot at each column's largest row index.
 
-    Returns (rank, pivot_rows, kernel) where rank counts the given columns
-    that keep a pivot, pivot_rows maps pivot row -> input column index and
-    kernel is a list of coordinate dicts {input column index: coefficient}
-    spanning the kernel (only populated when ``want_kernel``).  The columns
-    are reduced left to right, so a column keeps a pivot exactly when it is
-    independent of the columns before it: the kept columns among the first
-    k give the rank of those k.
+    Returns (rank, pivot_rows, pivots): rank counts the given columns that
+    keep a pivot, pivot_rows maps pivot row -> input column index and pivots
+    maps pivot row -> that column reduced, scaled to pivot entry 1.  The
+    columns are reduced left to right, so a column keeps a pivot exactly
+    when it is independent of the columns before it: the kept columns among
+    the first k give the rank of those k.
     """
     pivots: dict[int, Column] = {}  # pivot row -> its reduced column
-    combos: dict[int, Column] = {}  # pivot row -> its column's coordinates
     pivot_rows: dict[int, int] = {}
-    kernel: list[Column] = []
     one = field.from_signed(1)
     for j, col_in in enumerate(columns):
         col = dict(col_in)
-        combo: Column = {j: one} if want_kernel else {}
         while col:
             low = max(col)
             hit = pivots.get(low)
             if hit is None:
                 break
-            factor = col[low]
-            field.submul_into(col, hit, factor)
-            if want_kernel:
-                field.submul_into(combo, combos[low], factor)
+            field.submul_into(col, hit, col[low])
         if col:  # the loop stopped at a new pivot, its row is low
             if col[low] != one:
-                inv = field.inv(col[low])
-                field.scale_into(col, inv)
-                if want_kernel:
-                    field.scale_into(combo, inv)
-            if want_kernel:
-                combos[low] = combo
+                field.scale_into(col, field.inv(col[low]))
             pivots[low] = col
             pivot_rows[low] = j
-        elif want_kernel:
-            kernel.append(combo)
-    return len(pivot_rows), pivot_rows, kernel
+    return len(pivot_rows), pivot_rows, pivots
 
 
 @dataclass
@@ -254,9 +241,16 @@ def rank(matrix: SparseMatrix) -> int:
 
 
 def kernel_basis(matrix: SparseMatrix) -> list[Column]:
-    """Basis of the kernel, as coordinate dicts over the matrix's columns."""
-    _, _, kernel = reduce_columns(matrix.columns, matrix.field, want_kernel=True)
-    return kernel
+    """Basis of the kernel, as coordinate dicts {column index: coefficient}:
+    the columns of the identity-augmented matrix (entry 1 at row -1-j of
+    column j, below every matrix row) whose reduced matrix part is zero
+    (R = DV).  The vectors are reduced against each other, each with
+    coefficient 1 at its pivot column; any kernel basis is correct."""
+    one = matrix.field.from_signed(1)
+    columns = [{**col, -1 - j: one} for j, col in enumerate(matrix.columns)]
+    pivots = reduce_columns(columns, matrix.field)[2]
+    return [{-1 - row: v for row, v in col.items()}
+            for low, col in pivots.items() if low < 0]
 
 
 def betti(region: Box, cells, field=DEFAULT_FIELD) -> np.ndarray:

@@ -179,10 +179,10 @@ def ordered_map(fn, tasks, jobs: int) -> list:
         return [fn(t) for t in tasks]
     from multiprocessing import Pool
 
-    # The scipy modules the library imports inside functions, imported once
-    # here so the forked workers inherit them instead of each importing them
-    # again.  tests/test_imports.py keeps this list equal to those imports.
-    import scipy.ndimage, scipy.sparse, scipy.spatial, scipy.special  # noqa: E401, F401
+    # The scipy modules the library imports inside functions, bar the
+    # ball_cover-only scipy.spatial, imported once here so the forked workers
+    # inherit them.  tests/test_imports.py keeps this list equal to those.
+    import scipy.ndimage, scipy.sparse, scipy.special  # noqa: E401, F401
     with Pool(jobs) as pool:
         # one task per chunk, as tasks are coarse and uneven (window sizes
         # differ a lot); imap yields, and raises, in task order, where map
@@ -245,7 +245,10 @@ def estimate_pb_density(
     jobs: int = 1,
 ) -> PBDensity:
     """Sample `trials` filtrations and record the quadrant masses at each
-    (s, t) pair, normalized by window volume in the summary."""
+    (s, t) pair, normalized by window volume in the summary.  The radii of
+    one seed are nested windows of one realization (the streams are keyed
+    by global cell coordinates), so estimates at several radii are
+    correlated, which a fit across radii gains from."""
     pairs = tuple((float(s), float(t)) for s, t in pairs)
     s, t = _pb_corners(*np.array(pairs).reshape(len(pairs), 2).T)
     _check_estimator_args(model, q, n, trials)

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
                     cell_texts, grid_shape)
@@ -284,7 +283,8 @@ def _cover_radii(
         a = np.moveaxis(dist, axis, -1)
         out = np.empty(a.shape[:-1] + (2 * (a.shape[-1] - 1) // step + 1,))
         out[..., 0::2] = a[..., ::step]
-        out[..., 1::2] = sliding_window_view(a, m_grid, axis=-1)[..., ::step, :].max(-1)
+        edges = a[..., :-1].reshape(a.shape[:-1] + (-1, step)).max(-1)
+        out[..., 1::2] = np.maximum(edges, a[..., step::step])
         dist = np.moveaxis(out, -1, axis)
     return dist
 

@@ -18,6 +18,7 @@ from randcube import (
     boundary_faces,
     boundary_matrix,
     faces_contained_in,
+    kernel_basis,
     rank,
 )
 from randcube.cubes import (
@@ -148,33 +149,64 @@ def test_rank_hollow_square_boundary():
     assert rank(boundary_matrix(SQUARE_BOX, HOLLOW_SQUARE, 1)) == 3
 
 
-def test_reduce_columns_kernel():
-    f = DEFAULT_FIELD
-    # columns c0 = e0, c1 = e0 (duplicate): kernel is spanned by c1 - c0
-    r, pivots, kernel = reduce_columns([{0: 1}, {0: 1}], f, want_kernel=True)
-    assert r == 1
-    assert len(kernel) == 1
-    vec = kernel[0]
-    assert set(vec) == {0, 1}
-    assert (vec[0] + vec[1]) % f.p == 0
+FIELDS = [DEFAULT_FIELD, PrimeField(2), PrimeField(3), RationalField()]
+FIELD_IDS = ["gf_p", "gf_2", "gf_3", "rational"]
 
 
-@pytest.mark.parametrize("field", [DEFAULT_FIELD, RationalField()], ids=["gf_p", "rational"])
-def test_reduce_columns_normalises_pivot_entries_other_than_one(field):
-    """Pivot entries 2 and 3 are scaled to 1, entries already 1 are kept:
-    the rank and the pivot rows are those of the unscaled elimination, and
-    the kernel combinations, built with the same scalings, still vanish."""
-    signed = [{0: 1, 2: 2}, {1: 3, 2: 4}, {0: 2, 1: 3, 2: 6}, {1: -1}, {0: 1, 2: 1}]
-    columns = [{row: field.from_signed(v) for row, v in c.items()} for c in signed]
-    r, pivot_rows, kernel = reduce_columns(columns, field, want_kernel=True)
-    assert r == 3 and pivot_rows == {2: 0, 1: 1, 0: 2}
-    assert reduce_columns(columns, field) == (r, pivot_rows, [])
-    assert len(kernel) == len(columns) - r == 2
+def assert_kernel_basis(matrix):
+    """``kernel_basis`` gives ncols - rank vectors whose column combinations
+    vanish, each with coefficient 1 at its smallest column and no two
+    smallest columns equal, so they are independent (triangular)."""
+    field, columns = matrix.field, matrix.columns
+    kernel = kernel_basis(matrix)
+    assert len(kernel) == len(columns) - rank(matrix)
     for combo in kernel:
         total: dict = {}
         for j, c in combo.items():
             field.submul_into(total, columns[j], -c)  # total += c * column j
         assert total == {}
+    leads = [min(combo) for combo in kernel]
+    assert len(set(leads)) == len(kernel)
+    assert all(combo[j] == field.from_signed(1) for combo, j in zip(kernel, leads))
+    return kernel
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_kernel_basis_of_a_duplicate_column(field):
+    # columns c0 = e0, c1 = e0: the kernel is spanned by c0 - c1
+    dup = SparseMatrix(np.arange(1), np.arange(2),
+                       sparse.csc_array(np.ones((1, 2), dtype=np.int64)), field)
+    assert assert_kernel_basis(dup) == [{0: field.from_signed(1), 1: field.from_signed(-1)}]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_kernel_basis_spans_the_kernel_of_random_boundary_maps(field, d):
+    box = Window(1, d).box
+    for seed in range(3):
+        cells = random_face_closed_set(d, 1, seed)
+        for q in range(1, d + 1):
+            assert_kernel_basis(boundary_matrix(box, cells, q, field))
+
+
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, RationalField()], ids=["gf_p", "rational"])
+def test_reduce_columns_normalises_pivot_entries_other_than_one(field):
+    """Pivot entries 2 and 3 are scaled to 1, entries already 1 are kept:
+    the rank and the pivot rows are those of the unscaled elimination, every
+    reduced pivot column has entry 1 at its pivot row, and the kernel read
+    from the same elimination still vanishes."""
+    signed = [{0: 1, 2: 2}, {1: 3, 2: 4}, {0: 2, 1: 3, 2: 6}, {1: -1}, {0: 1, 2: 1}]
+    columns = [{row: field.from_signed(v) for row, v in c.items()} for c in signed]
+    r, pivot_rows, pivots = reduce_columns(columns, field)
+    assert r == 3 and pivot_rows == {2: 0, 1: 1, 0: 2}
+    assert all(col[low] == field.from_signed(1) and max(col) == low
+               for low, col in pivots.items())
+    dense = np.zeros((3, len(signed)), dtype=np.int64)
+    for j, c in enumerate(signed):
+        for row, v in c.items():
+            dense[row, j] = v
+    matrix = SparseMatrix(np.arange(3), np.arange(len(signed)), sparse.csc_array(dense), field)
+    assert len(assert_kernel_basis(matrix)) == 2
 
 
 # --- Betti numbers -------------------------------------------------------------

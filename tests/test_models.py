@@ -394,6 +394,57 @@ def test_block_carving_all_model_kinds():
         assert carved.births == direct.births, model.kind
 
 
+def same_bits(a, b):
+    """Equal filtrations down to the bits of every birth (-0.0 included)."""
+    return a == b and np.array_equal(a.grid.view(np.int64), b.grid.view(np.int64))
+
+
+CARVE_MARKS = [UNI, DistributionSpec("empirical", (0.2, 0.3, 0.5, 0.7, 0.9, 1.0)),
+               DistributionSpec("uniform", (0.0, 1.0), p_inf=0.3)]
+CARVE_LAWS = [DistributionSpec("uniform", (-0.25, 0.25)),
+              DistributionSpec("uniform", (-0.5, 0.5))]
+
+
+@st.composite
+def carving_models(draw):
+    kind = draw(st.sampled_from(["upper", "lower", "perturbed_lattice", "ball_cover"]))
+    d = draw(st.integers(1, 3))
+    if kind in ("upper", "lower"):
+        return ModelSpec(kind, d, marks=(draw(st.sampled_from(CARVE_MARKS)),) * (d + 1))
+    return ModelSpec(kind, d, perturbation=draw(st.sampled_from(CARVE_LAWS)),
+                     m_grid=draw(st.integers(2, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=carving_models(), seed=st.integers(0, 2**16), trial=st.integers(0, 3),
+       data=st.data())
+def test_carving_a_window_equals_sampling_it(model, seed, trial, data):
+    """The identity the gap estimates rely on: the windows of one seed and
+    trial are nested windows of one realization, so restricting the largest
+    gives every smaller one bit for bit, down to the single-vertex n = 0."""
+    big_n = data.draw(st.integers(1, 3 if model.d <= 2 else 2))
+    big = sample(model, big_n, seed, trial)
+    for n in range(big_n):
+        assert same_bits(restrict(big, n), sample(model, n, seed, trial)), n
+
+
+@pytest.mark.parametrize("kind", ["upper", "lower", "perturbed_lattice", "ball_cover"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_carving_a_flat_box_equals_sampling_it(kind, d):
+    """Boxes with a zero-width axis (a face of the window) carve as they
+    sample, for every model."""
+    if kind in ("upper", "lower"):
+        model = ModelSpec(kind, d, marks=(UNI,) * (d + 1))
+    else:
+        model = ModelSpec(kind, d, perturbation=CARVE_LAWS[1], m_grid=3)
+    big = sample(model, 2, seed=31)
+    for axis in range(d):
+        lo = tuple(1 if a == axis else -2 for a in range(d))
+        hi = tuple(1 if a == axis else 1 for a in range(d))
+        box = Box(lo, hi)
+        assert same_bits(restrict_box(big, box), sample_box(model, box, seed=31))
+
+
 def test_restrict_box_rejects_box_outside_region():
     big = sample(ModelSpec("lower", 2, marks=(UNI, UNI, UNI)), 2, seed=3)
     for box in (Window(3, 2).box, block_window(3, 1, (1, 0)), Window(1, 3).box):
