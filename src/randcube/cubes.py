@@ -10,6 +10,8 @@ It also owns the layout of a box's birth grid, one entry per cube at doubled
 coordinates c = 2*(base - lo) + extent: see ``grid_shape`` and what follows.
 The library computes on these flat grid cells (``cell_dims``, ``cell_faces``),
 and the filtration dump names them by their canonical texts (``cell_texts``).
+The layout depends only on the grid's shape, so these read one cached table
+per shape (``_layout``), shared by every box of that shape.
 ``ElementaryCube`` objects appear only for the {cube: birth} view of a
 filtration, for dump text that is not a window cube's canonical text, in
 error and violation messages, and in the cube-keyed enumerators
@@ -23,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,43 +136,91 @@ def grid_shape(box: Box) -> tuple[int, ...]:
     return tuple(2 * (b - a) + 1 for a, b in zip(box.lo, box.hi))
 
 
+class _Layout(NamedTuple):
+    """The layout of one grid shape's cells, the same for every box of that
+    shape.  A cell's extent code holds its extents as bits, axis 1's the
+    highest, so the codes count the extents in lex order; its base rank is
+    the index of its base (less the box's lo) in lex order."""
+
+    code: np.ndarray  # per flat cell, its extent code
+    base_rank: np.ndarray  # per flat cell, its base rank
+    dims: np.ndarray  # per code, the cube dimension (int64)
+    order: np.ndarray  # the flat cells in canonical order: by base, then by extent
+    offsets: tuple[np.ndarray, ...]  # per q, the (codes, 2q) flat offsets of a q-cube's faces
+    signs: tuple[np.ndarray, ...]  # per q, the 2q signs of those faces
+
+
+def _face_signs(q: int) -> np.ndarray:
+    """The 2q signs of a q-cube's faces in ``cell_faces`` order."""
+    return (((-1) ** np.arange(q))[:, None] * np.array([1, -1])).ravel()
+
+
 @lru_cache(maxsize=64)
+def _layout(shape: tuple[int, ...]) -> _Layout:
+    """The layout table of a grid shape, built on first use; its arrays are
+    read-only.  Along each axis the cell at grid position g has extent g & 1
+    and base (g >> 1) + lo."""
+    d = len(shape)
+    base_shape = [(n + 1) // 2 for n in shape]
+    g = np.indices(shape, sparse=True)
+    code = sum((gi & 1) << (d - 1 - axis) for axis, gi in enumerate(g)).ravel()
+    base_rank = sum((gi >> 1) * prod(base_shape[axis + 1:])
+                    for axis, gi in enumerate(g)).ravel()
+    # one slot per (base rank, code) in canonical order; cells past hi leave theirs empty
+    slots = np.full(prod(base_shape) << d, -1, dtype=np.int64)
+    slots[(base_rank << d) + code] = np.arange(len(code))
+    bits = [[axis for axis in range(d) if c >> (d - 1 - axis) & 1] for c in range(1 << d)]
+    stride = [prod(shape[axis + 1:]) for axis in range(d)]
+    offsets = []
+    for q in range(d + 1):
+        off = np.zeros((1 << d, 2 * q), dtype=np.int64)
+        for c, axes in enumerate(bits):
+            if len(axes) == q:
+                off[c] = [stride[axis] * s for axis in axes for s in (1, -1)]
+        offsets.append(off)
+    code = code.astype(np.min_scalar_type((1 << d) - 1))
+    base_rank = base_rank.astype(np.min_scalar_type(prod(base_shape) - 1))
+    dims = np.array([len(axes) for axes in bits], dtype=np.int64)
+    order = slots[slots >= 0]
+    signs = [_face_signs(q) for q in range(d + 1)]
+    for array in (code, base_rank, dims, order, *offsets, *signs):
+        array.flags.writeable = False
+    return _Layout(code, base_rank, dims, order, tuple(offsets), tuple(signs))
+
+
+def _lookup(box: Box, cells) -> tuple[_Layout, np.ndarray]:
+    """The layout table of the box's grid, and the cells as an int64 array;
+    a cell outside the grid raises as ``np.unravel_index`` would."""
+    layout = _layout(grid_shape(box))
+    cells = np.asarray(cells, dtype=np.int64)
+    size = len(layout.code)
+    if cells.size and (cells.min() < 0 or cells.max() >= size):
+        bad = cells[(cells < 0) | (cells >= size)][0]
+        raise ValueError(f"index {bad} is out of bounds for array with size {size}")
+    return layout, cells
+
+
 def canonical_cells(box: Box) -> np.ndarray:
     """Flat indices into the box's grid of all its cubes, in canonical order:
-    by base, then by extent.  Cached per box, so the array is read-only."""
-    shape = grid_shape(box)
-    d = len(shape)
-    # padded to even length, each axis splits into (base, extent)
-    cells = np.pad(np.arange(prod(shape)).reshape(shape), [(0, 1)] * d,
-                   constant_values=-1)
-    cells = cells.reshape([s for n in shape for s in ((n + 1) // 2, 2)])
-    cells = cells.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
-    cells = cells[cells >= 0]
-    cells.flags.writeable = False
-    return cells
-
-
-def cell_coordinates(box: Box, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bases and extents, as (len(cells), d) arrays, of the cubes at these cells."""
-    c = np.stack(np.unravel_index(cells, grid_shape(box)), axis=-1)
-    return c // 2 + np.asarray(box.lo, dtype=np.int64), c % 2
+    by base, then by extent.  The order depends only on the grid's shape, so
+    every box of one shape shares one read-only array."""
+    return _layout(grid_shape(box)).order
 
 
 def cell_dims(box: Box, cells) -> np.ndarray:
     """Dimensions of the cubes at these flat grid indices: the number of odd
     grid coordinates of each."""
-    return sum(c % 2 for c in np.unravel_index(cells, grid_shape(box)))
+    layout, cells = _lookup(box, cells)
+    return layout.dims[layout.code[cells]]
 
 
 def _cube_parts(box: Box, cells) -> tuple[list, list, list[int], list[int]]:
     """The box's bases and extents, each as a list of integer tuples in lex
     order, and per cell the index of its base and of its extent in them."""
-    base, extent = cell_coordinates(box, cells)
+    layout, cells = _lookup(box, cells)
     bases = list(itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))))
     extents = list(itertools.product((0, 1), repeat=box.ambient_dim))
-    i = np.ravel_multi_index((base - box.lo).T, np.subtract(box.hi, box.lo) + 1).tolist()
-    k = np.ravel_multi_index(extent.T, (2,) * box.ambient_dim).tolist()
-    return bases, extents, i, k
+    return bases, extents, layout.base_rank[cells].tolist(), layout.code[cells].tolist()
 
 
 def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
@@ -197,17 +248,13 @@ def cell_faces(box: Box, cells: np.ndarray, q: int) -> tuple[np.ndarray, np.ndar
     the face one axis stride up (base + 1 on that axis), with sign (-1)^k,
     then the face a stride down (the same base), with the opposite sign.
     """
-    shape = grid_shape(box)
-    cells = np.asarray(cells, dtype=np.int64)
-    extent = np.stack(np.unravel_index(cells, shape), axis=-1) % 2
-    if np.any(extent.sum(axis=1) != q):
+    layout, cells = _lookup(box, cells)
+    code = layout.code[cells]
+    if np.any(layout.dims[code] != q):
         raise ValueError(f"not every cell is a {q}-cube")
-    stride = np.array([prod(shape[a + 1:]) for a in range(len(shape))], dtype=np.int64)
-    step = stride[np.nonzero(extent)[1].reshape(len(cells), q)]
-    up_down = np.array([1, -1])
-    faces = cells[:, None, None] + step[:, :, None] * up_down
-    signs = ((-1) ** np.arange(q))[:, None] * up_down
-    return faces.reshape(len(cells), 2 * q), signs.ravel()
+    if q >= len(layout.offsets):  # no cell is a q-cube, so there are none
+        return np.empty((0, 2 * q), dtype=np.int64), _face_signs(q)
+    return cells[:, None] + layout.offsets[q][code], layout.signs[q]
 
 
 def box_slice(outer: Box, inner: Box) -> tuple[slice, ...]:

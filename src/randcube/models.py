@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubes import (Box, ElementaryCube, Window, box_slice, canonical_cells,
+from .cubes import (Box, ElementaryCube, Window, _layout, box_slice, canonical_cells,
                     cell_texts, grid_shape)
 from .persistence import Filtration, _read_dump
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
@@ -199,16 +199,17 @@ def _mark_grid(
     the cube's [extent mask, base_1, ..., base_d] (axis 1's extent the
     highest bit of the mask).
 
-    The keys come from the grid's index arrays in one pass: along each axis
-    the cube at grid position g has extent g & 1 and base (g >> 1) + lo.
+    The mask is the cell's extent code in the grid shape's layout table, and
+    along each axis the cube at grid position g has base (g >> 1) + lo.
     ``quantile`` is elementwise, so marks[0] is applied to the whole grid and
     only the dimensions with another law are drawn again.
     """
     shape = grid_shape(box)
     d = len(shape)
+    layout = _layout(shape)
     g = np.indices(shape, sparse=True)
     keys = np.empty((d + 1,) + shape, dtype=np.int64)
-    keys[0] = sum((gi & 1) << (d - 1 - axis) for axis, gi in enumerate(g))
+    keys[0] = layout.code.reshape(shape)
     for axis, (gi, lo) in enumerate(zip(g, box.lo)):
         keys[1 + axis] = (gi >> 1) + lo
     u = stream_uniform(seed, (MODEL_TAGS[kind], TAG_CUBE_MARK, trial),
@@ -218,7 +219,7 @@ def _mark_grid(
     # which point_mass and empirical quantiles return as is; repr tells them apart
     redraw = [q for q, mark in enumerate(marks) if repr(mark) != repr(marks[0])]
     if redraw:
-        dims = sum(gi & 1 for gi in g).ravel()
+        dims = layout.dims[layout.code]
         for q in redraw:
             sel = dims == q
             values[sel] = marks[q].quantile(u[sel])

@@ -358,6 +358,10 @@ def _inequality_one(params) -> tuple[int, int, float]:
 
 
 def check_inequalities(scale: Scale, jobs: int = 1) -> CheckResult:
+    """Criterion 5 on the corpus of criterion 4: both draw
+    ``_corpus_params(..., CORPUS_SEED + 4)``, so these are the first
+    ``nested_pairs`` (12 / 100 / 200 at smoke / default / deep) of
+    ``check_k_triangle``'s filtrations."""
     params = _corpus_params(scale.nested_pairs, CORPUS_SEED + 4)
     rows = ordered_map(_inequality_one, params, jobs)
     bad = sum(r[0] for r in rows)

@@ -1,6 +1,7 @@
 """Cube-keyed references for the tests, written against the birth-grid layout
-(``cubes.grid_shape``): a cube's flat cell in a box's grid, box membership,
-and a filtration built from a {cube: birth} dict."""
+(``cubes.grid_shape``): a cell's base and extent, a cube's flat cell in a
+box's grid, box membership, and a filtration built from a {cube: birth}
+dict."""
 
 import math
 
@@ -8,6 +9,14 @@ import numpy as np
 
 from randcube import Filtration, Window
 from randcube.cubes import grid_shape
+
+
+def cell_coordinates(box, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Bases and extents, as (len(cells), d) arrays, of the cubes at these
+    cells, from ``np.unravel_index``: the parities of the grid coordinates
+    are the extents and their halves the bases less lo."""
+    c = np.stack(np.unravel_index(cells, grid_shape(box)), axis=-1)
+    return c // 2 + np.asarray(box.lo, dtype=np.int64), c % 2
 
 
 def contains(box, cube) -> bool:

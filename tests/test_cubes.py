@@ -18,6 +18,7 @@ from randcube import (
     faces_contained_in,
     restrict_box,
 )
+from randcube import cubes as cubes_module
 from randcube.cubes import (
     all_cubes_box,
     box_slice,
@@ -29,7 +30,7 @@ from randcube.cubes import (
     grid_shape,
 )
 
-from cube_grids import contains, cube_cells
+from cube_grids import cell_coordinates, contains, cube_cells
 
 
 def cubes_of_dim(box: Box, q: int) -> list[ElementaryCube]:
@@ -325,6 +326,72 @@ def test_cell_faces_match_boundary_faces_property(boxes, seed):
                         cube_cells(outer, [f for f, _ in expected]).tolist()
     with pytest.raises(ValueError, match="not every cell"):
         cell_faces(outer, canonical_cells(outer)[:1], 1)  # the vertex at lo
+
+
+@st.composite
+def layout_boxes(draw):
+    """A box with d = 1..4 and its centred twin: the box is centred or
+    translated, and may have one zero-width axis."""
+    d = draw(st.integers(1, 4))
+    radii = [draw(st.integers(0, 3 if d <= 2 else 1)) for _ in range(d)]
+    if draw(st.booleans()):
+        radii[draw(st.integers(0, d - 1))] = 0  # hi = lo on that axis
+    centred = Box(tuple(-r for r in radii), tuple(radii))
+    shift = tuple(draw(st.integers(-4, 4)) for _ in range(d)) if draw(st.booleans()) else (0,) * d
+    return centred.translate(shift), centred
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_boxes(), st.integers(0, 2**32 - 1))
+def test_layout_table_matches_coordinate_reference_property(boxes, seed):
+    """The layout helpers agree with the ``np.unravel_index`` parities and
+    strides of ``cell_coordinates`` on every cell, taken per dimension in a
+    shuffled order; a translated box shares its centred twin's table."""
+    box, centred = boxes
+    d, shape = box.ambient_dim, grid_shape(box)
+    size = math.prod(shape)
+    base, extent = cell_coordinates(box, np.arange(size))
+    dims = extent.sum(axis=1)
+    key = [tuple(b) + tuple(e) for b, e in zip(base.tolist(), extent.tolist())]
+    assert canonical_cells(box).tolist() == sorted(range(size), key=key.__getitem__)
+    stride = [math.prod(shape[axis + 1:]) for axis in range(d)]
+    rng = np.random.default_rng(seed)
+    for q in range(d + 2):
+        cells = rng.permutation(np.flatnonzero(dims == q))
+        got = cell_dims(box, cells)
+        assert got.dtype == np.int64 and got.tolist() == [q] * len(cells)
+        faces, signs = cell_faces(box, cells, q)
+        assert faces.dtype == signs.dtype == np.int64
+        assert faces.shape == (len(cells), 2 * q) and signs.shape == (2 * q,)
+        assert signs.tolist() == [(-1) ** k * s for k in range(q) for s in (1, -1)]
+        assert faces.tolist() == [[c + stride[axis] * s for axis in np.flatnonzero(extent[c])
+                                   for s in (1, -1)] for c in cells.tolist()]
+        assert cell_texts(box, cells) == [
+            f"{d};" + ",".join(map(str, base[c])) + ";" + "".join(map(str, extent[c]))
+            for c in cells]
+        assert cells_to_cubes(box, cells) == [
+            ElementaryCube(tuple(base[c].tolist()), tuple(extent[c].tolist())) for c in cells]
+        if len(cells):
+            with pytest.raises(ValueError, match=f"^not every cell is a {q + 1}-cube$"):
+                cell_faces(box, cells, q + 1)
+    table = cubes_module._layout(shape)
+    assert table is cubes_module._layout(grid_shape(centred))
+    assert canonical_cells(box) is canonical_cells(centred)
+    for array in (*table[:4], *table.offsets, *table.signs, cell_faces(box, [], 0)[1]):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("cells, bad", [([-1], -1), ([15], 15), ([3, 0, 16, -1, 14], 16)])
+def test_cells_outside_the_grid_raise(cells, bad):
+    """A cell outside the grid raises the ``ValueError`` of
+    ``np.unravel_index`` instead of wrapping round to the last cell, naming
+    the first such cell."""
+    box = Box((0, 0), (2, 1))  # a 5 x 3 grid
+    message = f"^index {bad} is out of bounds for array with size 15$"
+    with pytest.raises(ValueError, match=message):
+        cell_dims(box, np.array(cells))
+    with pytest.raises(ValueError, match=message):
+        cell_faces(box, np.array(cells), 0)
 
 
 def test_core_builds_no_cube(monkeypatch):

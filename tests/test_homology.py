@@ -24,7 +24,6 @@ from randcube import (
 from randcube.cubes import (
     all_cubes_box,
     canonical_cells,
-    cell_coordinates,
     cell_faces,
     cells_to_cubes,
     grid_shape,
@@ -32,7 +31,7 @@ from randcube.cubes import (
 from randcube.homology import reduce_columns
 from randcube.verify import random_face_closed_set
 
-from cube_grids import cube_cells
+from cube_grids import cell_coordinates, cube_cells
 
 SQUARE = ElementaryCube((0, 0), (1, 1))
 SQUARE_BOX = Box((0, 0), (1, 1))

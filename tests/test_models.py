@@ -21,13 +21,13 @@ from randcube import (
     sample,
     validate,
 )
-from randcube.cubes import Box, all_cubes_box, cell_coordinates, grid_shape
+from randcube.cubes import Box, all_cubes_box, grid_shape
 from randcube.models import (MODEL_TAGS, _mark_grid, _perturbed_points, restrict_box,
                              sample_box)
 from randcube.persistence import Filtration
 from randcube.rng import TAG_CUBE_MARK, stream_uniform
 
-from cube_grids import filtration_from_births
+from cube_grids import cell_coordinates, filtration_from_births
 
 INF = math.inf
 UNI = DistributionSpec("uniform", (0.0, 1.0))

@@ -36,13 +36,12 @@ from randcube import (
     validate,
 )
 from randcube import homology, persistence
-from randcube.cubes import (canonical_cells, cell_coordinates, cell_dims, cell_faces,
-                            cells_to_cubes, grid_shape)
+from randcube.cubes import canonical_cells, cell_dims, cell_faces, cells_to_cubes, grid_shape
 from randcube.homology import reduce_columns
 from randcube.persistence import _pb_corners
 from randcube.verify import BIRTH_GRID, random_filtration
 
-from cube_grids import filtration_from_births
+from cube_grids import cell_coordinates, filtration_from_births
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
