@@ -6,6 +6,8 @@ signed boundary looks, and how Betti numbers of a bounded cubical set are
 computed exactly over GF(p).
 """
 
+import numpy as np
+
 from randcube import (
     Box,
     ElementaryCube,
@@ -17,7 +19,6 @@ from randcube import (
     cofaces_containing,
     cube_count_formula,
     faces_contained_in,
-    rank,
 )
 from randcube.cubes import canonical_cells, cell_dims
 
@@ -55,11 +56,14 @@ hollow = full[cell_dims(box, full) < 2]
 print(f"\nbetti(full square)   = {betti(box, full).tolist()[:2]}")
 print(f"betti(hollow square) = {betti(box, hollow).tolist()[:2]}")
 
-# Everything is exact linear algebra over GF(2^31 - 1); rationals are
-# available as a cross-check mode and must agree.
+# A boundary matrix is a sparse integer array of +-1 entries; its rank here
+# (floating point, exact at this size) is #edges - b_1 = 4 - 1.
 mat = boundary_matrix(box, hollow, 1)
 print(f"\nboundary matrix of the hollow square: shape {mat.shape}, "
-      f"rank {rank(mat)}")
+      f"rank {np.linalg.matrix_rank(mat.toarray())}")
+
+# Betti numbers are exact linear algebra over GF(2^31 - 1); rationals are
+# available as a cross-check mode and must agree.
 assert (betti(box, hollow) == betti(box, hollow, RationalField())).all()
 assert betti(box, hollow).tolist() == [1, 1, 0]
 print("GF(p) and exact-rational Betti numbers agree")

@@ -17,11 +17,9 @@ from .homology import (
     DEFAULT_PRIME,
     PrimeField,
     RationalField,
-    SparseMatrix,
     betti,
     boundary_matrix,
     kernel_basis,
-    rank,
 )
 from .models import (
     DistributionSpec,

@@ -14,26 +14,23 @@ field-valued dict columns {row_index: coefficient} (any ints serve as row
 indices), pivots on the largest row index of a column, scales a new pivot
 column to pivot entry 1 unless it already is 1, and reduces the columns
 left to right, so the kept columns among the first k give the rank of those
-k.  ``kernel_basis`` reads the kernel from the same elimination of the
-identity-augmented matrix (R = DV).  ``boundary_columns`` builds such
-columns straight from ``cubes.cell_faces``, keying each face through a row
-map over the flat grid (the layout ``cubes`` owns): ``betti`` keys faces by
-their flat grid cells and eliminates each degree once, and the rank-based
+k.  ``kernel_basis`` reads the kernel of such columns from the same
+elimination of the identity-augmented matrix (R = DV).  ``boundary_columns``
+builds them straight from ``cubes.cell_faces``, keying each face through a
+row map over the flat grid (the layout ``cubes`` owns): ``betti`` keys faces
+by their flat grid cells and eliminates each degree once, and the rank-based
 persistent Betti route keys them by birth rank and eliminates each of its
-two boundary maps once.  ``boundary_matrix`` stores a boundary matrix as the
-integer array it is, a ``scipy.sparse.csc_array`` of its signed
-coefficients (+-1) with rows and columns in the order given, for exact
-integer products (criterion 2; scipy.sparse is imported by the first
-``boundary_matrix`` call, not with this module); ``SparseMatrix.columns``
-reads it back as dict columns for ``rank`` and ``kernel_basis``.  The
-persistence diagram has its own union-find pairing of degrees 0 and d-1 and
-its own reduction loop for the degrees in between, so the two routes stay
-independent oracles.
+two boundary maps once.  ``boundary_matrix`` returns a boundary matrix as
+the integer array it is, a ``scipy.sparse.csc_array`` of its signed
+coefficients (+-1), for exact integer products (criteria 1 and 2;
+scipy.sparse is imported by the first ``boundary_matrix`` call, not with
+this module).  The persistence diagram has its own union-find pairing of
+degrees 0 and d-1 and its own reduction loop for the degrees in between, so
+the two routes stay independent oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING, Sequence
@@ -152,32 +149,6 @@ def reduce_columns(columns: Sequence[Column], field=DEFAULT_FIELD):
     return len(pivot_rows), pivot_rows, pivots
 
 
-@dataclass
-class SparseMatrix:
-    """Boundary-style matrix: rows and columns indexed by flat grid cells,
-    its signed integer coefficients held as a CSC array with no explicit
-    zeros, read in the field as dict columns."""
-
-    row_cells: np.ndarray
-    col_cells: np.ndarray
-    coefficients: sparse.csc_array
-    field: PrimeField | RationalField
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_cells), len(self.col_cells)
-
-    @property
-    def columns(self) -> list[Column]:
-        """The columns as {row index: field value} dicts, entries in stored
-        order; built afresh on each read, for an elimination."""
-        c = self.coefficients
-        rows, ptr, data = c.indices.tolist(), c.indptr.tolist(), c.data.tolist()
-        value = {v: self.field.from_signed(v) for v in set(data)}
-        values = [value[v] for v in data]
-        return [dict(zip(rows[a:b], values[a:b])) for a, b in zip(ptr, ptr[1:])]
-
-
 def _require_faces(region: Box, cells: np.ndarray, faces: np.ndarray,
                    present: np.ndarray) -> None:
     """Raise the "not face-closed" ValueError naming the first face (in cell,
@@ -205,11 +176,12 @@ def boundary_columns(region: Box, cells, q: int, rows: np.ndarray,
     return [dict(zip(f, signs)) for f in index.tolist()]
 
 
-def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMatrix:
+def boundary_matrix(region: Box, cells, q: int) -> sparse.csc_array:
     """Matrix of the boundary map from q-chains to (q-1)-chains of a
-    face-closed set of the region's flat grid cells: rows are its
-    (q-1)-cells and columns its q-cells, both in the order given.  Each
-    column holds its 2q signed faces in ``cell_faces`` order.
+    face-closed set of the region's flat grid cells, as an int64 CSC array
+    of its signed coefficients (+-1): rows are the set's (q-1)-cells and
+    columns its q-cells, both in the order given.  Each column holds its 2q
+    signed faces in ``cell_faces`` order.
 
     Raises ValueError("not face-closed ...") if some face of a q-cell is
     missing from the set.
@@ -228,27 +200,21 @@ def boundary_matrix(region: Box, cells, q: int, field=DEFAULT_FIELD) -> SparseMa
     _require_faces(region, cols, faces, index >= 0)
     coefficients = np.empty(index.shape, dtype=np.int64)
     coefficients[:] = signs  # one row of 2q signs per column
-    coefficients = sparse.csc_array(
+    return sparse.csc_array(
         (coefficients.ravel(), index.ravel(), np.arange(0, index.size + 1, 2 * q)),
         shape=(len(rows), len(cols)))
-    return SparseMatrix(rows, cols, coefficients, field)
 
 
-def rank(matrix: SparseMatrix) -> int:
-    """Exact rank over the matrix's field."""
-    r, _, _ = reduce_columns(matrix.columns, matrix.field)
-    return r
-
-
-def kernel_basis(matrix: SparseMatrix) -> list[Column]:
-    """Basis of the kernel, as coordinate dicts {column index: coefficient}:
-    the columns of the identity-augmented matrix (entry 1 at row -1-j of
-    column j, below every matrix row) whose reduced matrix part is zero
-    (R = DV).  The vectors are reduced against each other, each with
-    coefficient 1 at its pivot column; any kernel basis is correct."""
-    one = matrix.field.from_signed(1)
-    columns = [{**col, -1 - j: one} for j, col in enumerate(matrix.columns)]
-    pivots = reduce_columns(columns, matrix.field)[2]
+def kernel_basis(columns: Sequence[Column], field=DEFAULT_FIELD) -> list[Column]:
+    """Basis of the kernel of the matrix with these field-valued dict
+    columns, as coordinate dicts {column index: coefficient}: the columns of
+    the identity-augmented matrix (entry 1 at row -1-j of column j, below
+    every matrix row) whose reduced matrix part is zero (R = DV).  The
+    vectors are reduced against each other, each with coefficient 1 at its
+    pivot column; any kernel basis is correct."""
+    one = field.from_signed(1)
+    augmented = [{**col, -1 - j: one} for j, col in enumerate(columns)]
+    pivots = reduce_columns(augmented, field)[2]
     return [{-1 - row: v for row, v in col.items()}
             for low, col in pivots.items() if low < 0]
 

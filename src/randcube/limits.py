@@ -169,6 +169,14 @@ def _hist_trial(args) -> tuple[np.ndarray, np.ndarray, int, int]:
     return flat, hist.counts.flat[flat], hist.overflow, hist.infinite
 
 
+def _import_scipy() -> None:
+    """Import the scipy modules the library imports inside functions, bar
+    the ball_cover-only scipy.spatial: before forking, so the workers
+    inherit them, and before a timed run, so no step is charged for them.
+    tests/test_imports.py keeps this list equal to those."""
+    import scipy.ndimage, scipy.sparse, scipy.special  # noqa: E401, F401
+
+
 def ordered_map(fn, tasks, jobs: int) -> list:
     """``[fn(t) for t in tasks]``, spread over ``min(jobs, len(tasks))``
     worker processes when that is > 1; the results keep the task order for
@@ -179,10 +187,7 @@ def ordered_map(fn, tasks, jobs: int) -> list:
         return [fn(t) for t in tasks]
     from multiprocessing import Pool
 
-    # The scipy modules the library imports inside functions, bar the
-    # ball_cover-only scipy.spatial, imported once here so the forked workers
-    # inherit them.  tests/test_imports.py keeps this list equal to those.
-    import scipy.ndimage, scipy.sparse, scipy.special  # noqa: E401, F401
+    _import_scipy()
     with Pool(jobs) as pool:
         # one task per chunk, as tasks are coarse and uneven (window sizes
         # differ a lot); imap yields, and raises, in task order, where map

@@ -1,13 +1,13 @@
 """Cube-keyed references for the tests, written against the birth-grid layout
 (``cubes.grid_shape``): a cell's base and extent, a cube's flat cell in a
 box's grid, box membership, and a filtration built from a {cube: birth}
-dict."""
+dict; and the dict columns of a boundary matrix, for an elimination."""
 
 import math
 
 import numpy as np
 
-from randcube import Filtration, Window
+from randcube import DEFAULT_FIELD, Filtration, Window
 from randcube.cubes import grid_shape
 
 
@@ -50,3 +50,11 @@ def filtration_from_births(region, births, meta=None) -> Filtration:
             raise ValueError(f"finite-birth cube {cube.canonical()} lies outside the region")
         grid.flat[cube_cells(region, [cube])[0]] = t
     return Filtration(region, grid, meta)
+
+
+def csc_columns(mat, field=DEFAULT_FIELD) -> list[dict]:
+    """The columns of a CSC array as {row: field value} dicts, entries in
+    stored order: the input ``reduce_columns`` and ``kernel_basis`` take."""
+    rows, ptr, data = mat.indices.tolist(), mat.indptr.tolist(), mat.data.tolist()
+    return [{r: field.from_signed(v) for r, v in zip(rows[a:b], data[a:b])}
+            for a, b in zip(ptr, ptr[1:])]

@@ -290,7 +290,7 @@ def test_verify_durations_come_from_run_suite(tmp_path, capsys, monkeypatch):
 
     assert verify.check_cube_counting(verify.SCALES["smoke"]).seconds == 0.0
     clock = iter(range(0, 1000, 2))  # each check spans one 2 s step of this clock
-    monkeypatch.setattr(verify, "time", SimpleNamespace(time=lambda: float(next(clock))))
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: float(next(clock))))
     assert main(["verify", "--scale", "smoke", "--jobs", "1",
                  "--out", str(tmp_path)]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

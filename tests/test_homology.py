@@ -12,26 +12,25 @@ from randcube import (
     ElementaryCube,
     PrimeField,
     RationalField,
-    SparseMatrix,
     Window,
     betti,
     boundary_faces,
     boundary_matrix,
     faces_contained_in,
     kernel_basis,
-    rank,
 )
 from randcube.cubes import (
     all_cubes_box,
     canonical_cells,
+    cell_dims,
     cell_faces,
     cells_to_cubes,
     grid_shape,
 )
-from randcube.homology import reduce_columns
+from randcube.homology import boundary_columns, reduce_columns
 from randcube.verify import random_face_closed_set
 
-from cube_grids import cell_coordinates, cube_cells
+from cube_grids import cell_coordinates, csc_columns, cube_cells
 
 SQUARE = ElementaryCube((0, 0), (1, 1))
 SQUARE_BOX = Box((0, 0), (1, 1))
@@ -98,11 +97,10 @@ def test_submul_into_cancels():
 
 def test_boundary_matrix_square_column():
     mat = boundary_matrix(SQUARE_BOX, FULL_SQUARE, 2)
+    assert isinstance(mat, sparse.csc_array) and mat.dtype == np.int64
     assert mat.shape == (4, 1)
-    rows = cells_to_cubes(SQUARE_BOX, mat.row_cells)
-    signs = {}
-    for i, v in mat.columns[0].items():
-        signs[rows[i]] = 1 if v == 1 else -1
+    rows = [c for c in cells_to_cubes(SQUARE_BOX, FULL_SQUARE) if c.dim == 1]
+    signs = {rows[i]: v for i, v in zip(mat.indices.tolist(), mat.data.tolist())}
     assert signs == {
         ElementaryCube((0, 0), (1, 0)): 1,   # bottom
         ElementaryCube((1, 0), (0, 1)): 1,   # right
@@ -113,9 +111,9 @@ def test_boundary_matrix_square_column():
 
 def test_boundary_matrix_single_edge():
     box = Box((0,), (1,))
-    mat = boundary_matrix(box, canonical_cells(box), 1)
-    col = mat.columns[0]
-    rows = cells_to_cubes(box, mat.row_cells)
+    cells = canonical_cells(box)
+    col = csc_columns(boundary_matrix(box, cells, 1))[0]
+    rows = [c for c in cells_to_cubes(box, cells) if c.dim == 0]
     head = rows.index(ElementaryCube((1,), (0,)))
     tail = rows.index(ElementaryCube((0,), (0,)))
     assert col[head] == 1 and col[tail] == DEFAULT_FIELD.p - 1
@@ -135,30 +133,27 @@ def test_boundary_matrix_not_face_closed():
 # --- rank ---------------------------------------------------------------------
 
 def test_rank_zero_and_identity():
-    f = DEFAULT_FIELD
-    zero = SparseMatrix(np.arange(0), np.arange(3), sparse.csc_array((0, 3), dtype=np.int64), f)
-    assert zero.columns == [{}, {}, {}] and rank(zero) == 0
-    ident = SparseMatrix(np.arange(5), np.arange(5),
-                         sparse.eye_array(5, dtype=np.int64, format="csc"), f)
-    assert ident.columns == [{i: 1} for i in range(5)] and rank(ident) == 5
+    zero = csc_columns(sparse.csc_array((0, 3), dtype=np.int64))
+    assert zero == [{}, {}, {}] and reduce_columns(zero)[0] == 0
+    ident = csc_columns(sparse.eye_array(5, dtype=np.int64, format="csc"))
+    assert ident == [{i: 1} for i in range(5)] and reduce_columns(ident)[0] == 5
 
 
 def test_rank_hollow_square_boundary():
     # 4x4 incidence matrix of the cycle graph: rank 3
-    assert rank(boundary_matrix(SQUARE_BOX, HOLLOW_SQUARE, 1)) == 3
+    assert reduce_columns(csc_columns(boundary_matrix(SQUARE_BOX, HOLLOW_SQUARE, 1)))[0] == 3
 
 
 FIELDS = [DEFAULT_FIELD, PrimeField(2), PrimeField(3), RationalField()]
 FIELD_IDS = ["gf_p", "gf_2", "gf_3", "rational"]
 
 
-def assert_kernel_basis(matrix):
+def assert_kernel_basis(columns, field):
     """``kernel_basis`` gives ncols - rank vectors whose column combinations
     vanish, each with coefficient 1 at its smallest column and no two
     smallest columns equal, so they are independent (triangular)."""
-    field, columns = matrix.field, matrix.columns
-    kernel = kernel_basis(matrix)
-    assert len(kernel) == len(columns) - rank(matrix)
+    kernel = kernel_basis(columns, field)
+    assert len(kernel) == len(columns) - reduce_columns(columns, field)[0]
     for combo in kernel:
         total: dict = {}
         for j, c in combo.items():
@@ -173,9 +168,8 @@ def assert_kernel_basis(matrix):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_kernel_basis_of_a_duplicate_column(field):
     # columns c0 = e0, c1 = e0: the kernel is spanned by c0 - c1
-    dup = SparseMatrix(np.arange(1), np.arange(2),
-                       sparse.csc_array(np.ones((1, 2), dtype=np.int64)), field)
-    assert assert_kernel_basis(dup) == [{0: field.from_signed(1), 1: field.from_signed(-1)}]
+    one, minus_one = field.from_signed(1), field.from_signed(-1)
+    assert assert_kernel_basis([{0: one}, {0: one}], field) == [{0: one, 1: minus_one}]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -185,7 +179,7 @@ def test_kernel_basis_spans_the_kernel_of_random_boundary_maps(field, d):
     for seed in range(3):
         cells = random_face_closed_set(d, 1, seed)
         for q in range(1, d + 1):
-            assert_kernel_basis(boundary_matrix(box, cells, q, field))
+            assert_kernel_basis(csc_columns(boundary_matrix(box, cells, q), field), field)
 
 
 @pytest.mark.parametrize("field", [DEFAULT_FIELD, RationalField()], ids=["gf_p", "rational"])
@@ -200,12 +194,7 @@ def test_reduce_columns_normalises_pivot_entries_other_than_one(field):
     assert r == 3 and pivot_rows == {2: 0, 1: 1, 0: 2}
     assert all(col[low] == field.from_signed(1) and max(col) == low
                for low, col in pivots.items())
-    dense = np.zeros((3, len(signed)), dtype=np.int64)
-    for j, c in enumerate(signed):
-        for row, v in c.items():
-            dense[row, j] = v
-    matrix = SparseMatrix(np.arange(3), np.arange(len(signed)), sparse.csc_array(dense), field)
-    assert len(assert_kernel_basis(matrix)) == 2
+    assert len(assert_kernel_basis(columns, field)) == 2
 
 
 # --- Betti numbers -------------------------------------------------------------
@@ -261,51 +250,53 @@ def test_euler_poincare():
 
 
 def test_boundary_matrix_keeps_given_order():
+    """Column j of a shuffled set's matrix is the boundary of the j-th given
+    q-cell, its rows numbered over the given (q-1)-cells in order."""
     rng = np.random.default_rng(11)
-    for seed in range(20):
-        d = 2 + seed % 2
-        cubes, box, cells = random_face_closed(d, 1, 4000 + seed)
-        perm = rng.permutation(len(cubes))
-        shuffled = [cubes[i] for i in perm]
-        for q in range(1, d + 1):
-            mat = boundary_matrix(box, cells[perm], q)
-            assert cells_to_cubes(box, mat.row_cells) == [c for c in shuffled if c.dim == q - 1]
-            assert cells_to_cubes(box, mat.col_cells) == [c for c in shuffled if c.dim == q]
-            assert rank(mat) == rank(boundary_matrix(box, cells, q))
-        assert betti(box, cells[perm]).tolist() == betti(box, cells).tolist()
-
-
-def test_boundary_composition_zero_matrix():
-    f = DEFAULT_FIELD
     for seed in range(30):
         d = 2 + seed % 3
-        _, box, cells = random_face_closed(d, 1, 2000 + seed)
-        for q in range(1, d):
-            upper = boundary_matrix(box, cells, q + 1, f)
-            if not len(upper.col_cells):
-                continue
-            lower = boundary_matrix(box, cells, q, f)
-            col_of = dict(zip(lower.col_cells.tolist(), lower.columns))
-            for col in upper.columns:
-                acc = {}
-                for i, v in col.items():
-                    f.submul_into(acc, col_of[int(upper.row_cells[i])], -v)
-                assert not acc
+        _, box, cells = random_face_closed(d, 1, 4000 + seed)
+        shuffled = cells[rng.permutation(len(cells))]
+        dims = cell_dims(box, shuffled)
+        for q in range(1, d + 1):
+            mat = boundary_matrix(box, shuffled, q)
+            faces, cols = shuffled[dims == q - 1], shuffled[dims == q]
+            rows = np.full(math.prod(grid_shape(box)), -1, dtype=np.int64)
+            rows[faces] = np.arange(len(faces))
+            assert mat.shape == (len(faces), len(cols))
+            assert [list(c.items()) for c in csc_columns(mat)] == \
+                [list(c.items()) for c in boundary_columns(box, cols, q, rows)]
+            assert reduce_columns(csc_columns(mat))[0] == \
+                reduce_columns(csc_columns(boundary_matrix(box, cells, q)))[0]
+        assert betti(box, shuffled).tolist() == betti(box, cells).tolist()
 
 
 def _nonvanishing_by_dicts(lower, upper):
     """The upper columns whose image under lower is not zero, by GF(p)
-    arithmetic on the dict columns: the reference for the product route."""
-    f = upper.field
-    lower_columns = lower.columns
+    arithmetic on the dict columns (row i of upper is column i of lower):
+    the reference for the product route."""
+    f = DEFAULT_FIELD
+    lower_columns = csc_columns(lower, f)
     bad = []
-    for j, col in enumerate(upper.columns):
+    for j, col in enumerate(csc_columns(upper, f)):
         acc = {}
         for i, v in col.items():
             f.submul_into(acc, lower_columns[i], -v)
         if acc:
             bad.append(j)
     return bad
+
+
+def test_boundary_composition_zero_matrix():
+    checked = 0
+    for seed in range(30):
+        d = 2 + seed % 3
+        _, box, cells = random_face_closed(d, 1, 2000 + seed)
+        for q in range(1, d):
+            lower, upper = (boundary_matrix(box, cells, k) for k in (q, q + 1))
+            assert _nonvanishing_by_dicts(lower, upper) == []
+            checked += upper.shape[1]
+    assert checked > 0
 
 
 def test_composition_product_matches_dict_arithmetic():
@@ -318,12 +309,12 @@ def test_composition_product_matches_dict_arithmetic():
         _, box, cells = random_face_closed(d, 1, 2000 + seed)
         for q in range(1, d):
             lower, upper = (boundary_matrix(box, cells, k) for k in (q, q + 1))
-            if not upper.coefficients.nnz:
+            if not upper.nnz:
                 continue
             for target in (None, upper, lower):
                 if target is not None:
-                    target.coefficients.data[rng.integers(target.coefficients.nnz)] *= -1
-                product = lower.coefficients @ upper.coefficients
+                    target.data[rng.integers(target.nnz)] *= -1
+                product = lower @ upper
                 bad = np.flatnonzero(product.count_nonzero(axis=0)).tolist()
                 assert bad == _nonvanishing_by_dicts(lower, upper)
                 flagged += len(bad)
@@ -334,10 +325,8 @@ def _patched_chain_complex(monkeypatch, edit):
     """Smoke criterion 2 with every boundary matrix passed through ``edit``."""
     from randcube import verify
 
-    def edited(box, cells, q, *args):
-        mat = boundary_matrix(box, cells, q, *args)
-        edit(box, q, mat)
-        return mat
+    def edited(box, cells, q):
+        return edit(box, q, boundary_matrix(box, cells, q))
 
     monkeypatch.setattr(verify, "boundary_matrix", edited)
     return verify.check_chain_complex(verify.SCALES["smoke"])
@@ -349,9 +338,10 @@ def test_chain_complex_check_counts_one_flipped_sign(monkeypatch):
     flipped = []
 
     def flip_once(box, q, mat):
-        if not flipped and q == box.ambient_dim and mat.coefficients.nnz:
-            mat.coefficients.data[0] *= -1
+        if not flipped and q == box.ambient_dim and mat.nnz:
+            mat.data[0] *= -1
             flipped.append(q)
+        return mat
 
     result = _patched_chain_complex(monkeypatch, flip_once)
     assert flipped and not result.passed
@@ -359,11 +349,10 @@ def test_chain_complex_check_counts_one_flipped_sign(monkeypatch):
 
 
 def test_chain_complex_check_catches_misaligned_cells(monkeypatch):
-    """A lower matrix whose column cells are permuted fails, although its
-    coefficients, and so the product, are untouched."""
+    """A q = 1 matrix whose columns are rolled by one, so that its column j
+    is no longer the edge of row j of the q = 2 matrix, fails."""
     def roll_edges(box, q, mat):
-        if q == 1:
-            mat.col_cells = np.roll(mat.col_cells, 1)
+        return mat[:, np.roll(np.arange(mat.shape[1]), 1)] if q == 1 else mat
 
     result = _patched_chain_complex(monkeypatch, roll_edges)
     assert not result.passed and result.worst_margin <= -1.0
@@ -442,13 +431,12 @@ def test_cell_boundary_matrix_matches_cube_list_reference(case, field):
     d = box.ambient_dim
     ranks = {0: 0, d + 1: 0}
     for q in range(1, d + 1):
-        mat = boundary_matrix(box, cells, q, field)
+        mat = boundary_matrix(box, cells, q)
         rows, cols, columns = reference_boundary(cubes, q, field)
-        assert cells_to_cubes(box, mat.row_cells) == rows
-        assert cells_to_cubes(box, mat.col_cells) == cols
-        assert [list(c.items()) for c in mat.columns] == [list(c.items()) for c in columns]
+        assert mat.dtype == np.int64 and mat.shape == (len(rows), len(cols))
+        assert [list(c.items()) for c in csc_columns(mat, field)] == \
+            [list(c.items()) for c in columns]
         ranks[q] = reduce_columns(columns, field)[0]
-        assert rank(mat) == ranks[q]
     expect = [sum(c.dim == q for c in cubes) - ranks[q] - ranks[q + 1]
               for q in range(d + 1)]
     assert betti(box, cells, field).tolist() == expect

@@ -1,9 +1,10 @@
 """scipy is imported by the four functions that use it, not with the package:
-``import randcube`` and the CLI commands that need no scipy load none of it,
-and ``limits.ordered_map`` imports those same modules, all but the
-ball_cover-only ``scipy.spatial``, once before forking its workers, so no
-worker imports them again.  Every case but the source scan runs in a fresh
-interpreter."""
+``import randcube`` and the CLI commands that need no scipy load none of it.
+``limits._import_scipy`` imports those same modules, all but the
+ball_cover-only ``scipy.spatial``: ``ordered_map`` calls it once before
+forking its workers, so no worker imports them again, and ``verify.run_suite``
+before its first clock, so no check's seconds include them.  Every case but
+the source scan runs in a fresh interpreter."""
 
 import ast
 import json
@@ -84,6 +85,23 @@ print(json.dumps([before, ordered_map(loaded, [os.getpid()] * 4, 2)]))
     assert seen == [False, [[True, True]] * 4]
 
 
+def test_verify_suite_imports_scipy_before_its_first_check():
+    seen = _fresh("""
+from randcube import verify
+first = verify.ALL_CHECKS[0]
+loaded = []
+
+def probe(scale, jobs):
+    loaded.extend(m in sys.modules for m in ("scipy.ndimage", "scipy.sparse", "scipy.special"))
+    return first(scale, jobs)
+
+verify.ALL_CHECKS[:] = [probe]
+results = verify.run_suite("smoke")
+print(json.dumps([loaded, [r.passed for r in results]]))
+""")
+    assert seen == [[True, True, True], [True]]
+
+
 def _scipy_modules(node: ast.stmt) -> list[str]:
     """The scipy modules an import statement loads (``from scipy import x``
     loads the submodule ``scipy.x``)."""
@@ -122,7 +140,7 @@ def test_scipy_is_imported_only_inside_functions_and_preloaded_before_forking():
         for module, function in _scipy_imports(ast.parse(path.read_text())):
             if function is None:
                 at_module_level.append(f"{path.name}: {module}")
-            elif function == "ordered_map":
+            elif function == "_import_scipy":
                 preloaded.add(module)
             else:
                 deferred.add(module)

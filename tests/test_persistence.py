@@ -41,7 +41,7 @@ from randcube.homology import reduce_columns
 from randcube.persistence import _pb_corners
 from randcube.verify import BIRTH_GRID, random_filtration
 
-from cube_grids import cell_coordinates, filtration_from_births
+from cube_grids import cell_coordinates, csc_columns, filtration_from_births
 
 INF = math.inf
 SQUARE = ElementaryCube((0, 0), (1, 1))
@@ -850,22 +850,29 @@ def test_corner_error_names_the_first_bad_corner():
 
 # --- the array rank route against a per-corner cube-list reference --------------------
 
+def _q_cells(f, cells, q):
+    """The q-cells among ``cells``, in the order given, as a list."""
+    return cells[cell_coordinates(f.region, cells)[1].sum(axis=1) == q].tolist()
+
+
 def pb_reference(f, q, s, t):
     """One corner on cube lists: the level-s cycle basis lifted into the
-    level-t q-cubes, reduced after the level-t boundary columns."""
-    cells_s = sublevel(f, s)
-    kq_s = cells_s[cell_coordinates(f.region, cells_s)[1].sum(axis=1) == q].tolist()
+    level-t q-cubes, reduced after the level-t boundary columns.  The
+    matrices come from ``boundary_matrix``, not from the rank route's own
+    ``boundary_columns``."""
+    cells_s, cells_t = sublevel(f, s), sublevel(f, t)
+    kq_s = _q_cells(f, cells_s, q)
     if q == 0:
         kernel = [{i: 1} for i in range(len(kq_s))]
     else:
-        kernel = kernel_basis(boundary_matrix(f.region, cells_s, q))
+        kernel = kernel_basis(csc_columns(boundary_matrix(f.region, cells_s, q)))
     if not kernel:
         return 0
-    bnd_t = boundary_matrix(f.region, sublevel(f, t), q + 1)
-    t_index = {c: i for i, c in enumerate(bnd_t.row_cells.tolist())}
+    bnd_t = csc_columns(boundary_matrix(f.region, cells_t, q + 1))
+    t_index = {c: i for i, c in enumerate(_q_cells(f, cells_t, q))}  # bnd_t's rows
     lifted = [{t_index[kq_s[i]]: v for i, v in vec.items()} for vec in kernel]
-    _, pivot_rows, _ = reduce_columns(bnd_t.columns + lifted)
-    return sum(j >= len(bnd_t.columns) for j in pivot_rows.values())
+    _, pivot_rows, _ = reduce_columns(bnd_t + lifted)
+    return sum(j >= len(bnd_t) for j in pivot_rows.values())
 
 
 # birth values, values between them, and values below and past every birth
