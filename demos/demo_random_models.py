@@ -11,14 +11,14 @@ sampling the block directly.
 from randcube import (
     DistributionSpec,
     ModelSpec,
+    Window,
     block_window,
     format_filtration,
-    restrict,
+    restrict_box,
     sample,
     sample_box,
     validate,
 )
-from randcube.models import restrict_box
 
 uniform = DistributionSpec("uniform", (0.0, 1.0))
 marks = (uniform, uniform, uniform)  # one mark law per cube dimension
@@ -56,9 +56,9 @@ print(f"block at z={z}: carved from the big window == sampled directly "
       f"({len(direct.births)} cubes)")
 
 # Restriction to a smaller window just forgets outside births.
-small = restrict(big, 6)
+small = restrict_box(big, Window(6, 2).box)
 print(f"restricted to [-6,6]^2: {small}")
 
 # Filtration dumps are plain text with a canonical cube per line.
 print("\nfirst lines of the dump format:")
-print("\n".join(format_filtration(restrict(big, 1)).splitlines()[:5]))
+print("\n".join(format_filtration(restrict_box(big, Window(1, 2).box)).splitlines()[:5]))

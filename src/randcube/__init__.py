@@ -27,7 +27,6 @@ from .models import (
     block_window,
     format_filtration,
     parse_filtration,
-    restrict,
     restrict_box,
     sample,
     sample_box,

@@ -316,7 +316,7 @@ def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtrat
         _neighbour_pass(grid, 1, np.maximum)
     else:
         grid = _cover_radii(box, model.perturbation, model.m_grid, seed, trial)
-    meta = {"model": model.kind, "seed": seed, "trial": trial}
+    meta = {"model": model.kind, "seed": seed, "trial": trial, **_window_meta(box)}
     if model.is_approximate:
         meta["approximate"] = True
     return Filtration(box, grid, meta)
@@ -324,34 +324,29 @@ def sample_box(model: ModelSpec, box: Box, seed: int, trial: int = 0) -> Filtrat
 
 def sample(model: ModelSpec, n: int, seed: int, trial: int = 0) -> Filtration:
     """Sample the model on the window [-n, n]^d."""
-    filtration = sample_box(model, Window(n, model.d).box, seed, trial)
-    filtration.meta["n"] = n
-    return filtration
+    return sample_box(model, Window(n, model.d).box, seed, trial)
+
+
+def _window_meta(box: Box) -> dict:
+    """{"n": m} when the box is the centred window [-m, m]^d, else {}."""
+    d, m = box.ambient_dim, box.hi[0]
+    return {"n": m} if box.lo == (-m,) * d and box.hi == (m,) * d else {}
 
 
 def restrict_box(filtration: Filtration, box: Box) -> Filtration:
-    """Restrict a filtration to an integer box inside its region (used for
-    translated block windows): a slice of the birth grid."""
+    """Restrict a filtration to an integer box inside its region: a slice of
+    its birth grid.  A centred window [-m, m]^d, carved from any region that
+    contains it, records its own ``meta["n"] = m``; any other box (a
+    translated block) keeps the parent's metadata."""
     return Filtration(box, filtration.grid[box_slice(filtration.region, box)],
-                      filtration.meta)
-
-
-def restrict(filtration: Filtration, m: int) -> Filtration:
-    """Restrict a centered-window filtration to the smaller window [-m, m]^d
-    (a slice of its birth grid)."""
-    lo, hi = filtration.region.lo, filtration.region.hi
-    if any(a != -b for a, b in zip(lo, hi)) or len(set(hi)) != 1:
-        raise ValueError("restrict() applies to centered windows only")
-    out = restrict_box(filtration, Window(m, filtration.d).box)
-    out.meta["n"] = m
-    return out
+                      {**filtration.meta, **_window_meta(box)})
 
 
 def truncate(filtration: Filtration, t_max: float) -> Filtration:
     """The filtration cut at time t_max: cubes born after t_max are never
-    born.  Like ``restrict`` it is a grid operation that keeps the face
-    condition (a cube born by t_max has every face born by then) and the
-    metadata.
+    born.  Like ``restrict_box`` it is a grid operation that keeps the face
+    condition (a cube born by t_max has every face born by then); the
+    metadata is kept as is.
 
     Column reduction pairs each column using only the columns before it in
     (birth, dimension, canonical) order, so the cut diagram is exactly
@@ -390,7 +385,7 @@ def block_union(filtration: Filtration, k: int, r: int, m: int) -> Filtration:
     grid = window.grid.copy()
     for axis in range(filtration.d):
         grid[(slice(None),) * axis + (~line,)] = INF
-    return Filtration(window.region, grid, filtration.meta)
+    return Filtration(window.region, grid, window.meta)
 
 
 def format_filtration(filtration: Filtration) -> str:
@@ -401,10 +396,9 @@ def format_filtration(filtration: Filtration) -> str:
     Births are told apart by their bits (``np.unique`` of the int64 view), not
     by value, so 0.0 and -0.0 keep their own texts."""
     region = filtration.region
-    lo, hi = region.lo, region.hi
-    if any(a != -b for a, b in zip(lo, hi)) or len(set(hi)) > 1:
+    n = _window_meta(region).get("n")
+    if n is None:
         raise ValueError("only centered-window filtrations have a dump form")
-    n = hi[0]
     seed = filtration.meta.get("seed", "-")
     model = filtration.meta.get("model", "-")
     cells = canonical_cells(region)

@@ -159,7 +159,8 @@ class PersistenceDiagram:
         return len(self.pairs.get(q, []))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PersistenceDiagram) and self.pairs == other.pairs
+        return (isinstance(other, PersistenceDiagram) and self.d == other.d
+                and self.pairs == other.pairs)
 
     def __repr__(self) -> str:
         counts = {q: len(ps) for q, ps in sorted(self.pairs.items())}

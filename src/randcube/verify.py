@@ -39,7 +39,7 @@ from .limits import (
     log_mgf,
     ordered_map,
 )
-from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict
+from .models import DistributionSpec, ModelSpec, _neighbour_pass, restrict_box
 from .persistence import (
     Filtration,
     compute_diagram,
@@ -336,7 +336,7 @@ def _inequality_one(params) -> tuple[int, int, float]:
             bad += 1
     # nested difference bound against the window restriction
     if n >= 2:
-        inner = restrict(filt, n - 1)
+        inner = restrict_box(filt, Window(n - 1, d).box)
         diagram_in = compute_diagram(inner)
         ns, nt = (0.2, 0.4, 0.5), (0.6, 0.8, 0.5)  # the (s, t) pairs checked
         # per level, the cubes of each dimension born in filt but not in inner,

@@ -476,7 +476,7 @@ def test_dump_builds_no_cube(monkeypatch):
         monkeypatch.setattr(module, "cells_to_cubes", refuse)
     monkeypatch.setattr(ElementaryCube, "from_canonical", staticmethod(refuse))
     monkeypatch.setattr(ElementaryCube, "__init__", refuse)
-    for filt in (f, models.restrict(f, 1)):
+    for filt in (f, models.restrict_box(f, Window(1, 3).box)):
         dump = models.format_filtration(filt)
         back = models.parse_filtration(dump)
         assert back == filt

@@ -10,8 +10,9 @@ lines.
 
 The corpus: the four models at d = 1..3, n = 1..3, with uniform, empirical
 (tie-heavy) and defective (``p_inf`` > 0) marks, two perturbation laws each
-for the point models; for every sample also ``restrict(f, n - 1)`` and an
-asymmetric ``restrict_box`` block; and 40 ``verify.random_filtration``s.
+for the point models; for every sample also its window [-(n-1), n-1]^d
+and an asymmetric block, both carved by ``restrict_box``; and 40
+``verify.random_filtration``s.
 """
 
 import hashlib
@@ -24,10 +25,10 @@ from randcube import (
     Box,
     DistributionSpec,
     ModelSpec,
+    Window,
     compute_diagram,
     format_diagram,
     format_filtration,
-    restrict,
     restrict_box,
     sample,
 )
@@ -89,7 +90,7 @@ def build(model, d, n, seed, cut):
         return random_filtration(d, n, seed)
     filt = sample(model, n, seed)
     if cut == "restrict":
-        return restrict(filt, n - 1)
+        return restrict_box(filt, Window(n - 1, d).box)
     if cut == "block":
         return restrict_box(filt, _block(d, n))
     return filt

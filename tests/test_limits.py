@@ -30,7 +30,7 @@ from randcube.limits import (
     write_pb_csv,
     write_rate_csv,
 )
-from randcube.models import block_union, restrict, restrict_box
+from randcube.models import block_union, restrict_box
 from randcube.persistence import PersistenceDiagram, compute_diagram, quadrant_mass
 
 INF = math.inf
@@ -694,7 +694,7 @@ def test_gap_task_masses_each_window_and_union_once(monkeypatch):
     big = sample(verify._uniform_model("lower", 2), 20, verify.CORPUS_SEED + 6000)
     # the near windows 9, 15, 12, 20, the regular windows 7, 9 and their
     # largest aligned sub-windows 3, 9, 4, 4; then one union per near spec
-    windows = [restrict(big, n) for n in (20, 15, 12, 9, 7, 4, 3)]
+    windows = [restrict_box(big, Window(n, 2).box) for n in (20, 15, 12, 9, 7, 4, 3)]
     unions = [block_union(big, *spec) for spec in verify.GAP_NEAR]
     assert len(calls) == len(windows) + len(unions) == 11
     for expected in windows + unions:
@@ -737,6 +737,15 @@ def test_block_union_masses_are_the_sum_over_carved_blocks(model, s, t, specs, s
             assert np.array_equal(
                 limits._quadrant_masses(union, q, s, t),
                 sum(limits._quadrant_masses(b, q, s, t) for b in blocks))
+
+
+def test_block_union_records_the_window_it_carved():
+    big = sample(LOWER2, 9, 23)
+    for k, r, m in ((3, 1, 1), (4, 1, 0)):
+        union = block_union(big, k, r, m)
+        window = restrict_box(big, Window((2 * m + 1) * k, 2).box)
+        assert union.meta == window.meta
+        assert union.meta["n"] == (2 * m + 1) * k
 
 
 # --- csv output --------------------------------------------------------------------------------

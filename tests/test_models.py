@@ -17,12 +17,13 @@ from randcube import (
     format_filtration,
     quadrant_mass,
     compute_diagram,
-    restrict,
+    format_diagram,
+    restrict_box,
     sample,
     validate,
 )
 from randcube.cubes import Box, all_cubes_box, grid_shape
-from randcube.models import (MODEL_TAGS, _mark_grid, _perturbed_points, restrict_box,
+from randcube.models import (MODEL_TAGS, _mark_grid, _perturbed_points, _window_meta,
                              sample_box)
 from randcube.persistence import Filtration
 from randcube.rng import TAG_CUBE_MARK, stream_uniform
@@ -176,7 +177,7 @@ def test_upper_halo_of_one_suffices():
     for seed in range(10):
         small = sample_marks("upper", 2, (UNI, UNI, UNI), seed)
         large = sample_marks("upper", 3, (UNI, UNI, UNI), seed)
-        carved = restrict(large, 2)
+        carved = restrict_box(large, Window(2, 2).box)
         assert carved.births == small.births
 
 
@@ -308,26 +309,29 @@ def test_ball_cover_requires_compact_support():
 
 def test_restrict_same_window_is_identity():
     f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
-    assert restrict(f, 2).births == f.births
+    same = restrict_box(f, Window(2, 2).box)
+    assert same_bits(same, f) and same.births == f.births
+    assert same.meta == f.meta
 
 
 def test_restrict_to_zero_keeps_origin_only():
     f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
-    r = restrict(f, 0)
+    r = restrict_box(f, Window(0, 2).box)
     assert set(r.births) == {ElementaryCube((0, 0), (0, 0))}
+    assert r.meta["n"] == 0 and format_filtration(r).startswith("# 2 0 5 lower\n")
 
 
 def test_restrict_rejects_larger_window():
     f = sample_marks("lower", 2, (UNI, UNI, UNI), seed=5)
-    with pytest.raises(ValueError):
-        restrict(f, 3)
+    with pytest.raises(ValueError, match="is not inside the region"):
+        restrict_box(f, Window(3, 2).box)
 
 
 def test_restriction_quadrant_masses_within_difference_bound():
     model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
     for seed in range(10):
         f = sample(model, 3, seed)
-        r = restrict(f, 2)
+        r = restrict_box(f, Window(2, 2).box)
         dg_f, dg_r = compute_diagram(f), compute_diagram(r)
         for q in (0, 1):
             for s, t in [(0.3, 0.5), (0.5, 0.8)]:
@@ -421,11 +425,15 @@ def carving_models(draw):
 def test_carving_a_window_equals_sampling_it(model, seed, trial, data):
     """The identity the gap estimates rely on: the windows of one seed and
     trial are nested windows of one realization, so restricting the largest
-    gives every smaller one bit for bit, down to the single-vertex n = 0."""
+    gives every smaller one bit for bit, down to the single-vertex n = 0,
+    with the smaller window's own metadata."""
     big_n = data.draw(st.integers(1, 3 if model.d <= 2 else 2))
     big = sample(model, big_n, seed, trial)
     for n in range(big_n):
-        assert same_bits(restrict(big, n), sample(model, n, seed, trial)), n
+        carved = restrict_box(big, Window(n, model.d).box)
+        direct = sample(model, n, seed, trial)
+        assert same_bits(carved, direct), n
+        assert carved.meta == direct.meta, n
 
 
 @pytest.mark.parametrize("kind", ["upper", "lower", "perturbed_lattice", "ball_cover"])
@@ -450,6 +458,63 @@ def test_restrict_box_rejects_box_outside_region():
     for box in (Window(3, 2).box, block_window(3, 1, (1, 0)), Window(1, 3).box):
         with pytest.raises(ValueError, match="not inside"):
             restrict_box(big, box)
+
+
+def test_carved_window_diagram_header_names_its_own_radius():
+    model = ModelSpec("lower", 2, marks=(UNI, UNI, UNI))
+    carved = restrict_box(sample(model, 4, 1), Window(2, 2).box)
+    assert format_diagram(compute_diagram(carved)).startswith("# 2 1 2 1\n")
+    assert format_filtration(carved) == format_filtration(sample(model, 2, 1))
+
+
+def test_window_carved_from_a_block_is_the_window():
+    """A window carved from a non-centred region that contains it (a block,
+    a strip) is the window, metadata included; the block itself keeps its
+    parent's metadata."""
+    model = ModelSpec("upper", 2, marks=(UNI, UNI, UNI))
+    big = sample(model, 4, seed=17, trial=2)
+    for region in (Box((-3, -2), (2, 4)), Box((-4, -1), (4, 1))):
+        part = restrict_box(big, region)
+        assert part.meta == big.meta
+        window = restrict_box(part, Window(1, 2).box)
+        direct = sample(model, 1, seed=17, trial=2)
+        assert same_bits(window, direct) and window.meta == direct.meta
+        assert format_filtration(window) == format_filtration(direct)
+    with pytest.raises(ValueError, match="is not inside the region"):
+        restrict_box(restrict_box(big, Box((-3, -2), (2, 4))), Window(3, 2).box)
+
+
+def test_sample_box_records_the_radius_of_a_window_only():
+    model = ModelSpec("lower", 3, marks=(UNI,) * 4)
+    window = sample_box(model, Window(2, 3).box, 8, 1)
+    assert window.meta == sample(model, 2, 8, 1).meta and window.meta["n"] == 2
+    assert "n" not in sample_box(model, block_window(3, 1, (1, 0, 0)), 8, 1).meta
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_window_meta_edge_cases(d):
+    for m in (0, 1, 5):
+        assert _window_meta(Window(m, d).box) == {"n": m}
+        assert _window_meta(Box((-m,) * d, (m,) * d)) == {"n": m}
+    # translated, negative-hi and flat boxes are not windows (and do not raise)
+    assert _window_meta(Window(2, d).box.translate((1,) + (0,) * (d - 1))) == {}
+    assert _window_meta(Box((-3,) * d, (-1,) * d)) == {}
+    assert _window_meta(Box((-2,) * d, (-2,) * d)) == {}
+    assert _window_meta(Box((0,) * d, (1,) * d)) == {}
+    if d > 1:
+        # unequal axes, and a flat axis of a window
+        assert _window_meta(Box((-1,) + (-2,) * (d - 1), (1,) + (2,) * (d - 1))) == {}
+        assert _window_meta(Box((0,) + (-2,) * (d - 1), (0,) + (2,) * (d - 1))) == {}
+        assert _window_meta(Box((-2,) * d, (2,) * (d - 1) + (3,))) == {}
+
+
+def test_dump_refuses_a_non_window():
+    big = sample(ModelSpec("lower", 2, marks=(UNI, UNI, UNI)), 2, seed=3)
+    for box in (Window(1, 2).box.translate((1, 0)), Box((-1, -2), (1, 2)),
+                Box((-2, -2), (-1, -1))):
+        with pytest.raises(ValueError, match="^only centered-window filtrations have "
+                                             "a dump form$"):
+            format_filtration(restrict_box(big, box))
 
 
 def test_sample_box_rejects_dimension_mismatch():

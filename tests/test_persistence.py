@@ -642,6 +642,17 @@ def test_diagram_file_round_trip_bytes():
         assert format_diagram(reread) == text
 
 
+def test_diagram_equality_compares_the_ambient_dimension():
+    """A round trip that lost the header's d would not compare equal."""
+    assert PersistenceDiagram(2, {}) != PersistenceDiagram(3, {})
+    pairs = {0: [(0.0, INF)]}
+    assert PersistenceDiagram(2, pairs) != PersistenceDiagram(3, pairs)
+    assert PersistenceDiagram(2, pairs) == PersistenceDiagram(2, dict(pairs), {"n": 4})
+    diagram = compute_diagram(random_filtration(3, 1, 9600))
+    assert parse_diagram(format_diagram(diagram)) == diagram
+    assert parse_diagram(format_diagram(diagram).replace("# 3 ", "# 4 ", 1)) != diagram
+
+
 def test_empty_diagram_file_is_header_only():
     diagram = compute_diagram(never_born(Window(1, 2)))
     assert format_diagram(diagram) == "# 2 1 - -\n"
