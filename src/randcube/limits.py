@@ -502,24 +502,23 @@ def gap_reports(
             masses[n] = _quadrant_masses(restrict_box(big, Window(n, d).box), q, s, t)
         return masses[n]
 
+    def report(kind: str, k: int, r: int, m: int, n: int, gap: np.ndarray,
+               ratio: float) -> GapReport:
+        """The gap per unit volume, against the bound 3^d sqrt(h) (1 - ratio^d)."""
+        return GapReport(kind, d, q, h, k, r, m, n, seed,
+                         float(np.linalg.norm(gap)) / Window(n, d).volume,
+                         3 ** d * math.sqrt(h) * (1.0 - ratio ** d))
+
     reports = []
     for k, r, m in near:
         big_n = (2 * m + 1) * k
-        window = Window(big_n, d)
         s_blocks = _quadrant_masses(block_union(big, k, r, m), q, s, t)
-        measured = float(np.linalg.norm(mass(big_n) - s_blocks)) / window.volume
-        bound = 3 ** d * math.sqrt(h) * (1.0 - (1.0 - r / k) ** d)
-        reports.append(GapReport("near_additivity", d, q, h, k, r, m, big_n,
-                                 seed, measured, bound))
+        reports.append(report("near_additivity", k, r, m, big_n, mass(big_n) - s_blocks,
+                              1.0 - r / k))
     for k, n in regular:
         m_n = (n - k) // (2 * k)  # unique m with (2m+1)k <= n < (2m+3)k
         sub_n = (2 * m_n + 1) * k
-        window = Window(n, d)
-        gap = mass(n) - mass(sub_n)
-        measured = float(np.linalg.norm(gap)) / window.volume
-        bound = 3 ** d * math.sqrt(h) * (1.0 - (sub_n / n) ** d)
-        reports.append(GapReport("regularity", d, q, h, k, 0, m_n, n,
-                                 seed, measured, bound))
+        reports.append(report("regularity", k, 0, m_n, n, mass(n) - mass(sub_n), sub_n / n))
     return reports
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cubes import (Box, ElementaryCube, Window, _layout, box_slice, canonical_cells,
                     cell_texts, grid_shape)
-from .persistence import Filtration, _read_dump
+from .persistence import Filtration, _dump_header, _read_dump
 from .rng import TAG_CUBE_MARK, TAG_LATTICE_POINT, stream_uniform
 
 INF = math.inf
@@ -399,14 +399,12 @@ def format_filtration(filtration: Filtration) -> str:
     n = _window_meta(region).get("n")
     if n is None:
         raise ValueError("only centered-window filtrations have a dump form")
-    seed = filtration.meta.get("seed", "-")
-    model = filtration.meta.get("model", "-")
     cells = canonical_cells(region)
     births = filtration.grid.ravel()[cells]
     finite = births < INF
     bits, which = np.unique(births[finite].view(np.int64), return_inverse=True)
     reprs = [repr(birth) for birth in bits.view(np.float64).tolist()]
-    lines = [f"# {filtration.d} {n} {seed} {model}"]
+    lines = [_dump_header("d n seed model", {**filtration.meta, "d": filtration.d, "n": n})]
     lines += [f"{text} {reprs[k]}" for text, k in
               zip(cell_texts(region, cells[finite]), which.tolist())]
     return "\n".join(lines) + "\n"
@@ -423,13 +421,8 @@ def parse_filtration(text: str) -> Filtration:
     ambient dimension).  The first faulty line in file order is reported; a
     nan or negative birth is reported afterwards, by ``Filtration``.
     """
-    (d, n, seed, model), lines = _read_dump(text, "filtration", "d n seed model", 2)
-    meta: dict = {"n": n}
-    if seed != "-":
-        meta["seed"] = seed
-    if model != "-":
-        meta["model"] = model
-    box = Window(n, d).box
+    meta, lines = _read_dump(text, "filtration", "d n seed model", 2)
+    box = Window(meta["n"], meta.pop("d")).box
     cells = canonical_cells(box)
     index = dict(zip(cell_texts(box, cells), cells.tolist()))
     grid = np.full(cells.size, INF)

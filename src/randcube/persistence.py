@@ -7,7 +7,10 @@ are born no later than their cofaces).  Everything here runs on flat grid
 cells; cubes are built only for the {cube: birth} view ``births`` and to
 name a bad birth or a violating (face, cube) pair.  The text dump
 (``models.format_filtration``/``parse_filtration``) reads and writes the
-grid directly, not through ``births``.
+grid directly, not through ``births``.  It and the diagram file share one
+header reader, ``_read_dump``, and one writer, ``_dump_header``: a "-"
+header field is absent from the meta dict, and a field the meta dict does
+not hold is written as "-".
 Diagrams pair degrees 0 and d-1 by union-find, with no field arithmetic:
 degree 0 over the edges in birth order, degree d-1 over the dual graph of
 d-cubes and an outside hub in reverse order, a never-born cube being born at
@@ -189,12 +192,13 @@ def compute_diagram(
     """Persistence diagram: degrees 0 and d-1 by union-find, the degrees in
     between by column reduction of the boundary matrix.
 
-    The finite cubes are ordered by (birth, dimension, canonical cube order),
-    which puts every face before its cofaces, and the never-born ones follow
-    in canonical order, as cubes born at inf; each cube is named by its
-    position.  Pairs with equal birth and death are discarded (so is every
-    pair a never-born cube creates); a finite creator that nothing kills, or
-    that a never-born cube kills, is an essential pair (birth, inf).
+    The cubes are ordered by (birth, dimension, canonical cube order), a
+    never-born cube as born at inf, which puts every face before its
+    cofaces: the never-born cubes follow the finite ones in (dimension,
+    canonical) order.  Each cube is named by its position.  Pairs with equal
+    birth and death are discarded (so is every pair a never-born cube
+    creates); a finite creator that nothing kills, or that a never-born cube
+    kills, is an essential pair (birth, inf).
 
     * Degree 0: the edges in order join the components of their two
       vertices.  An edge that joins two components kills the younger one,
@@ -225,21 +229,21 @@ def compute_diagram(
       so only the q = 2 pass is compressed.)  Only these degrees use
       ``field``.
 
-    ``_tie_key`` (a function of the array of finite cells, in canonical
-    order, returning one key per cell) overrides the canonical tie-break
-    among equal-birth cubes of equal dimension; the diagram is invariant
-    under this choice, which the test suite asserts by shuffling it.
+    ``_tie_key`` (a function of the array of every cell, in canonical order,
+    returning one key per cell) overrides the canonical tie-break among
+    equal-birth cubes of equal dimension, the never-born ones included; the
+    diagram is invariant under this choice, which the test suite asserts by
+    shuffling it.
     """
     _require_valid(filtration)
     region, flat, d = filtration.region, filtration.grid.ravel(), filtration.d
     cells = canonical_cells(region)
-    born = flat[cells] < INF
-    m = int(born.sum())  # the finite cubes take positions 0..m-1
-    cells = np.concatenate([cells[born], cells[~born]])  # each part in canonical order
     dims = cell_dims(region, cells)
-    tie = np.arange(m) if _tie_key is None else np.asarray(_tie_key(cells[:m]))
-    order = np.lexsort((tie, dims[:m], flat[cells[:m]]))
-    cells[:m], dims[:m] = cells[order], dims[order]
+    tie = np.arange(len(cells)) if _tie_key is None else np.asarray(_tie_key(cells))
+    order = np.lexsort((tie, dims, flat[cells]))
+    cells, dims = cells[order], dims[order]
+    births = flat[cells]
+    m = int((births < INF).sum())  # the finite cubes take positions 0..m-1
     n = len(cells)
     index = np.empty(flat.size, dtype=np.int64)
     index[cells] = np.arange(n)
@@ -302,7 +306,6 @@ def compute_diagram(
     highs.append(np.fromiter(pivot_row_of.values(), dtype=np.int64, count=len(pivot_row_of)))
 
     low, high = np.concatenate(lows), np.concatenate(highs)
-    births = flat[cells]
     essential = births < INF
     essential[low] = essential[high] = False
     finite = births[low] < births[high]
@@ -484,24 +487,23 @@ def persistent_betti_0(filtration: Filtration, s: Corner, t: Corner) -> int | np
 def format_diagram(diagram: PersistenceDiagram) -> str:
     """Line-oriented text form: header "# d q_max n seed", then one
     "q birth death" line per pair, sorted by (q, birth, death)."""
-    meta = diagram.meta
-    q_max = meta.get("q_max", diagram.d - 1)
-    n = meta.get("n", "-")
-    seed = meta.get("seed", "-")
-    lines = [f"# {diagram.d} {q_max} {n} {seed}"]
+    lines = [_dump_header("d q_max n seed",
+                          {"q_max": diagram.d - 1, **diagram.meta, "d": diagram.d})]
     for q in sorted(diagram.pairs):
         for b, dth in diagram.pairs[q]:
             lines.append(f"{q} {b!r} {dth!r}")
     return "\n".join(lines) + "\n"
 
 
-def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[list, list]:
-    """The "# <layout>" header fields of a ``kind`` dump (a diagram or a
-    filtration) and its later non-blank lines as (line number, line) pairs.
+def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[dict, list]:
+    """The "# <layout>" header of a ``kind`` dump (a diagram or a filtration)
+    as a dict of its present fields, and its later non-blank lines as (line
+    number, line) pairs.
 
-    The first ``required`` fields are integers; a later field is an integer
-    or "-" (absent), and a ``model`` field is kept as its text.  As for a
-    ``Window``, d must be >= 1, an integer n >= 0 and an integer q_max in 0..d-1."""
+    The first ``required`` fields are integers.  A later field is an integer
+    or "-", which means absent: the dict has no key for it.  A ``model``
+    field is kept as its text.  As for a ``Window``, d must be >= 1, an
+    integer n >= 0 and an integer q_max in 0..d-1."""
     lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     header = lines[0][1] if lines else ""
@@ -509,23 +511,25 @@ def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[list, 
         raise ValueError(f"{kind} file must start with a '# {layout}' header")
     named = zip(layout.split(), header[1:].split(), strict=True)
     try:  # a wrong token count (the strict zip), a bad integer, d, n or q_max
-        fields = {name: tok if name == "model" or (tok == "-" and i >= required)
-                  else int(tok) for i, (name, tok) in enumerate(named)}
-        d, n, q_max = fields["d"], fields["n"], fields.get("q_max", "-")
-        if d < 1 or n != "-" and n < 0 or q_max != "-" and not 0 <= q_max < d:
+        meta = {name: tok if name == "model" else int(tok)
+                for i, (name, tok) in enumerate(named) if tok != "-" or i < required}
+        d = meta["d"]
+        if d < 1 or meta.get("n", 0) < 0 or not 0 <= meta.get("q_max", 0) < d:
             raise ValueError
     except ValueError:
         raise ValueError(f"malformed {kind} header: {header!r}") from None
-    return list(fields.values()), lines[1:]
+    return meta, lines[1:]
+
+
+def _dump_header(layout: str, meta: dict) -> str:
+    """The "# <layout>" header line: each field's ``meta`` value, "-" where it has none."""
+    return "# " + " ".join(str(meta.get(name, "-")) for name in layout.split())
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:
-    (d, q_max, n, seed), lines = _read_dump(text, "diagram", "d q_max n seed", 1)
-    meta: dict = {"d": d, "q_max": d - 1 if q_max == "-" else q_max}
-    if n != "-":
-        meta["n"] = n
-    if seed != "-":
-        meta["seed"] = seed
+    meta, lines = _read_dump(text, "diagram", "d q_max n seed", 1)
+    d = meta["d"]
+    meta = {"d": d, "q_max": d - 1, **meta}  # a "-" q_max reads as d - 1
     pairs: dict[int, list[tuple[float, float]]] = {}
     for number, ln in lines:
         tokens = ln.split()

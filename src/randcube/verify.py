@@ -298,33 +298,27 @@ def _inequality_one(params) -> tuple[int, int, float]:
     bad = 0
     comparisons = 0
     worst = INF
-    # the 15 x 10 grid boxes (s1, s2] x (t1, t2]
-    s1, s2 = np.array(list(itertools.combinations((0.0,) + S_GRID, 2))).T[..., None]
-    t1, t2 = np.array(list(itertools.combinations(T_GRID, 2))).T
-    # one quadrant_mass query per degree: the grid points of the trivial
-    # bound, then each box's corners (s2, t1), (s2, t2), (s1, t2), (s1, t1)
-    grid_s, grid_t = np.broadcast_arrays(np.array(S_GRID)[:, None], T_GRID)
-    box_s, box_t = np.broadcast_arrays(np.stack([s2, s2, s1, s1]),
-                                       np.stack([t1, t2, t2, t1])[:, None])
-    corners_s = np.concatenate([grid_s.ravel(), box_s.ravel()])
-    corners_t = np.concatenate([grid_t.ravel(), box_t.ravel()])
+    # one 6 x 5 table of quadrant masses per degree, at s in {0} + S_GRID and
+    # t in T_GRID; the 15 x 10 grid boxes (s1, s2] x (t1, t2] as index pairs
+    # into it
+    s_all, t_all = np.array((0.0,) + S_GRID), np.array(T_GRID)
+    i1, i2 = np.array(list(itertools.combinations(range(len(s_all)), 2))).T[..., None]
+    j1, j2 = np.array(list(itertools.combinations(range(len(t_all)), 2))).T
     levels = {s: sublevel(filt, s) for s in S_GRID}
     counts = {s: _dim_counts(filt, cells) for s, cells in levels.items()}
     bettis = {s: betti(filt.region, cells) for s, cells in levels.items()}
     for q in range(d):
-        mass = quadrant_mass(diagram, q, corners_s, corners_t)
-        masses = mass[:grid_s.size].reshape(grid_s.shape)
-        at_s2_t1, at_s2_t2, at_s1_t2, at_s1_t1 = mass[grid_s.size:].reshape(box_s.shape)
+        table = quadrant_mass(diagram, q, s_all[:, None], t_all)
         # trivial bound at every grid point
-        for s, row in zip(S_GRID, masses):
+        for s, row in zip(S_GRID, table[1:]):
             betti_s = bettis[s][q]
             slack = np.minimum(betti_s - row, counts[s][q] - betti_s)
             comparisons += len(slack)
             worst = min(worst, slack.min())
             bad += int((slack < 0).sum())
         # rectangle identity and nonnegativity over all grid boxes
-        alt = at_s2_t1 - at_s2_t2 + at_s1_t2 - at_s1_t1
-        direct = rectangle_mass(diagram, q, s1, s2, t1, t2)
+        alt = table[i2, j1] - table[i2, j2] + table[i1, j2] - table[i1, j1]
+        direct = rectangle_mass(diagram, q, s_all[i1], s_all[i2], t_all[j1], t_all[j2])
         comparisons += alt.size
         worst = min(worst, float(alt.min()))
         bad += int(((alt < 0) | (alt != direct)).sum())

@@ -642,6 +642,13 @@ def test_filtration_dump_header():
     f = sample_marks("lower", 1, (UNI, UNI, UNI), seed=2)
     first = format_filtration(f).splitlines()[0]
     assert first == "# 2 1 2 lower"
+    # every mix of present and "-" optional fields: a "-" field has no meta
+    # key and is written back as "-"
+    for meta in ({}, {"seed": 5}, {"model": "upper"}, {"seed": 5, "model": "upper"}):
+        header = f"# 2 1 {meta.get('seed', '-')} {meta.get('model', '-')}"
+        g = parse_filtration(f"{header}\n2;0,0;00 0.5\n")
+        assert g.meta == {"n": 1, **meta}
+        assert format_filtration(g).splitlines()[0] == header
 
 
 def test_parse_filtration_rejects_missing_header():

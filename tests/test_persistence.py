@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -686,8 +687,18 @@ def test_parse_diagram_names_malformed_header(header):
 
 
 def test_parse_diagram_reads_absent_header_fields():
+    """Every mix of present and "-" optional fields: a "-" field has no meta
+    key and is written back as "-", except that a "-" q_max reads and is
+    written as d - 1."""
     assert parse_diagram("# 2 - - -\n0 0.1 inf\n").meta == {"d": 2, "q_max": 1}
     assert parse_diagram("# 1 0 0 -\n").meta == {"d": 1, "q_max": 0, "n": 0}
+    for q_max, n, seed in itertools.product(("0", "-"), ("3", "-"), ("7", "-")):
+        header = f"# 2 {q_max} {n} {seed}"
+        diagram = parse_diagram(f"{header}\n0 0.1 inf\n")
+        present = {name: int(tok) for name, tok in (("q_max", q_max), ("n", n), ("seed", seed))
+                   if tok != "-"}
+        assert diagram.meta == {"d": 2, "q_max": 1, **present}
+        assert format_diagram(diagram).splitlines()[0] == header.replace("# 2 -", "# 2 1")
 
 
 def test_parse_diagram_rejects_impossible_pairs():
