@@ -273,9 +273,10 @@ def cmd_sample(config: ExperimentConfig, out_dir: Path) -> int:
 def cmd_diagram(config: ExperimentConfig | None, filtration_path: str | None,
                 out_dir: Path) -> int:
     if filtration_path is not None:
-        try:  # a face-condition violation is a ValueError of compute_diagram
+        try:  # a face-condition violation is a ValueError of compute_diagram,
+            # a header window too large to lay out a MemoryError
             diagram = compute_diagram(parse_filtration(Path(filtration_path).read_text()))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             print(f"cannot read filtration: {exc}", file=sys.stderr)
             return EXIT_DATA_VIOLATION
         path = out_dir / (Path(filtration_path).stem + ".diagram.txt")

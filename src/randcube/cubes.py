@@ -214,28 +214,31 @@ def cell_dims(box: Box, cells) -> np.ndarray:
     return layout.dims[layout.code[cells]]
 
 
-def _cube_parts(box: Box, cells) -> tuple[list, list, list[int], list[int]]:
-    """The box's bases and extents, each as a list of integer tuples in lex
-    order, and per cell the index of its base and of its extent in them."""
+def _cube_parts(box: Box, cells, form) -> tuple[list, list, list[int], list[int]]:
+    """The box's bases and extents, each as a list of tuples in lex order
+    whose entries are the coordinates and bits as ``form`` (int or str)
+    gives them, and per cell the index of its base and of its extent in
+    them."""
     layout, cells = _lookup(box, cells)
-    bases = list(itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))))
-    extents = list(itertools.product((0, 1), repeat=box.ambient_dim))
+    axes = ([form(v) for v in range(a, b + 1)] for a, b in zip(box.lo, box.hi))
+    bases = list(itertools.product(*axes))
+    extents = list(itertools.product((form(0), form(1)), repeat=box.ambient_dim))
     return bases, extents, layout.base_rank[cells].tolist(), layout.code[cells].tolist()
 
 
 def cells_to_cubes(box: Box, cells: np.ndarray) -> list[ElementaryCube]:
     """The cubes at these flat grid indices, in the order given."""
     # the cubes share one tuple per base and one per extent
-    bases, extents, i, k = _cube_parts(box, cells)
+    bases, extents, i, k = _cube_parts(box, cells, int)
     return [ElementaryCube(bases[a], extents[b]) for a, b in zip(i, k)]
 
 
 def cell_texts(box: Box, cells: np.ndarray) -> list[str]:
     """The canonical texts "d;b_1,...,b_d;bits" (``ElementaryCube.canonical``)
     of the cubes at these flat grid indices, in the order given."""
-    bases, extents, i, k = _cube_parts(box, cells)
-    bases = [f"{box.ambient_dim};" + ",".join(map(str, b)) for b in bases]
-    extents = [";" + "".join(map(str, e)) for e in extents]
+    bases, extents, i, k = _cube_parts(box, cells, str)
+    bases = [f"{box.ambient_dim};" + ",".join(b) for b in bases]
+    extents = [";" + "".join(e) for e in extents]
     return [bases[a] + extents[b] for a, b in zip(i, k)]
 
 

@@ -425,10 +425,12 @@ def parse_filtration(text: str) -> Filtration:
     box = Window(meta["n"], meta.pop("d")).box
     cells = canonical_cells(box)
     index = dict(zip(cell_texts(box, cells), cells.tolist()))
-    grid = np.full(cells.size, INF)
-    seen = np.zeros(cells.size, dtype=bool)
+    seen = bytearray(cells.size)
+    read, births = [], []
     for number, ln in lines:
         tokens = ln.split()
+        if not tokens:
+            continue
         if len(tokens) != 2:
             raise ValueError(f"malformed filtration line {number}: {ln!r}")
         cube_text, birth_text = tokens
@@ -445,6 +447,9 @@ def parse_filtration(text: str) -> Filtration:
             raise ValueError(f"{kind} cube {cube} lies outside the region")
         if seen[cell]:
             raise ValueError(f"duplicate cube line {ln!r}")
-        seen[cell] = True
-        grid[cell] = birth
+        seen[cell] = 1
+        read.append(cell)
+        births.append(birth)
+    grid = np.full(cells.size, INF)
+    grid[np.array(read, dtype=np.int64)] = births
     return Filtration(box, grid.reshape(grid_shape(box)), meta)

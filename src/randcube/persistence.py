@@ -45,6 +45,7 @@ finite time.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import Optional
 
 import numpy as np
@@ -250,7 +251,7 @@ def compute_diagram(
     lows, highs = [], []  # creator and killer positions, one array per route
 
     edges = np.flatnonzero(dims[:m] == 1)
-    joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]].tolist(), m)
+    joins, younger = _elder_merges(index[cell_faces(region, cells[edges], 1)[0]], m)
     merges = edges[joins]  # the negative edges, each joining two components
     lows.append(np.array(younger, dtype=np.int64))
     highs.append(merges)
@@ -267,7 +268,7 @@ def compute_diagram(
         position = np.flatnonzero(dims == d - 1)[::-1]  # the (d-1)-cubes, latest first
         sigma = cells[position]
         joins, younger = _elder_merges(
-            np.stack([below[sigma], above[sigma]], axis=1).tolist(), len(top) + 1)
+            np.stack([below[sigma], above[sigma]], axis=1), len(top) + 1)
         joins = position[joins]
         lows.append(joins)
         highs.append(top[len(top) - np.array(younger, dtype=np.int64)])
@@ -320,19 +321,20 @@ def compute_diagram(
     return PersistenceDiagram(d, pairs, meta)
 
 
-def _elder_merges(ends: list[list[int]], size: int) -> tuple[list[int], list[int]]:
+def _elder_merges(ends: np.ndarray, size: int) -> tuple[list[int], list[int]]:
     """Union-find over the nodes 0..size-1, a smaller node being older, fed
-    the edges ``ends`` (node pairs) in the order given.  By the elder rule
-    the younger of two joined roots hangs under the older, so every root is
-    its component's oldest node.  Returns the indices of the edges that join
-    two components and, for each, the younger root it joins."""
+    the edges ``ends`` (an (m, 2) array of node pairs) in the order given.
+    By the elder rule the younger of two joined roots hangs under the older,
+    so every root is its component's oldest node.  Returns the indices of
+    the edges that join two components and, for each, the younger root it
+    joins."""
     parent = list(range(size))
     joins, younger = [], []
-    for k, (a, b) in enumerate(ends):
-        while parent[a] != a:  # path halving
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+    for k, a, b in zip(range(len(ends)), ends[:, 0].tolist(), ends[:, 1].tolist()):
+        while (up := parent[a]) != a:  # path halving
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
         if a != b:
             if a < b:
                 a, b = b, a
@@ -495,18 +497,18 @@ def format_diagram(diagram: PersistenceDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[dict, list]:
+def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[dict, Iterator]:
     """The "# <layout>" header of a ``kind`` dump (a diagram or a filtration)
-    as a dict of its present fields, and its later non-blank lines as (line
-    number, line) pairs.
+    as a dict of its present fields, and an iterator over its later lines as
+    (line number, line) pairs, blank lines included: a reader splits each
+    line anyway, and skips one with no tokens.
 
     The first ``required`` fields are integers.  A later field is an integer
     or "-", which means absent: the dict has no key for it.  A ``model``
     field is kept as its text.  As for a ``Window``, d must be >= 1, an
     integer n >= 0 and an integer q_max in 0..d-1."""
-    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    header = lines[0][1] if lines else ""
+    lines = enumerate(text.splitlines(), 1)
+    header = next((ln for _, ln in lines if ln.strip()), "")  # the first non-blank line
     if not header.startswith("#"):
         raise ValueError(f"{kind} file must start with a '# {layout}' header")
     named = zip(layout.split(), header[1:].split(), strict=True)
@@ -518,7 +520,7 @@ def _read_dump(text: str, kind: str, layout: str, required: int) -> tuple[dict, 
             raise ValueError
     except ValueError:
         raise ValueError(f"malformed {kind} header: {header!r}") from None
-    return meta, lines[1:]
+    return meta, lines
 
 
 def _dump_header(layout: str, meta: dict) -> str:
@@ -533,6 +535,8 @@ def parse_diagram(text: str) -> PersistenceDiagram:
     pairs: dict[int, list[tuple[float, float]]] = {}
     for number, ln in lines:
         tokens = ln.split()
+        if not tokens:
+            continue
         if len(tokens) != 3:
             raise ValueError(f"malformed diagram line {number}: {ln!r}")
         try:

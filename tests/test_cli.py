@@ -167,6 +167,23 @@ def test_diagram_names_malformed_dump_header_exits_3(tmp_path, capsys, header):
     assert not (tmp_path / "faulty.diagram.txt").exists()
 
 
+def test_diagram_of_a_dump_too_large_to_lay_out_exits_3(tmp_path, capsys, monkeypatch):
+    """A header window whose grid cannot be allocated is a data violation,
+    not a traceback.  The parser is patched to raise, so no huge window is
+    ever allocated."""
+    def refuse(text):
+        raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+    monkeypatch.setattr(cli, "parse_filtration", refuse)
+    filt_path = tmp_path / "huge.txt"
+    filt_path.write_text("# 3 100000 - -\n")
+    assert main(["diagram", "--filtration", str(filt_path),
+                 "--out", str(tmp_path)]) == EXIT_DATA_VIOLATION
+    assert capsys.readouterr().err == ("cannot read filtration: "
+                                       "Unable to allocate 1.16 TiB for an array\n")
+    assert not (tmp_path / "huge.diagram.txt").exists()
+
+
 def test_nonfinite_mark_parameter_exits_2(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, mark={"family": "uniform",
                                           "params": [float("nan"), 1.0]})

@@ -654,6 +654,15 @@ def test_diagram_equality_compares_the_ambient_dimension():
     assert parse_diagram(format_diagram(diagram).replace("# 3 ", "# 4 ", 1)) != diagram
 
 
+def test_format_diagram_writes_the_repr_of_each_time():
+    """Each time is written as its own ``repr``: 0.0 and -0.0 compare equal
+    but keep their own texts, and an essential pair's death reads inf."""
+    diagram = PersistenceDiagram(2, {0: [(0.0, INF), (-0.0, 0.5), (-0.0, INF), (0.0, 0.5)],
+                                     1: [(0.25, INF)]})
+    assert format_diagram(diagram) == ("# 2 1 - -\n0 -0.0 0.5\n0 0.0 0.5\n0 0.0 inf\n"
+                                       "0 -0.0 inf\n1 0.25 inf\n")
+
+
 def test_empty_diagram_file_is_header_only():
     diagram = compute_diagram(never_born(Window(1, 2)))
     assert format_diagram(diagram) == "# 2 1 - -\n"
